@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -237,3 +238,43 @@ def test_theta_helper():
     assert theta(0, 5) == 1
     assert theta(2, 2) == 7
     assert theta(4, 2) == 31
+
+
+# content_hash() and the sha256 of the meets rows (little-endian, padded to
+# whole bytes), recorded before the level extension was rewritten; any
+# change to the build must leave both untouched.
+PINNED_BUILDS = {
+    ("q", 2, 2): (
+        "51a150dcc63216361011dc9b12d5dbdb58f38e5384451fb28991bd3d6aaa2feb",
+        "a5fccb88093d312a5199abd3d6d03463247493bb07c6636f7598681a80a1b831"),
+    ("q", 2, 3): (
+        "d9f9d69e168b8a9671e5ad1f128bba2836c11674416dfdc99f6c9157e5af0029",
+        "06b6f8273aae30697b4886419fc93179d55d73fcbca9b64512836626991ad5d2"),
+    ("qminus", 2, 2): (
+        "be139962444c518359c4347cdedb0953162e108cf09860753b7a8ee5855ce910",
+        "139b2c5e9b16560941f49709b04248c408100ea26359295d8a31a6204edcc1f5"),
+    ("qminus", 2, 3): (
+        "0127bb74555e722025bf77f48ed3dd1620d971aeead4f90778f1b0a7cd56cac6",
+        "37de7fb3cd38104638c45dc235e807ef45ab3771b05459b1354faa087eb75b16"),
+    ("h", 2, 2): (
+        "f52973345ae354b36996410a7dd46d31b4be9cf08cd13e08f74a7dce45b15ffa",
+        "95982e98d3455bc0931593484192630d3aeb578e65be28fa03f731989198b8a7"),
+    ("q", 3, 2): (
+        "3b76f38b7193ecc5948576a955ab76306e6b9843e233a2ce96e317cd578c5487",
+        "d1257cafe512fd4087ee2d8cc5f31cf4c51842a8942ef9214c1d36c7cf1abc7f"),
+    ("qminus", 3, 2): (
+        "be037b3e5e6e143c9344c922af655b226e17794dd276df79d0a806c8b922407d",
+        "03e4aecb8fc900f05a12f60b66ae978571963364abb2d8f83af58b241c2adc28"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BUILDS))
+def test_build_output_pinned(key):
+    sp = build_polar_space(*key)
+    want_hash, want_meets = PINNED_BUILDS[key]
+    assert sp.content_hash() == want_hash
+    width = (sp.num_generators + 7) // 8
+    h = hashlib.sha256()
+    for row in sp.meets:
+        h.update(row.to_bytes(width, "little"))
+    assert h.hexdigest() == want_meets
