@@ -308,9 +308,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int)
     p.add_argument("--budget-nodes", type=int, default=search.DEFAULT_BUDGET_NODES)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; execution is sequential "
-                        "and worker-count independent")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -326,8 +323,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        ap.error("--workers must be >= 1")
     try:
         return args.func(args)
     except BudgetError as e:
@@ -335,6 +330,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (BuildError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except AssertionError as e:
+        print(f"internal check failed: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

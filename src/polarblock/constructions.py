@@ -15,6 +15,7 @@ from __future__ import annotations
 from .projective import Subspace
 from .forms import is_totally_singular
 from .spaces import (
+    BudgetError,
     IteratedQuotient,
     PolarSpace,
     SectionStructure,
@@ -152,7 +153,7 @@ def section_cover(space: PolarSpace, hyperplane: Subspace | None = None,
     res = search.min_cover(sec.point_indices, lines,
                            budget_nodes=budget_nodes, budget_secs=budget_secs)
     if not res.complete or res.optimum is None:
-        raise RuntimeError("section cover search did not complete within budget")
+        raise BudgetError("section cover search did not complete within budget")
     members = tuple(sorted(sec.gen_indices[i] for i in res.witnesses[0]))
     q = space.q
     if res.optimum < q * q + 1:

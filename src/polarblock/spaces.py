@@ -3,11 +3,12 @@
 A PolarSpace carries the full singular point list (lex order, stable
 indices), the generator list (canonical RREF bases, lex order), the
 point/generator incidence and the generator-meets-generator relation as
-bitmask rows.  Generators are enumerated level by level: a totally
-singular subspace U is extended by every singular point of perp(U) \\ U,
-with reduced-row-echelon canonical forms as the deduplication key.  A
-pair-covering mask per subspace suppresses the redundant extensions, so
-each (k+1)-space is assembled exactly once.
+bitmask rows.  Totally singular subspaces are enumerated level by level
+and every level is kept: a subspace U is extended by the singular points
+of perp(U) \\ U, and once a span W = <U, P> is found all of W's points
+leave U's candidates.  Intermediate subspaces are deduplicated by their
+reduced-row-echelon rows; generators by their point mask, which for a
+generator W = <U, P> is perp(U) & perp(P) on the singular points.
 
 Supported kinds (q is the base parameter of the family; hermitian
 spaces live over GF(q^2)):
@@ -195,8 +196,8 @@ class SectionStructure:
 class PolarSpace:
     """Fully enumerated polar space; immutable after construction."""
 
-    def __init__(self, kind, rank, q, form, points, collinear, generators,
-                 gen_points, gen_point_mask, point_gen_mask, meets):
+    def __init__(self, kind, rank, q, form, points, collinear, levels,
+                 generators, gen_points, gen_point_mask, point_gen_mask, meets):
         self.kind = kind
         self.rank = rank
         self.q = q  # base parameter; the field order is q^2 for hermitian
@@ -207,6 +208,7 @@ class PolarSpace:
         self.point_index = {p: i for i, p in enumerate(points)}
         self.pts_array = np.array(points, dtype=form.field.add_table.dtype)
         self.collinear = collinear
+        self.levels = levels  # RREF rows of the subspaces of dimension 0..rank-2
         self.generators = generators
         self.gen_index = {g.rows: i for i, g in enumerate(generators)}
         self.gen_points = gen_points
@@ -237,26 +239,15 @@ class PolarSpace:
 
     def totally_singular_subspaces(self, dim: int) -> list[Subspace]:
         """All totally singular subspaces of the given projective
-        dimension, canonically sorted (cached per dimension)."""
+        dimension, canonically sorted (read from the levels kept by the
+        build)."""
         if dim < -1 or dim > self.rank - 1:
             raise ValueError(f"no totally singular subspaces of dimension {dim}")
         if dim == -1:
             return [Subspace(self.field, self.n, ())]
-        if not hasattr(self, "_ts_cache"):
-            self._ts_cache = {}
-        if dim not in self._ts_cache:
-            if dim == self.rank - 1:
-                self._ts_cache[dim] = list(self.generators)
-            else:
-                level_rows = [(p,) for p in self.points]
-                level_masks = [1 << i for i in range(self.num_points)]
-                for k in range(dim):
-                    level_rows, level_masks = _extend_level(
-                        self.field, self.points, self.point_index,
-                        self.collinear, level_rows, level_masks, k)
-                self._ts_cache[dim] = [Subspace(self.field, self.n, rows)
-                                       for rows in level_rows]
-        return self._ts_cache[dim]
+        if dim == self.rank - 1:
+            return list(self.generators)
+        return [Subspace(self.field, self.n, rows) for rows in self.levels[dim]]
 
     def generators_through(self, sub: Subspace) -> list[int]:
         """Indices of all generators containing the given subspace."""
@@ -327,68 +318,44 @@ def _collinearity_masks(form: Form, points, arr: np.ndarray) -> list[int]:
     return masks
 
 
-def _internal_hyperplane_bases(field: GF, w_rows, k: int):
-    """Bases (as ambient row tuples) of the k-row subspaces of the
-    (k+1)-row space spanned by w_rows."""
-    add, mul = field.addl, field.mull
-    out = []
-    for c in enumerate_pg_points(k, field):
-        kernel = nullspace(field, [c], k)
-        rows = []
-        for kv in kernel.rows:
-            v = [0] * len(w_rows[0])
-            for coef, wr in zip(kv, w_rows):
-                if coef:
-                    mc = mul[coef]
-                    v = [add[a][mc[b]] for a, b in zip(v, wr)]
-            rows.append(tuple(v))
-        out.append(rref(field, rows))
-    return out
+def _extend_level(field: GF, points, point_index, collinear, level,
+                  last: bool):
+    """Extend every totally singular subspace of one level by one point.
 
-
-def _extend_level(field: GF, points, point_index, collinear,
-                  level_rows, level_masks, k: int):
-    """Extend canonical k+1-row totally singular subspaces by one point.
-
-    Every extension pair (U, P) with P in perp(U) \\ U is considered, but a
-    per-subspace covering mask suppresses pairs whose span was already
-    assembled, so each new subspace costs one RREF plus the enumeration of
-    its k+1-row subspaces for the covering bookkeeping.
+    level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
+    and the mask of its points.  Walking the candidates perp(U) & Q \\ U
+    from the lowest bit, each point P spans W = <U, P>, and all of W's
+    points then leave the candidates, so W costs one step per U it
+    contains.  W is keyed by its RREF rows, and its points are enumerated
+    only when it is new.  On the last level W is a generator, its point set
+    is perp(U) & perp(P), and that mask is the key: RREF runs once per new
+    generator.  RREF rows are singular points, so they are stored as the
+    shared point tuples.  Returns the new pairs sorted by rows.
     """
-    level_index = {rows: i for i, rows in enumerate(level_rows)}
-    covered = [0] * len(level_rows)
-    next_rows = []
-    next_masks = []
-    seen = set()
-    for u, rows in enumerate(level_rows):
-        umask = level_masks[u]
-        cand = None
+    found = {}
+    for rows, umask in level:
+        full = -1
         for r in rows:
-            m = collinear[point_index[r]]
-            cand = m if cand is None else cand & m
-        cand &= ~umask
-        cand &= ~covered[u]
+            full &= collinear[point_index[r]]
+        cand = full & ~umask
         while cand:
-            low = cand & -cand
-            p = low.bit_length() - 1
-            w_rows = rref(field, rows + (points[p],))
-            if w_rows in seen:
-                covered[u] |= low
-                cand &= ~covered[u]
-                continue
-            seen.add(w_rows)
-            wmask = 0
-            for wp in subspace_points(field, w_rows):
-                wmask |= 1 << point_index[wp]
-            next_rows.append(w_rows)
-            next_masks.append(wmask)
-            for sub in _internal_hyperplane_bases(field, w_rows, k + 1):
-                su = level_index.get(sub)
-                if su is not None and su >= u:
-                    covered[su] |= wmask & ~level_masks[su]
-            cand &= ~covered[u]
-    order = sorted(range(len(next_rows)), key=lambda i: next_rows[i])
-    return [next_rows[i] for i in order], [next_masks[i] for i in order]
+            p = (cand & -cand).bit_length() - 1
+            if last:
+                wmask = full & collinear[p]
+                if wmask not in found:
+                    w = rref(field, rows + (points[p],))
+                    found[wmask] = tuple(points[point_index[r]] for r in w)
+            else:
+                w = rref(field, rows + (points[p],))
+                wmask = found.get(w)
+                if wmask is None:
+                    wmask = 0
+                    for wp in subspace_points(field, w):
+                        wmask |= 1 << point_index[wp]
+                    found[tuple(points[point_index[r]] for r in w)] = wmask
+            cand &= ~wmask
+    pairs = ((w, m) for m, w in found.items()) if last else found.items()
+    return sorted(pairs)
 
 
 def _materialize(kind: str, rank: int, q: int, form: Form,
@@ -411,32 +378,27 @@ def _materialize(kind: str, rank: int, q: int, form: Form,
     point_index = {p: i for i, p in enumerate(points)}
 
     # level 0: the points themselves
-    level_rows = [(p,) for p in points]
-    level_masks = [1 << i for i in range(len(points))]
-
+    level = [((p,), 1 << i) for i, p in enumerate(points)]
+    levels = []
     for k in range(rank - 1):
-        level_rows, level_masks = _extend_level(
-            field, points, point_index, collinear, level_rows, level_masks, k)
+        levels.append([rows for rows, _ in level])
+        level = _extend_level(field, points, point_index, collinear, level,
+                              k == rank - 2)
 
-    if len(level_rows) != exp_gens:
+    if len(level) != exp_gens:
         raise BuildError(
-            f"{space_name(kind, rank, q)}: enumerated {len(level_rows)} "
+            f"{space_name(kind, rank, q)}: enumerated {len(level)} "
             f"generators, expected {exp_gens}")
 
-    generators = [Subspace(field, form.n, rows) for rows in level_rows]
-    gen_points = []
-    for mask in level_masks:
-        gen_points.append(tuple(_iter_bits(mask)))
-    gen_point_mask = level_masks
+    generators = [Subspace(field, form.n, rows) for rows, _ in level]
+    gen_point_mask = [mask for _, mask in level]
+    gen_points = [tuple(_iter_bits(mask)) for mask in gen_point_mask]
 
-    # maximality: no singular point outside g is collinear with all of g
-    for rows, mask in zip(level_rows, level_masks):
-        cand = None
-        for r in rows:
-            m = collinear[point_index[r]]
-            cand = m if cand is None else cand & m
-        if cand != mask:
-            raise BuildError("non-maximal generator enumerated")
+    # maximality: a generator's mask is perp(g) & Q, which contains g, so
+    # holding exactly the points of a generator means it equals g
+    ppg = theta(rank - 1, field.q)
+    if any(mask.bit_count() != ppg for mask in gen_point_mask):
+        raise BuildError("non-maximal generator enumerated")
 
     point_gen_mask = [0] * len(points)
     for gi, pts in enumerate(gen_points):
@@ -454,12 +416,12 @@ def _materialize(kind: str, rank: int, q: int, form: Form,
     if len(degs) != 1:
         raise BuildError("generator regularity violated")
     deg = degs.pop()
-    ppg = theta(rank - 1, field.q)
     if len(points) * deg != len(generators) * ppg:
         raise BuildError("point/generator double count violated")
 
-    return PolarSpace(kind, rank, q, form, points, collinear, generators,
-                      gen_points, gen_point_mask, point_gen_mask, meets)
+    return PolarSpace(kind, rank, q, form, points, collinear, levels,
+                      generators, gen_points, gen_point_mask, point_gen_mask,
+                      meets)
 
 
 _SPACE_CACHE: dict = {}

@@ -148,3 +148,36 @@ def test_construct_with_seed_vertex(capsys, tmp_path):
     assert code == 0
     data = json.loads(f.read_text())
     assert len(data["members"]) == 3
+
+
+@pytest.mark.parametrize("rank,example", [(2, "section-cover"),
+                                          (3, "cone:q4-cover")])
+def test_section_cover_budget_exit_code(capsys, monkeypatch, rank, example):
+    from polarblock import constructions
+
+    real = constructions.search.min_cover
+
+    def one_node(*args, **kwargs):
+        return real(*args, **{**kwargs, "budget_nodes": 1})
+
+    monkeypatch.setattr(constructions.search, "min_cover", one_node)
+    code, out, err = run(capsys, "construct", "--kind", "qminus", "--rank",
+                         str(rank), "--q", "2", "--example", example)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+
+def test_internal_check_failure_exits_1(capsys, monkeypatch):
+    from polarblock import constructions
+
+    def broken(space, vertex=None):
+        raise AssertionError("pencil has 2 generators, expected 3")
+
+    monkeypatch.setattr(constructions, "pencil", broken)
+    code, out, err = run(capsys, "construct", "--kind", "q", "--rank", "2",
+                         "--q", "2", "--example", "pencil")
+    assert code == 1
+    assert "Traceback" not in err
+    assert err == "internal check failed: pencil has 2 generators, expected 3\n"

@@ -1,5 +1,6 @@
 import hashlib
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -206,6 +207,46 @@ def test_totally_singular_levels():
     assert len(lines) == 315
     assert [l.rows for l in lines] == sorted(l.rows for l in lines)
     assert len(sp.totally_singular_subspaces(2)) == 135
+
+
+def ts_count(kind, rank, q, dim):
+    """Closed-form number of totally singular subspaces of projective
+    dimension dim: the Gaussian binomial [rank, dim+1] over the field order
+    Q, times prod (Q^(i+e-1) + 1) for i = rank-dim .. rank, with e = 1 for
+    Q(2n,q), 2 for Q-(2n+1,q) and 3/2 for H(2n,q^2) (Q = q^2)."""
+    k = dim + 1
+    fq = q * q if kind == "h" else q
+    gauss = (prod(fq ** (rank - j) - 1 for j in range(k))
+             // prod(fq ** (j + 1) - 1 for j in range(k)))
+    tail = {"q": lambda i: q ** i + 1,
+            "qminus": lambda i: q ** (i + 1) + 1,
+            "h": lambda i: q ** (2 * i + 1) + 1}[kind]
+    return gauss * prod(tail(i) for i in range(rank - k + 1, rank + 1))
+
+
+@pytest.mark.parametrize("key", [("q", 2, 2), ("qminus", 2, 2), ("h", 2, 2),
+                                 ("q", 3, 2), ("qminus", 3, 2)])
+def test_kept_levels_sorted_counted_singular(key):
+    sp = build_polar_space(*key)
+    for dim in range(sp.rank):
+        subs = sp.totally_singular_subspaces(dim)
+        rows = [s.rows for s in subs]
+        assert rows == sorted(rows)
+        assert len(set(rows)) == len(rows) == ts_count(*key, dim)
+        assert all(s.dim == dim and is_totally_singular(sp.form, s)
+                   for s in subs)
+
+
+@pytest.mark.parametrize("key", [("q", 2, 2), ("q", 3, 2)])
+def test_lines_vs_bruteforce(key):
+    # every pair of collinear points, spanned and deduplicated
+    sp = build_polar_space(*key)
+    brute = set()
+    for a, b in combinations(sp.points, 2):
+        l = canonicalize(sp.field, sp.n, [a, b])
+        if is_totally_singular(sp.form, l):
+            brute.add(l.rows)
+    assert [l.rows for l in sp.totally_singular_subspaces(1)] == sorted(brute)
 
 
 def test_unknown_kind_and_guard():
