@@ -138,6 +138,25 @@ def test_quotient_coherence_bijection():
             assert back.rows == g.rows
 
 
+# content_hash() of quotient_at_point(space, i)[0]; on H(4,4) the quotient
+# forms at points 0 and 50 are equal and the one at point 164 differs.
+PINNED_QUOTIENTS = {
+    (("q", 3, 2), 0): "51a150dcc63216361011dc9b12d5dbdb58f38e5384451fb28991bd3d6aaa2feb",
+    (("q", 3, 2), 62): "51a150dcc63216361011dc9b12d5dbdb58f38e5384451fb28991bd3d6aaa2feb",
+    (("qminus", 3, 2), 0): "be139962444c518359c4347cdedb0953162e108cf09860753b7a8ee5855ce910",
+    (("qminus", 3, 2), 118): "be139962444c518359c4347cdedb0953162e108cf09860753b7a8ee5855ce910",
+    (("h", 2, 2), 0): "bc18e05ef6ff065ae2edb185774579da7cbfba4d359df7f4344bc2d7062f5713",
+    (("h", 2, 2), 50): "bc18e05ef6ff065ae2edb185774579da7cbfba4d359df7f4344bc2d7062f5713",
+    (("h", 2, 2), 164): "bc6aa486d6566a0d7116672c71f2413bdd83d942f0d9bf2da0ea08d23611e32d",
+}
+
+
+@pytest.mark.parametrize("key,point", sorted(PINNED_QUOTIENTS))
+def test_quotient_output_pinned(key, point):
+    qs, _ = quotient_at_point(build_polar_space(*key), point)
+    assert qs.content_hash() == PINNED_QUOTIENTS[key, point]
+
+
 def test_quotient_rejects_bad_input():
     sp = build_polar_space("qminus", 1, 2)
     with pytest.raises(BuildError):
