@@ -62,14 +62,10 @@ class CriterionResult:
 _examples: dict = {}
 
 
-def _space(kind, rank, q):
-    return build_polar_space(kind, rank, q)
-
-
 def _example(kind, rank, q, row):
     key = (kind, rank, q, row)
     if key not in _examples:
-        sp = _space(kind, rank, q)
+        sp = build_polar_space(kind, rank, q)
         _examples[key] = constructions.cone_example(sp, row)
     return _examples[key]
 
@@ -88,7 +84,7 @@ def criterion_1():
     checked = []
     for kind in ("q", "qminus", "h"):
         for q in (2, 3):
-            sp = _space(kind, 2, q)
+            sp = build_polar_space(kind, 2, q)
             s, t = st_params(kind, q)
             if sp.num_points != (s * t + 1) * (s + 1):
                 return _fail(cid, title, f"{sp.name}: {sp.num_points} points")
@@ -112,7 +108,7 @@ def criterion_2():
         ]
     got = []
     for (kind, rank, q), want in expects:
-        sp = _space(kind, rank, q)
+        sp = build_polar_space(kind, rank, q)
         res = analysis.check_gq_axioms(range(sp.num_points), sp.gen_points)
         if not res.ok or res.order != want:
             return _fail(cid, title,
@@ -127,7 +123,7 @@ def criterion_3():
     cid, title = 3, "Q(4,2)/Q(4,3): minimum = t+1, all minimal minima classified"
     lines = []
     for q in (2, 3):
-        sp = _space("q", 2, q)
+        sp = build_polar_space("q", 2, q)
         res = search.min_blocking(sp)
         if not res.complete:
             return _fail(cid, title, f"{sp.name}: search incomplete")
@@ -148,7 +144,7 @@ def criterion_3():
 def criterion_4():
     """Exhaustive classification of size-(q^2+1) minimal sets on Q-(5,2)."""
     cid, title = 4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified"
-    sp = _space("qminus", 2, 2)
+    sp = build_polar_space("qminus", 2, 2)
     th = analysis.theorem_threshold("qminus", 2)
     if th.max_delta != 0:
         return _fail(cid, title, f"threshold admits delta up to {th.max_delta}")
@@ -170,7 +166,7 @@ def criterion_4():
 def criterion_5():
     """Exhaustive classification of size-(q+1) minimal sets on Q(6,2)."""
     cid, title = 5, "Q(6,2): all size-3 minimal sets are the two cone examples"
-    sp = _space("q", 3, 2)
+    sp = build_polar_space("q", 3, 2)
     th = analysis.theorem_threshold("q", 2, rank=3)
     if th.max_delta != 0:
         return _fail(cid, title, f"threshold admits delta up to {th.max_delta}")
@@ -203,7 +199,7 @@ def criterion_6():
     for kind, rank, q, rows in CONE_SPACES:
         t0 = time.monotonic()
         try:
-            sp = _space(kind, rank, q)
+            sp = build_polar_space(kind, rank, q)
         except BudgetError as e:
             skipped.append(f"{kind} rank {rank}: {e}")
             continue
@@ -231,19 +227,19 @@ def criterion_6():
 def _rank2_examples():
     out = []
     for q in (2, 3):
-        sp = _space("q", 2, q)
+        sp = build_polar_space("q", 2, q)
         out.append((sp, "pencil", constructions.pencil(sp).members))
         sec = constructions.hyperbolic_section(sp)
         out.append((sp, "ruling",
                     constructions.ruling_spread(sp, 0, lines=sec.gen_indices).members))
-        se = _space("qminus", 2, q)
+        se = build_polar_space("qminus", 2, q)
         out.append((se, "pencil", constructions.pencil(se).members))
         out.append((se, "section-cover", constructions.section_cover(se).members))
-        sh = _space("h", 2, q)
+        sh = build_polar_space("h", 2, q)
         out.append((sh, "pencil", constructions.pencil(sh).members))
-    sp = _space("qplus3", 2, 2)
+    sp = build_polar_space("qplus3", 2, 2)
     out.append((sp, "pencil", constructions.pencil(sp).members))
-    sp = _space("h3", 2, 2)
+    sp = build_polar_space("h3", 2, 2)
     out.append((sp, "pencil", constructions.pencil(sp).members))
     return out
 
@@ -263,7 +259,7 @@ def criterion_7():
             bad = [k for k, v in rep.items.items() if not v.ok]
             return _fail(cid, title, f"{sp.name} {name}: failed {bad}")
         ran += 1
-    sp = _space("q", 2, 3)
+    sp = build_polar_space("q", 2, 3)
     rng = np.random.default_rng(RNG_SEED)
     rand_applicable = 0
     for _ in range(100):
@@ -295,7 +291,7 @@ def criterion_8():
         except BudgetError as e:
             skipped.append(f"{row}: {e}")
             continue
-        sp = _space(kind, rank, q)
+        sp = build_polar_space(kind, rank, q)
         got, _ = constructions.min_generators_outside_hyperplanes(sp, bs.members)
         bound = constructions.CONE_AVOIDANCE_BOUND[row](q)
         if got < bound:
@@ -329,7 +325,7 @@ def criterion_10():
     skipped = []
     for kind, rank, q, rows in CONE_SPACES:
         try:
-            sp = _space(kind, rank, q)
+            sp = build_polar_space(kind, rank, q)
         except BudgetError as e:
             skipped.append(f"{kind} rank {rank}: {e}")
             continue
@@ -358,7 +354,7 @@ def criterion_11():
     """H(4,4) facts: the pencil verifies; the exact search is budgeted and
     incompleteness is an allowed, flagged outcome."""
     cid, title = 11, "H(4,4): pencil verifies; budgeted exact search"
-    sp = _space("h", 2, 2)
+    sp = build_polar_space("h", 2, 2)
     p = constructions.pencil(sp)
     if p.size != 9:
         return _fail(cid, title, f"pencil size {p.size} != 9")

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: space build/stats, construct, verify, classify, search
+Subcommands: space stats, construct, verify, classify, search
 (min-blocking, enumerate-minimal, min-cover, min-maximal-spread),
 thresholds, accept.  JSON is the persistence format; text reports are
 derived views.  Blocking-set files reference their space by (kind, rank,
-q) plus content hash and the space is rebuilt on demand.
+q) plus content hash and the space is rebuilt on demand; `space stats`
+prints that hash with the counts.
 
 Exit codes: 0 success / all checks pass, 1 a check failed, 2 usage
 error, 3 budget exceeded.
@@ -74,17 +75,7 @@ def _load_set(path: str):
 
 
 def cmd_space(args):
-    space = _build(args)
-    if args.space_cmd == "build":
-        payload = space.to_json()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            print(f"wrote {space.name} to {args.out}")
-        else:
-            print(json.dumps(payload))
-        return EXIT_OK
-    stats = space.stats()
+    stats = _build(args).stats()
     text = "\n".join(f"{k}: {v}" for k, v in stats.items())
     _emit(args, stats, text)
     return EXIT_OK
@@ -268,14 +259,11 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["json", "text"], default="text")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("space", help="build or inspect a polar space")
+    sp = sub.add_parser("space", help="inspect a polar space")
     spsub = sp.add_subparsers(dest="space_cmd", required=True)
-    for name in ("build", "stats"):
-        p = spsub.add_parser(name)
-        _add_space_args(p)
-        if name == "build":
-            p.add_argument("--out")
-        p.set_defaults(func=cmd_space)
+    p = spsub.add_parser("stats")
+    _add_space_args(p)
+    p.set_defaults(func=cmd_space)
 
     p = sub.add_parser("construct", help="build a catalogue blocking set")
     _add_space_args(p)

@@ -219,10 +219,6 @@ def cone_example(space: PolarSpace, row: str,
     return bs
 
 
-def all_cone_rows(kind: str) -> list[str]:
-    return [row for (k, row) in CONE_ROWS if k == kind]
-
-
 def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int, tuple]:
     """Least number of members avoiding a hyperplane of the cone's span.
 

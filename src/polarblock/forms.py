@@ -93,9 +93,6 @@ class Form:
                         acc = add[acc][mul[mul[vi][v[j]]][c]]
         return acc
 
-    def is_singular(self, v) -> bool:
-        return self.eval(v) == 0
-
     def polarize(self, u, v) -> int:
         """B(u,v) = Q(u+v) - Q(u) - Q(v) for quadratic kinds; the
         sesquilinear H(u,v) for hermitian."""

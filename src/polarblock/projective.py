@@ -17,11 +17,6 @@ from .gf import GF
 Vector = tuple[int, ...]
 
 
-def vec_add(field: GF, u: Vector, v: Vector) -> Vector:
-    add = field.addl
-    return tuple(add[a][b] for a, b in zip(u, v))
-
-
 def vec_scale(field: GF, c: int, u: Vector) -> Vector:
     row = field.mull[c]
     return tuple(row[a] for a in u)
@@ -96,9 +91,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_point(r) for r in other.rows)
 
-    def points(self) -> list[Vector]:
-        return subspace_points(self.field, self.rows)
-
     def __le__(self, other: "Subspace") -> bool:
         return other.contains(self)
 
@@ -116,11 +108,6 @@ def canonicalize(field: GF, n: int, rows) -> Subspace:
 
 def empty_subspace(field: GF, n: int) -> Subspace:
     return Subspace(field, n, ())
-
-
-def full_space(field: GF, n: int) -> Subspace:
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
-    return Subspace(field, n, eye)
 
 
 def reduce_against(field: GF, rows, v: Vector):
@@ -242,38 +229,15 @@ class BasisSolver:
         self.rows = [tuple(r) for r in rows]
         k = len(self.rows)
         width = len(self.rows[0]) if k else 0
-        # row-reduce [rows | I], remembering the transform
-        aug = [list(r) + [1 if i == j else 0 for j in range(k)]
-               for i, r in enumerate(self.rows)]
-        add, mul, neg, inv = field.addl, field.mull, field.negl, field.invl
-        piv = 0
-        pivots = []
-        for col in range(width):
-            sel = None
-            for i in range(piv, k):
-                if aug[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            aug[piv], aug[sel] = aug[sel], aug[piv]
-            row = aug[piv]
-            c = row[col]
-            if c != 1:
-                mic = mul[inv[c]]
-                aug[piv] = row = [mic[x] for x in row]
-            for i in range(k):
-                if i != piv and aug[i][col]:
-                    mf = mul[neg[aug[i][col]]]
-                    aug[i] = [add[a][mf[b]] for a, b in zip(aug[i], row)]
-            pivots.append(col)
-            piv += 1
-        if piv != k:
+        # reduce [rows | I]: the right part records the transform, and a
+        # reduced row with a zero left part means the rows are dependent
+        aug = rref(field, [r + tuple(1 if i == j else 0 for j in range(k))
+                           for i, r in enumerate(self.rows)])
+        if any(not any(r[:width]) for r in aug):
             raise ValueError("basis rows are linearly dependent")
-        self._pivots = pivots
-        self._reduced = [tuple(r[:width]) for r in aug]
-        self._transform = [tuple(r[width:]) for r in aug]
-        self._width = width
+        self._pivots = [next(c for c, x in enumerate(r) if x) for r in aug]
+        self._reduced = [r[:width] for r in aug]
+        self._transform = [r[width:] for r in aug]
         self._k = k
 
     def express(self, v):

@@ -10,6 +10,11 @@ leave U's candidates.  Intermediate subspaces are deduplicated by their
 reduced-row-echelon rows; generators by their point mask, which for a
 generator W = <U, P> is perp(U) & perp(P) on the singular points.
 
+Every build, standard or quotient, is memoized by (kind, rank, q, form):
+a build is deterministic in its form, so the quotients at points with equal
+restricted forms share one PolarSpace.  A build whose bitmasks would exceed
+MAX_BUILD_BYTES raises BudgetError before anything is enumerated.
+
 Supported kinds (q is the base parameter of the family; hermitian
 spaces live over GF(q^2)):
 
@@ -25,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +56,8 @@ from .forms import (
 
 KINDS = ("q", "qminus", "qplus3", "h", "h3")
 
-MAX_GENERATORS = 10 ** 6
+# Guard on the estimated size of a build's incidence and meets bitmasks.
+MAX_BUILD_BYTES = 2 ** 30
 
 
 class BuildError(ValueError):
@@ -111,6 +118,12 @@ def generator_count(kind: str, rank: int, q: int) -> int:
     if kind == "h3":
         return (q ** 3 + 1) * (q + 1)
     raise BuildError(f"unknown kind {kind!r}")
+
+
+def build_bytes(kind: str, rank: int, q: int) -> int:
+    """Estimated bytes of the meets rows and point/generator masks."""
+    gens = generator_count(kind, rank, q)
+    return (gens * gens + point_count(kind, rank, q) * gens) // 8
 
 
 def st_params(kind: str, q: int):
@@ -290,18 +303,6 @@ class PolarSpace:
             "hash": self.content_hash(),
         }
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "q": self.q,
-            "name": self.name,
-            "points": [list(p) for p in self.points],
-            "generators": [[list(r) for r in g.rows] for g in self.generators],
-            "counts": {"points": self.num_points, "generators": self.num_generators},
-            "hash": self.content_hash(),
-        }
-
 
 def _singular_points(form: Form) -> list[Vector]:
     all_pts = enumerate_pg_points(form.n, form.field)
@@ -358,14 +359,15 @@ def _extend_level(field: GF, points, point_index, collinear, level,
     return sorted(pairs)
 
 
-def _materialize(kind: str, rank: int, q: int, form: Form,
-                 max_generators: int = MAX_GENERATORS) -> PolarSpace:
+@lru_cache(maxsize=None)
+def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
+    need = build_bytes(kind, rank, q)
+    if need > MAX_BUILD_BYTES:
+        raise BudgetError(
+            f"{space_name(kind, rank, q)} needs about {need / 2 ** 30:.1f} GiB "
+            f"of bitmasks, over the guard of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
     exp_pts = point_count(kind, rank, q)
     exp_gens = generator_count(kind, rank, q)
-    if exp_gens > max_generators:
-        raise BudgetError(
-            f"{space_name(kind, rank, q)} has {exp_gens} generators, "
-            f"over the guard of {max_generators}")
 
     field = form.field
     points = _singular_points(form)
@@ -424,29 +426,21 @@ def _materialize(kind: str, rank: int, q: int, form: Form,
                       meets)
 
 
-_SPACE_CACHE: dict = {}
-
-
-def build_polar_space(kind: str, rank: int, q: int,
-                      max_generators: int = MAX_GENERATORS) -> PolarSpace:
-    """Build (and memoize) the standard polar space of the given kind."""
+def build_polar_space(kind: str, rank: int, q: int) -> PolarSpace:
+    """The standard polar space of the given kind, memoized by form."""
     if kind not in KINDS:
         raise BuildError(f"unknown kind {kind!r}; expected one of {KINDS}")
     if rank < 1:
         raise BuildError("rank must be >= 1")
     if kind in ("qplus3", "h3") and rank != 2:
         raise BuildError(f"{kind} is a rank-2 space")
-    key = (kind, rank, q)
-    if key not in _SPACE_CACHE:
-        form = standard_form(kind, rank, q)
-        _SPACE_CACHE[key] = _materialize(kind, rank, q, form, max_generators)
-    return _SPACE_CACHE[key]
+    return _materialize(kind, rank, q, standard_form(kind, rank, q))
 
 
-def space_from_form(kind: str, rank: int, q: int, form: Form,
-                    max_generators: int = MAX_GENERATORS) -> PolarSpace:
-    """Materialize a polar space from an explicit (e.g. quotient) form."""
-    return _materialize(kind, rank, q, form, max_generators)
+def space_from_form(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
+    """The polar space of an explicit (e.g. quotient) form, memoized by
+    form: equal forms share one build."""
+    return _materialize(kind, rank, q, form)
 
 
 # -- quotient geometry --------------------------------------------------------
@@ -460,8 +454,7 @@ class QuotientMap:
     with P.  The quotient is a polar space of the same kind and rank-1.
     """
 
-    def __init__(self, space: PolarSpace, point_idx: int,
-                 max_generators: int = MAX_GENERATORS):
+    def __init__(self, space: PolarSpace, point_idx: int):
         self.space = space
         self.point_idx = point_idx
         self.point = space.points[point_idx]
@@ -483,7 +476,7 @@ class QuotientMap:
         self.solver = BasisSolver(field, solver_rows)
         qform = space.form.restrict(self.crows)
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
-                                        qform, max_generators)
+                                        qform)
 
     def to_quotient(self, sub: Subspace) -> Subspace:
         field = self.space.field
@@ -509,14 +502,13 @@ class QuotientMap:
         return canonicalize(field, self.space.n, rows)
 
 
-def quotient_at_point(space: PolarSpace, point_idx: int,
-                      max_generators: int = MAX_GENERATORS):
+def quotient_at_point(space: PolarSpace, point_idx: int):
     """Quotient polar space at a singular point, with the projection map."""
     if space.rank < 2:
         raise BuildError("quotient needs rank >= 2")
     if not 0 <= point_idx < space.num_points:
         raise BuildError(f"no point with index {point_idx}")
-    qm = QuotientMap(space, point_idx, max_generators)
+    qm = QuotientMap(space, point_idx)
     return qm.quotient, qm
 
 
@@ -524,8 +516,7 @@ class IteratedQuotient:
     """Composition of point quotients along a basis of a totally singular
     vertex subspace V; maps subspaces through V to the quotient at V."""
 
-    def __init__(self, space: PolarSpace, vertex: Subspace,
-                 max_generators: int = MAX_GENERATORS):
+    def __init__(self, space: PolarSpace, vertex: Subspace):
         self.space = space
         self.vertex = vertex
         self.maps = []
@@ -533,7 +524,7 @@ class IteratedQuotient:
         v = vertex
         while v.dim >= 0:
             p = v.rows[0]
-            qm = QuotientMap(cur, cur.point_index[p], max_generators)
+            qm = QuotientMap(cur, cur.point_index[p])
             self.maps.append(qm)
             v = qm.to_quotient(v)
             cur = qm.quotient

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -137,6 +137,31 @@ def test_basis_solver_roundtrip():
     assert solver.express((1, 1, 0, 0)) is None
     with pytest.raises(ValueError):
         BasisSolver(F3, [(1, 0, 0, 0), (2, 0, 0, 0)])
+
+
+def test_basis_solver_every_combination_gf4():
+    # rows not in echelon order over a non-prime field: every coefficient
+    # vector round-trips, and only vectors of the span are expressed
+    f4 = make_field(2, 2)
+    rows = [(0, 1, 2, 3, 1), (1, 3, 0, 2, 0), (0, 0, 1, 1, 2)]
+    solver = BasisSolver(f4, rows)
+    add, mul = f4.addl, f4.mull
+    inside = set()
+    for coeffs in product(range(4), repeat=3):
+        v = [0] * 5
+        for c, r in zip(coeffs, rows):
+            v = [add[x][mul[c][y]] for x, y in zip(v, r)]
+        inside.add(tuple(v))
+        assert solver.express(tuple(v)) == coeffs
+    for v in product(range(4), repeat=5):
+        if v not in inside:
+            assert solver.express(v) is None
+    assert BasisSolver(f4, []).express(()) == ()
+    third = [add[a][mul[2][b]] for a, b in zip(rows[0], rows[1])]
+    for dependent in ([rows[0], rows[1], tuple(third)],
+                      [rows[0], (0, 0, 0, 0, 0)]):
+        with pytest.raises(ValueError):
+            BasisSolver(f4, dependent)
 
 
 def test_subspace_hashable_as_key():

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from polarblock import spaces
 from polarblock.gf import make_field
 from polarblock.projective import canonicalize, enumerate_pg_points, rref, theta
 from polarblock.forms import is_totally_singular
@@ -157,6 +158,17 @@ def test_quotient_output_pinned(key, point):
     assert qs.content_hash() == PINNED_QUOTIENTS[key, point]
 
 
+def test_quotients_share_builds_by_form():
+    q62 = build_polar_space("q", 3, 2)
+    a, qa = quotient_at_point(q62, 0)
+    b, qb = quotient_at_point(q62, 62)
+    assert qa.quotient.form == qb.quotient.form and a is b
+    h44 = build_polar_space("h", 2, 2)
+    c, qc = quotient_at_point(h44, 0)
+    d, qd = quotient_at_point(h44, 164)
+    assert qc.quotient.form != qd.quotient.form and c is not d
+
+
 def test_quotient_rejects_bad_input():
     sp = build_polar_space("qminus", 1, 2)
     with pytest.raises(BuildError):
@@ -274,7 +286,24 @@ def test_unknown_kind_and_guard():
     with pytest.raises(BuildError):
         build_polar_space("qplus3", 3, 2)
     with pytest.raises(BudgetError):
-        build_polar_space("q", 5, 3, max_generators=1000)
+        build_polar_space("q", 5, 3)
+
+
+def test_build_bytes_guard(monkeypatch):
+    # Q-(7,4) and H(4,25) would need ~10 GB and ~19 GB of bitmasks; the
+    # estimate must refuse them and admit H(6,4) (~0.2 GB)
+    assert spaces.build_bytes("h", 3, 2) < spaces.MAX_BUILD_BYTES
+    assert spaces.build_bytes("qminus", 3, 4) > 9 * 10 ** 9
+    assert spaces.build_bytes("h", 2, 5) > 18 * 10 ** 9
+
+    # the guard fires before any point is enumerated
+    def no_enumeration(form):
+        raise AssertionError("enumerated a space over the guard")
+
+    monkeypatch.setattr(spaces, "_singular_points", no_enumeration)
+    for key in [("qminus", 3, 4), ("h", 2, 5)]:
+        with pytest.raises(BudgetError):
+            build_polar_space(*key)
 
 
 def test_pencil_sizes():
@@ -283,14 +312,6 @@ def test_pencil_sizes():
     assert pencil_size("h", 2) == 9
     assert pencil_size("qplus3", 2) == 2
     assert pencil_size("h3", 2) == 3
-
-
-def test_space_json_roundtrip():
-    sp = build_polar_space("qplus3", 2, 2)
-    blob = sp.to_json()
-    assert blob["counts"] == {"points": 9, "generators": 6}
-    assert blob["hash"] == sp.content_hash()
-    assert all(isinstance(x, int) for row in blob["points"] for x in row)
 
 
 def test_theta_helper():
