@@ -183,3 +183,73 @@ def test_h44_budgeted_allowed_incomplete():
         assert res.optimum <= 9
     else:
         assert res.optimum is not None  # explicit upper bound
+
+
+# Node counts and witness lists of the engine, pinned so that a rewrite of
+# `_run_engine` must reproduce its search tree exactly.  The digest is the
+# first 16 hex digits of sha256(repr(witness list)).
+_PIN_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
+               "q43": ("q", 2, 3), "qm52": ("qminus", 2, 2)}
+_ENGINE_PINS = [
+    ("min_blocking", "q42", 184, 35, "78ad4ff03e30abf9"),
+    ("min_blocking", "qplus3-2", 16, 9, "ce3cd0650317ed23"),
+    ("min_blocking", "q43", 8126, 130, "9d55a89f9f007f14"),
+    ("min_blocking", "qm52", 54701, 243, "3171abcb5f74fc2e"),
+    ("min_cover_of_space", "q42", 117, 6, "a89a66b1182e85fe"),
+    ("min_cover_of_space", "qplus3-2", 8, 2, "d1bc02012b076eff"),
+    ("min_cover_of_space", "q43", 13271, 360, "78a0743e7181f0b7"),
+    ("min_cover_of_space", "qm52", 11340, 200, "457de0e2125b0e28"),
+    ("min_maximal_partial_spread", "q42", 54, 20, "6bad077db44d9e21"),
+    ("min_maximal_partial_spread", "qplus3-2", 9, 2, "d1bc02012b076eff"),
+    ("min_maximal_partial_spread", "q43", 780, 90, "fee361675f931630"),
+    ("min_maximal_partial_spread", "qm52", 2708, 216, "584fe69cc0412768"),
+    ("enumerate_minimal", "q42", 602, 35, "78ad4ff03e30abf9"),
+    ("enumerate_minimal", "qm52", 54701, 243, "3171abcb5f74fc2e"),
+]
+_ENUM_BOUND = {"q42": 4, "qm52": 5}
+
+
+def _witness_digest(ws) -> str:
+    import hashlib
+
+    return hashlib.sha256(repr([tuple(w) for w in ws]).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("fn,key,nodes,count,digest", _ENGINE_PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in _ENGINE_PINS])
+def test_engine_search_tree_pinned(fn, key, nodes, count, digest):
+    sp = build_polar_space(*_PIN_SPACES[key])
+    if fn == "enumerate_minimal":
+        res = S.enumerate_minimal(sp, _ENUM_BOUND[key])
+        found = res.sets
+    else:
+        res = getattr(S, fn)(sp)
+        found = res.witnesses
+    assert res.complete
+    assert (res.nodes, len(found)) == (nodes, count)
+    assert _witness_digest(found) == digest
+
+
+def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
+    engine = S._run_engine
+    total = [0]
+
+    def counting(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        total[0] += out[2]
+        return out
+
+    monkeypatch.setattr(S, "_run_engine", counting)
+    expected = {2: (72, None, None), 3: (233, 6, (0, 1, 3, 4, 5, 7)),
+                4: (2215, 7, (0, 1, 2, 5, 8, 17, 20))}
+    for q, want in expected.items():
+        total[0] = 0
+        r = S.smallest_nontrivial_pg2(q)
+        assert (total[0], r.size, r.witness) == want
+
+
+def test_engine_h44_budget_stop_pinned():
+    sp = build_polar_space("h", 2, 2)
+    res = S.min_blocking(sp, budget_nodes=50_000, budget_secs=1e9)
+    assert (res.nodes, res.complete, res.optimum) == (50_001, False, 9)
+    assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210)]
