@@ -21,6 +21,7 @@ from .projective import Subspace, canonicalize, meet, span
 from .spaces import (
     IteratedQuotient,
     PolarSpace,
+    _iter_bits,
     hyperplane_section,
     pencil_size,
     quotient_at_point,
@@ -197,11 +198,7 @@ def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
         hole_hist = {}
         for x in holes:
             hist: dict[int, int] = {}
-            gm = space.point_gen_mask[x]
-            while gm:
-                low = gm & -gm
-                g = low.bit_length() - 1
-                gm ^= low
+            for g in _iter_bits(space.point_gen_mask[x]):
                 i = (space.meets[g] & lmask).bit_count()
                 hist[i] = hist.get(i, 0) + 1
             hole_hist[x] = hist
@@ -261,12 +258,8 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     ok = True
     detail = ""
     for x in prof.holes:
-        acc = 0
-        pm = space.collinear[x] & prof.covered_mask
-        while pm:
-            low = pm & -pm
-            acc += prof.w[low.bit_length() - 1] - 1
-            pm ^= low
+        acc = sum(prof.w[p] - 1
+                  for p in _iter_bits(space.collinear[x] & prof.covered_mask))
         if acc > delta:
             ok = False
             detail = f"hole {x}: sum (w-1) over perp = {acc} > {delta}"
@@ -319,11 +312,7 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
             ok = False
             detail = f"point {p} lies on {in_l} > delta+1 members"
         full = 0
-        gm = space.point_gen_mask[p] & ~lmask
-        while gm:
-            low = gm & -gm
-            g = low.bit_length() - 1
-            gm ^= low
+        for g in _iter_bits(space.point_gen_mask[p] & ~lmask):
             if space.gen_point_mask[g] & ~prof.covered_mask == 0:
                 full += 1
         if full * s >= t + s:  # full < t/s + 1

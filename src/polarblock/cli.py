@@ -61,10 +61,22 @@ def _parse_vertex(space, text: str):
     return canonicalize(space.field, space.n, rows)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_set(path: str):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    ref = data["space"]
+    ref = data.get("space") if isinstance(data, dict) else None
+    if not (isinstance(ref, dict) and isinstance(ref.get("kind"), str)
+            and _is_int(ref.get("rank")) and _is_int(ref.get("q"))
+            and isinstance(ref.get("hash") or "", str)):
+        raise ValueError(f"{path}: expected a 'space' object with a string "
+                         "'kind' and integer 'rank' and 'q'")
+    if not (isinstance(data.get("members"), list)
+            and all(_is_int(m) for m in data["members"])):
+        raise ValueError(f"{path}: expected 'members' as a list of integers")
     space = build_polar_space(ref["kind"], ref["rank"], ref["q"])
     if ref.get("hash") and ref["hash"] != space.content_hash():
         raise ValueError(

@@ -6,12 +6,23 @@ enumeration of minimal blocking sets up to a size bound, exact minimum
 set covers, smallest maximal partial spreads (hitting sets with pairwise
 disjoint members) and the plane blocking-set oracle.
 
+The engine works on a 0/1 relation given twice as Python-int bitmasks:
+rows[r] holds the candidates that hit row r, cols[c] the rows that
+candidate c hits.  For the symmetric meets relation both are `meets`;
+set covers and the plane oracle pass the transpose.  A search node holds
+the chosen set, the allowed candidates and the uncovered rows as
+bitmasks, so picking c leaves `uncovered & ~cols[c]` uncovered.  With
+`forbid_rows` no chosen set may contain a whole row (the plane oracle:
+no line inside the blocking set).
+
 The engine is deterministic: it branches on an uncovered row with the
 fewest remaining hitters (lexicographic tie-break), visits candidates in
 index order and partitions the space by banning earlier siblings, so node
 counts and witness order are reproducible.  The lower bound is a greedy
-packing of uncovered rows with pairwise disjoint hitter sets.  Budgets
-(node count and wall time) make incompleteness explicit, never silent.
+packing of uncovered rows with pairwise disjoint hitter sets; one scan of
+the uncovered rows per node yields both the branch row and the bound.
+Budgets (node count and wall time) make incompleteness explicit, never
+silent.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from itertools import combinations
 
 from .gf import field_of_order, is_prime
 from .projective import enumerate_pg_points, nullspace
-from .spaces import PolarSpace
+from .spaces import PolarSpace, _iter_bits
 from . import analysis
 
 DEFAULT_BUDGET_NODES = 10 ** 8
@@ -63,114 +74,116 @@ class _BudgetStop(Exception):
     pass
 
 
-def _run_engine(rows, universe_mask: int, *, max_size: int, mode: str,
-                conflicts=None, forbid=None, forbid_through=None,
-                first_only: bool = False,
+def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
+                forbid_rows: bool = False, first_only: bool = False,
                 budget_nodes: int = DEFAULT_BUDGET_NODES,
                 budget_secs: float | None = None):
-    """Core exact search.
+    """Core exact search over every candidate.
 
-    rows: bitmask per constraint row (candidates hitting that row).
+    rows[r]: bitmask of the candidates that hit row r.
+    cols[c]: bitmask of the rows that candidate c hits (the transpose of
+    rows; for the symmetric meets relation, rows itself).
     mode 'min': optimum + all optimum-size hitting sets of size <= max_size.
     mode 'leaves': every leaf hitting set of size <= max_size (a superset
     of all inclusion-minimal ones).
     conflicts[c]: candidates unusable once c is chosen (disjointness).
-    forbid/forbid_through: completed chosen sets must not contain any
-    forbid mask (checked incrementally through the candidate index).
+    forbid_rows: no chosen set may contain every candidate of a row
+    (checked on each pick through the rows of cols[c]).
+
+    Each node carries the chosen set, the allowed candidates and the
+    uncovered rows as bitmasks.  Returns (sols, complete, nodes, seconds).
     """
     if budget_secs is None:
         budget_secs = default_budget_secs()
     deadline = time.monotonic() + budget_secs
     t0 = time.monotonic()
-    state = {"nodes": 0, "best": max_size, "done": False}
+    nodes = 0
+    best = max_size
+    done = False
     sols: list[tuple[int, ...]] = []
-    rows = list(rows)
 
-    def rec(chosen, chosen_mask, allowed, uncovered):
-        state["nodes"] += 1
-        if state["nodes"] > budget_nodes:
+    def rec(chosen_mask, depth, allowed, uncovered):
+        nonlocal nodes, best, done
+        nodes += 1
+        if nodes > budget_nodes:
             raise _BudgetStop
-        if state["nodes"] % 2048 == 0 and time.monotonic() > deadline:
+        if nodes % 2048 == 0 and time.monotonic() > deadline:
             raise _BudgetStop
         if not uncovered:
-            size = len(chosen)
             if mode == "min":
-                if size < state["best"]:
-                    state["best"] = size
+                if depth > best:
+                    return
+                if depth < best:
+                    best = depth
                     sols.clear()
-                    sols.append(tuple(sorted(chosen)))
-                elif size == state["best"]:
-                    sols.append(tuple(sorted(chosen)))
-            else:
-                sols.append(tuple(sorted(chosen)))
-            if first_only:
-                state["done"] = True
+            sols.append(tuple(_iter_bits(chosen_mask)))
+            done = first_only
             return
-        limit = state["best"] if mode == "min" else max_size
-        rem = limit - len(chosen)
+        rem = (best if mode == "min" else max_size) - depth
         if rem <= 0:
             return
-        # row selection: fewest remaining hitters, first index breaks ties
-        best_row = -1
+        # One pass over the uncovered rows.  Branch row: fewest allowed
+        # hitters, first index breaks ties; the choice (and the empty-row
+        # prune) stops at the first row with a single hitter.  Lower
+        # bound: a greedy packing of rows with pairwise disjoint hitters.
+        best_count = len(cols) + 1
         best_cand = 0
-        best_count = None
-        for ri in uncovered:
-            ra = rows[ri] & allowed
-            if ra == 0:
-                return
-            c = ra.bit_count()
-            if best_count is None or c < best_count:
-                best_count = c
-                best_cand = ra
-                best_row = ri
-                if c == 1:
-                    break
-        # greedy packing bound: rows with pairwise disjoint hitter sets
         lb = 0
         acc = 0
-        for ri in uncovered:
-            ra = rows[ri] & allowed
-            if ra & acc == 0:
+        u = uncovered
+        while u:
+            low = u & -u
+            u ^= low
+            ra = rows[low.bit_length() - 1] & allowed
+            if best_count > 1:
+                if not ra:
+                    return
+                k = ra.bit_count()
+                if k < best_count:
+                    best_count = k
+                    best_cand = ra
+            if not ra & acc:
                 lb += 1
                 if lb > rem:
                     return
                 acc |= ra
-        cand = best_cand
-        local_allowed = allowed
-        while cand:
-            low = cand & -cand
-            c = low.bit_length() - 1
-            cand ^= low
+        # Children in index order; each bans its earlier siblings.
+        for c in _iter_bits(best_cand):
+            low = 1 << c
+            allowed &= ~low
             new_mask = chosen_mask | low
-            if forbid_through is not None:
+            if forbid_rows:
                 full = False
-                for fi in forbid_through[c]:
-                    if forbid[fi] & ~new_mask == 0:
+                for r in _iter_bits(cols[c]):
+                    if not rows[r] & ~new_mask:
                         full = True
                         break
                 if full:
-                    local_allowed &= ~low
                     continue
-            child_allowed = local_allowed & ~low
+            child_allowed = allowed
             if conflicts is not None:
                 child_allowed &= ~conflicts[c]
-            chosen.append(c)
-            rec(chosen, new_mask,
-                child_allowed,
-                [ri for ri in uncovered if not (rows[ri] >> c) & 1])
-            chosen.pop()
-            if state["done"]:
+            rec(new_mask, depth + 1, child_allowed, uncovered & ~cols[c])
+            if done:
                 return
-            local_allowed &= ~low
 
     complete = True
     try:
-        rec([], 0, universe_mask, list(range(len(rows))))
+        rec(0, 0, (1 << len(cols)) - 1, (1 << len(rows)) - 1)
     except _BudgetStop:
         complete = False
     seconds = time.monotonic() - t0
     sols.sort()
-    return sols, complete, state["nodes"], seconds
+    return sols, complete, nodes, seconds
+
+
+def _transpose(masks, width: int) -> list[int]:
+    """out[i] has bit j set iff masks[j] has bit i set, for i < width."""
+    out = [0] * width
+    for j, m in enumerate(masks):
+        for i in _iter_bits(m):
+            out[i] |= 1 << j
+    return out
 
 
 def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
@@ -198,7 +211,7 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
             raise AssertionError("pencil seed is not blocking")
         upper_bound = len(seed)
     sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.all_gens_mask, max_size=upper_bound, mode="min",
+        space.meets, space.meets, max_size=upper_bound, mode="min",
         budget_nodes=budget_nodes, budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
     if not complete and optimum is None and seed is not None:
@@ -223,7 +236,7 @@ def enumerate_minimal(space: PolarSpace, max_size: int,
     inclusion-minimal hitting set; the essentiality filter keeps exactly
     the minimal ones."""
     sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.all_gens_mask, max_size=max_size, mode="leaves",
+        space.meets, space.meets, max_size=max_size, mode="leaves",
         budget_nodes=budget_nodes, budget_secs=budget_secs)
     out = [w for w in sols if analysis.is_minimal(space, w)]
     return EnumerationResult(out, complete, nodes, seconds)
@@ -239,20 +252,12 @@ def min_cover(points, lines, upper_bound: int | None = None,
     """
     pts = list(points)
     pidx = {p: i for i, p in enumerate(pts)}
-    nlines = len(lines)
     line_masks = []
     for l in lines:
         m = 0
         for p in l:
             m |= 1 << pidx[p]
         line_masks.append(m)
-    rows = []
-    for i, p in enumerate(pts):
-        r = 0
-        for li in range(nlines):
-            if (line_masks[li] >> i) & 1:
-                r |= 1 << li
-        rows.append(r)
     if upper_bound is None:
         # deterministic greedy cover as a feasible seed
         covered = 0
@@ -260,8 +265,8 @@ def min_cover(points, lines, upper_bound: int | None = None,
         all_pts = (1 << len(pts)) - 1
         while covered != all_pts:
             gain, pick = -1, None
-            for li in range(nlines):
-                g = (line_masks[li] & ~covered).bit_count()
+            for li, lm in enumerate(line_masks):
+                g = (lm & ~covered).bit_count()
                 if g > gain:
                     gain, pick = g, li
             if gain <= 0:
@@ -270,8 +275,8 @@ def min_cover(points, lines, upper_bound: int | None = None,
             covered |= line_masks[pick]
         upper_bound = len(chosen)
     sols, complete, nodes, seconds = _run_engine(
-        rows, (1 << nlines) - 1, max_size=upper_bound, mode="min",
-        budget_nodes=budget_nodes, budget_secs=budget_secs)
+        _transpose(line_masks, len(pts)), line_masks, max_size=upper_bound,
+        mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
     return SearchResult(optimum, sols, complete, nodes, seconds)
 
@@ -299,7 +304,7 @@ def min_maximal_partial_spread(space: PolarSpace, bound: int | None = None,
     if bound is None:
         bound = len(_greedy_maximal_partial_spread(space))
     sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.all_gens_mask, max_size=bound, mode="min",
+        space.meets, space.meets, max_size=bound, mode="min",
         conflicts=space.meets, budget_nodes=budget_nodes,
         budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
@@ -353,18 +358,14 @@ def smallest_nontrivial_pg2(q: int,
         for p in l:
             m |= 1 << p
         line_masks.append(m)
-    rows = line_masks  # hitting candidates for a line are its points
-    forbid_through = [[] for _ in range(npts)]
-    for li, l in enumerate(lines):
-        for p in l:
-            forbid_through[p].append(li)
+    # rows are lines, and the hitting candidates of a line are its points
+    lines_through = _transpose(line_masks, npts)
     total_nodes = 0
     total_secs = 0.0
     for target in range(q + 2, npts + 1):
         sols, complete, nodes, seconds = _run_engine(
-            rows, (1 << npts) - 1, max_size=target, mode="min",
-            forbid=line_masks, forbid_through=forbid_through,
-            first_only=True, budget_nodes=budget_nodes,
+            line_masks, lines_through, max_size=target, mode="min",
+            forbid_rows=True, first_only=True, budget_nodes=budget_nodes,
             budget_secs=budget_secs)
         total_nodes += nodes
         total_secs += seconds
@@ -391,12 +392,7 @@ def greedy_then_minimize(space: PolarSpace, rng) -> tuple[int, ...]:
         unhit = [g for g in range(space.num_generators)
                  if not (hit >> g) & 1]
         target = unhit[int(rng.integers(len(unhit)))]
-        hitters = []
-        m = space.meets[target]
-        while m:
-            low = m & -m
-            hitters.append(low.bit_length() - 1)
-            m ^= low
+        hitters = list(_iter_bits(space.meets[target]))
         pick = hitters[int(rng.integers(len(hitters)))]
         if pick not in chosen:
             chosen.append(pick)

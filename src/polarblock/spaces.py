@@ -68,20 +68,6 @@ class BudgetError(RuntimeError):
     """Raised when a construction would exceed its resource guard."""
 
 
-def ambient_dim(kind: str, rank: int) -> int:
-    if kind == "q":
-        return 2 * rank
-    if kind == "qminus":
-        return 2 * rank + 1
-    if kind == "h":
-        return 2 * rank
-    if kind == "qplus3":
-        return 3
-    if kind == "h3":
-        return 3
-    raise BuildError(f"unknown kind {kind!r}")
-
-
 def point_count(kind: str, rank: int, q: int) -> int:
     if kind == "q":
         return (q ** (2 * rank) - 1) // (q - 1)

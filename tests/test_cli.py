@@ -179,3 +179,24 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "Traceback" not in err
     assert err == "internal check failed: pencil has 2 generators, expected 3\n"
+
+
+_SPACE_Q42 = {"kind": "q", "rank": 2, "q": 2}
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    {"space": _SPACE_Q42},
+    [1, 2],
+    {"space": "q", "members": [0]},
+    {"space": _SPACE_Q42, "members": [None]},
+    {"space": {**_SPACE_Q42, "rank": "2"}, "members": [0]},
+], ids=["empty", "no-members", "list", "space-str", "member-null",
+        "rank-str"])
+def test_malformed_set_file_exits_1(capsys, tmp_path, data):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", "--set", str(f))
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
