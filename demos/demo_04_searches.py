@@ -41,7 +41,11 @@ print(f"two runs on {sp.name}: identical witnesses: "
 
 print("\n== explicit budgets ==")
 sp = build_polar_space("h", 2, 2)
-res = min_blocking(sp, budget_nodes=100_000)
-print(f"H(4,4) with a 100k-node budget: complete={res.complete}, "
-      f"known upper bound {res.optimum} (the pencil); the searched tree "
-      f"had {res.nodes} nodes")
+res = min_blocking(sp, budget_nodes=2_000)
+print(f"H(4,4) with a 2k-node budget: complete={res.complete}, upper bound "
+      f"{res.optimum} from the {len(res.witnesses)} witnesses through "
+      f"generator 0 found in {res.nodes} nodes")
+res = min_blocking(sp)
+print(f"H(4,4) unbudgeted: complete={res.complete}, optimum {res.optimum}, "
+      f"{len(res.witnesses)} witnesses (the point pencils) in {res.nodes} "
+      f"nodes")

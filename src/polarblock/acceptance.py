@@ -24,6 +24,7 @@ from .analysis import (
     LABEL_PENCIL,
     LABEL_SUBGQ_SPREAD,
 )
+from .projective import Subspace
 from .spaces import BudgetError, build_polar_space, st_params
 
 RNG_SEED = 20110811
@@ -351,9 +352,10 @@ def criterion_10():
 
 
 def criterion_11():
-    """H(4,4) facts: the pencil verifies; the exact search is budgeted and
-    incompleteness is an allowed, flagged outcome."""
-    cid, title = 11, "H(4,4): pencil verifies; budgeted exact search"
+    """H(4,4) facts: the pencil verifies, and the exact search, within its
+    budget, certifies optimum 9 with the 165 point pencils as its only
+    witnesses."""
+    cid, title = 11, "H(4,4): pencil verifies; exact search certifies 9"
     sp = build_polar_space("h", 2, 2)
     p = constructions.pencil(sp)
     if p.size != 9:
@@ -361,13 +363,17 @@ def criterion_11():
     if not analysis.is_blocking(sp, p.members) or not analysis.is_minimal(sp, p.members):
         return _fail(cid, title, "pencil failed verification")
     res = search.min_blocking(sp, budget_nodes=2_000_000, budget_secs=45)
-    if res.complete:
-        if res.optimum is None or res.optimum > 9:
-            return _fail(cid, title, f"complete search reported {res.optimum}")
-        return _ok(cid, title, f"pencil ok; search complete, optimum {res.optimum}")
-    return _ok(cid, title,
-               f"pencil ok; search incomplete after {res.nodes} nodes "
-               f"(allowed outcome, upper bound {res.optimum})")
+    if not res.complete:
+        return _fail(cid, title, f"search incomplete after {res.nodes} nodes")
+    if res.optimum != 9:
+        return _fail(cid, title, f"complete search reported {res.optimum}")
+    pencils = sorted(tuple(sp.generators_through(Subspace(sp.field, sp.n, (pt,))))
+                     for pt in sp.points)
+    if res.witnesses != pencils:
+        return _fail(cid, title, f"{len(res.witnesses)} witnesses are not "
+                     f"the {len(pencils)} point pencils")
+    return _ok(cid, title, f"pencil ok; optimum 9 certified in {res.nodes} "
+               f"nodes, witnesses exactly the {len(pencils)} point pencils")
 
 
 CRITERIA = [

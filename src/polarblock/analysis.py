@@ -115,15 +115,14 @@ def essential_members(space: PolarSpace, members) -> tuple[int, ...]:
     """Members pi for which some outside generator meets pi and no other
     member."""
     members = validate_members(space, members)
-    lmask = members_mask(members)
-    essential = 0
-    for g in range(space.num_generators):
-        if (1 << g) & lmask:
-            continue
-        hits = space.meets[g] & lmask
-        if hits and hits & (hits - 1) == 0:
-            essential |= hits
-    return tuple(i for i in members if (1 << i) & essential)
+    meets = space.meets
+    # ones: generators meeting some member; twos: meeting at least two
+    ones = twos = 0
+    for m in members:
+        twos |= ones & meets[m]
+        ones |= meets[m]
+    once = ones & ~twos & ~members_mask(members)
+    return tuple(m for m in members if meets[m] & once)
 
 
 def is_minimal(space: PolarSpace, members) -> bool:

@@ -18,11 +18,27 @@ no line inside the blocking set).
 The engine is deterministic: it branches on an uncovered row with the
 fewest remaining hitters (lexicographic tie-break), visits candidates in
 index order and partitions the space by banning earlier siblings, so node
-counts and witness order are reproducible.  The lower bound is a greedy
-packing of uncovered rows with pairwise disjoint hitter sets; one scan of
-the uncovered rows per node yields both the branch row and the bound.
-Budgets (node count and wall time) make incompleteness explicit, never
-silent.
+counts and witness order are reproducible.  Two lower bounds prune a node
+that has rem picks left.  One scan of the uncovered rows yields the branch
+row and a greedy packing of rows with pairwise disjoint hitter sets (more
+than rem such rows prune).  Only when the packing fails does the covering
+capacity run: rem picks cover at most the rem largest counts
+|cols[c] & uncovered| over the candidates hitting an uncovered row, and a
+sum below |uncovered| prunes.  The cheap form rem * max|cols[c]| is tried
+first.  Budgets (node count and wall time) make incompleteness explicit,
+never silent.
+
+The four searches over a polar space's generators (min_blocking,
+enumerate_minimal, min_cover_of_space, min_maximal_partial_spread) pin
+generator 0: the isometry group of a classical polar space is transitive
+on generators (Witt's theorem), so every answer is the image of one that
+contains generator 0.  The engine starts with generator 0 chosen, and a
+complete run's sets are expanded to their orbits under the generator
+permutations of PolarSpace.generator_permutations (reflections in
+nonsingular points), then sorted; the lists equal those of the unpinned
+search.  A budget stop returns the pinned sets found so far, unexpanded.
+min_cover on arbitrary lines and the plane oracle assume no symmetry and
+are not pinned.
 """
 
 from __future__ import annotations
@@ -31,6 +47,8 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .gf import field_of_order, is_prime
 from .projective import enumerate_pg_points, nullspace
@@ -76,6 +94,7 @@ class _BudgetStop(Exception):
 
 def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 forbid_rows: bool = False, first_only: bool = False,
+                start: int | None = None,
                 budget_nodes: int = DEFAULT_BUDGET_NODES,
                 budget_secs: float | None = None):
     """Core exact search over every candidate.
@@ -89,6 +108,8 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     conflicts[c]: candidates unusable once c is chosen (disjointness).
     forbid_rows: no chosen set may contain every candidate of a row
     (checked on each pick through the rows of cols[c]).
+    start: a candidate every chosen set contains; the root node has it
+    chosen already (the symmetry pin of the meets-based searches).
 
     Each node carries the chosen set, the allowed candidates and the
     uncovered rows as bitmasks.  Returns (sols, complete, nodes, seconds).
@@ -101,6 +122,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     best = max_size
     done = False
     sols: list[tuple[int, ...]] = []
+    maxdeg = max((c.bit_count() for c in cols), default=0)
 
     def rec(chosen_mask, depth, allowed, uncovered):
         nonlocal nodes, best, done
@@ -130,6 +152,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         best_cand = 0
         lb = 0
         acc = 0
+        hitters = 0
         u = uncovered
         while u:
             low = u & -u
@@ -147,6 +170,18 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 if lb > rem:
                     return
                 acc |= ra
+            hitters |= ra
+        # Covering capacity: rem picks cover at most the rem largest counts
+        # |cols[c] & uncovered| among the candidates hitting an uncovered row.
+        need = uncovered.bit_count()
+        if rem * maxdeg < need:
+            return
+        # bin() lists the bits from the top: reversed, bit c is character c
+        caps = [(col & uncovered).bit_count()
+                for col, bit in zip(cols, bin(hitters)[:1:-1]) if bit == "1"]
+        caps.sort(reverse=True)
+        if sum(caps[:rem]) < need:
+            return
         # Children in index order; each bans its earlier siblings.
         for c in _iter_bits(best_cand):
             low = 1 << c
@@ -167,9 +202,18 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
             if done:
                 return
 
+    chosen, depth = 0, 0
+    allowed = (1 << len(cols)) - 1
+    uncovered = (1 << len(rows)) - 1
+    if start is not None:
+        chosen, depth = 1 << start, 1
+        allowed &= ~chosen
+        if conflicts is not None:
+            allowed &= ~conflicts[start]
+        uncovered &= ~cols[start]
     complete = True
     try:
-        rec(0, 0, (1 << len(cols)) - 1, (1 << len(rows)) - 1)
+        rec(chosen, depth, allowed, uncovered)
     except _BudgetStop:
         complete = False
     seconds = time.monotonic() - t0
@@ -199,6 +243,42 @@ def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
     return tuple(sorted(thru))
 
 
+def _orbit_closure(space: PolarSpace, sets) -> list[tuple[int, ...]]:
+    """The sets and all their images under the space's generator
+    permutations, sorted.  Sets of one size are closed together, a whole
+    breadth-first frontier per step, keyed by the bytes of their sorted
+    int32 rows."""
+    perms = np.array(space.generator_permutations(), dtype=np.int32)
+    out = []
+    for k in sorted({len(s) for s in sets}):
+        frontier = np.array([s for s in sets if len(s) == k], dtype=np.int32)
+        key = np.dtype((np.void, 4 * k))
+        seen = set(frontier.view(key).ravel().tolist())
+        while len(frontier):
+            images = np.sort(perms[:, frontier].reshape(-1, k), axis=1)
+            new = set(np.ascontiguousarray(images).view(key).ravel().tolist())
+            new -= seen
+            seen |= new
+            frontier = np.frombuffer(b"".join(new), dtype=np.int32).reshape(-1, k)
+        rows = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, k)
+        out.extend(map(tuple, rows.tolist()))
+    return sorted(out)
+
+
+def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
+    """The engine with generator 0 chosen at the root.  The isometry group
+    is transitive on generators, so every answer is an image of one through
+    generator 0: a complete run's sets (those passing keep, if given) are
+    expanded to their orbits.  A budget stop returns them unexpanded."""
+    t0 = time.monotonic()
+    sols, complete, nodes, _ = _run_engine(rows, cols, start=0, **kw)
+    if keep is not None:
+        sols = [w for w in sols if keep(space, w)]
+    if complete:
+        sols = _orbit_closure(space, sols)
+    return sols, complete, nodes, time.monotonic() - t0
+
+
 def min_blocking(space: PolarSpace, upper_bound: int | None = None,
                  budget_nodes: int = DEFAULT_BUDGET_NODES,
                  budget_secs: float | None = None) -> SearchResult:
@@ -210,8 +290,8 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
         if not analysis.is_blocking(space, seed):
             raise AssertionError("pencil seed is not blocking")
         upper_bound = len(seed)
-    sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.meets, max_size=upper_bound, mode="min",
+    sols, complete, nodes, seconds = _pinned(
+        space, space.meets, space.meets, max_size=upper_bound, mode="min",
         budget_nodes=budget_nodes, budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
     if not complete and optimum is None and seed is not None:
@@ -233,13 +313,30 @@ def enumerate_minimal(space: PolarSpace, max_size: int,
                       budget_secs: float | None = None) -> EnumerationResult:
     """All minimal blocking sets of size <= max_size (raw list, no
     isomorph rejection).  Leaves of the bounded search tree cover every
-    inclusion-minimal hitting set; the essentiality filter keeps exactly
-    the minimal ones."""
-    sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.meets, max_size=max_size, mode="leaves",
-        budget_nodes=budget_nodes, budget_secs=budget_secs)
-    out = [w for w in sols if analysis.is_minimal(space, w)]
-    return EnumerationResult(out, complete, nodes, seconds)
+    inclusion-minimal hitting set through generator 0; the essentiality
+    filter keeps exactly the minimal ones, and their orbits are the rest."""
+    sols, complete, nodes, seconds = _pinned(
+        space, space.meets, space.meets, keep=analysis.is_minimal,
+        max_size=max_size, mode="leaves", budget_nodes=budget_nodes,
+        budget_secs=budget_secs)
+    return EnumerationResult(sols, complete, nodes, seconds)
+
+
+def _greedy_cover_size(line_masks, all_mask: int) -> int:
+    """Size of a deterministic greedy cover of all_mask by the lines."""
+    covered = 0
+    size = 0
+    while covered != all_mask:
+        gain, pick = -1, None
+        for li, lm in enumerate(line_masks):
+            g = (lm & ~covered).bit_count()
+            if g > gain:
+                gain, pick = g, li
+        if gain <= 0:
+            raise ValueError("lines do not cover the points")
+        size += 1
+        covered |= line_masks[pick]
+    return size
 
 
 def min_cover(points, lines, upper_bound: int | None = None,
@@ -248,7 +345,8 @@ def min_cover(points, lines, upper_bound: int | None = None,
     """Exact minimum set cover: every point in some chosen line.
 
     points: iterable of point ids; lines: list of point-id collections.
-    Witnesses are index tuples into the lines list.
+    Witnesses are index tuples into the lines list.  No symmetry is
+    assumed, so nothing is pinned.
     """
     pts = list(points)
     pidx = {p: i for i, p in enumerate(pts)}
@@ -259,21 +357,7 @@ def min_cover(points, lines, upper_bound: int | None = None,
             m |= 1 << pidx[p]
         line_masks.append(m)
     if upper_bound is None:
-        # deterministic greedy cover as a feasible seed
-        covered = 0
-        chosen = []
-        all_pts = (1 << len(pts)) - 1
-        while covered != all_pts:
-            gain, pick = -1, None
-            for li, lm in enumerate(line_masks):
-                g = (lm & ~covered).bit_count()
-                if g > gain:
-                    gain, pick = g, li
-            if gain <= 0:
-                raise ValueError("lines do not cover the points")
-            chosen.append(pick)
-            covered |= line_masks[pick]
-        upper_bound = len(chosen)
+        upper_bound = _greedy_cover_size(line_masks, (1 << len(pts)) - 1)
     sols, complete, nodes, seconds = _run_engine(
         _transpose(line_masks, len(pts)), line_masks, max_size=upper_bound,
         mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs)
@@ -281,9 +365,19 @@ def min_cover(points, lines, upper_bound: int | None = None,
     return SearchResult(optimum, sols, complete, nodes, seconds)
 
 
-def min_cover_of_space(space: PolarSpace, **kw) -> SearchResult:
+def min_cover_of_space(space: PolarSpace, upper_bound: int | None = None,
+                       budget_nodes: int = DEFAULT_BUDGET_NODES,
+                       budget_secs: float | None = None) -> SearchResult:
     """Minimum cover of the space's points by its generators."""
-    return min_cover(range(space.num_points), space.gen_points, **kw)
+    if upper_bound is None:
+        upper_bound = _greedy_cover_size(space.gen_point_mask,
+                                         space.all_points_mask)
+    sols, complete, nodes, seconds = _pinned(
+        space, space.point_gen_mask, space.gen_point_mask,
+        max_size=upper_bound, mode="min", budget_nodes=budget_nodes,
+        budget_secs=budget_secs)
+    optimum = len(sols[0]) if sols else None
+    return SearchResult(optimum, sols, complete, nodes, seconds)
 
 
 def _greedy_maximal_partial_spread(space: PolarSpace) -> tuple[int, ...]:
@@ -303,8 +397,8 @@ def min_maximal_partial_spread(space: PolarSpace, bound: int | None = None,
     block every generator (maximality and blocking coincide)."""
     if bound is None:
         bound = len(_greedy_maximal_partial_spread(space))
-    sols, complete, nodes, seconds = _run_engine(
-        space.meets, space.meets, max_size=bound, mode="min",
+    sols, complete, nodes, seconds = _pinned(
+        space, space.meets, space.meets, max_size=bound, mode="min",
         conflicts=space.meets, budget_nodes=budget_nodes,
         budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None

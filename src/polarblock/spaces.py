@@ -223,6 +223,7 @@ class PolarSpace:
         else:
             self.s = self.t = None
         self._hash = None
+        self._gen_perms = None
 
     @property
     def name(self) -> str:
@@ -257,6 +258,14 @@ class PolarSpace:
             smask |= 1 << self.point_index[p]
         return [gi for gi in range(self.num_generators)
                 if self.gen_point_mask[gi] & smask == smask]
+
+    def generator_permutations(self) -> list[tuple[int, ...]]:
+        """Generator permutations induced by isometries, under which
+        generator 0 has every generator in its orbit (computed on first
+        use, then cached)."""
+        if self._gen_perms is None:
+            self._gen_perms = _reflection_permutations(self)
+        return self._gen_perms
 
     def content_hash(self) -> str:
         if self._hash is None:
@@ -427,6 +436,83 @@ def space_from_form(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     """The polar space of an explicit (e.g. quotient) form, memoized by
     form: equal forms share one build."""
     return _materialize(kind, rank, q, form)
+
+
+# -- symmetry -----------------------------------------------------------------
+
+
+def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
+    """Generator permutations of reflections in nonsingular points.
+
+    For each nonsingular v, in enumerate_pg_points order, the isometry is
+    x -> x - (B(x,v)/Q(v)) v on a quadric and x -> x + (zeta-1) h(x,v)/h(v,v) v
+    on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  A reflection is
+    kept only when it enlarges the orbit of generator 0, and the scan stops
+    once that orbit is every generator.  Each kept map is checked to be a
+    bijection of the points and of the generators that sends every
+    generator's point mask to a generator's point mask; such a pair of
+    bijections preserves incidence, hence meets.
+    """
+    form, field = space.form, space.field
+    add, mul = field.add_table, field.mul_table
+    hermitian = form.kind == "hermitian"
+    if hermitian:
+        zeta = next(x for x in range(2, field.q)
+                    if field.pow(x, field.sub_order + 1) == 1)
+        scale = field.sub(zeta, 1)
+    else:
+        scale = field.neg(1)
+    pts = space.pts_array
+    rows = np.arange(len(pts))
+    n_gens = space.num_generators
+    gen_of_mask = {m: g for g, m in enumerate(space.gen_point_mask)}
+
+    def gen_image(bits, g):
+        m = 0
+        for p in space.gen_points[g]:
+            m |= bits[p]
+        return gen_of_mask.get(m)
+
+    perms: list[tuple[int, ...]] = []
+    orbit = {0}
+    for v in enumerate_pg_points(form.n, field):
+        if len(orbit) == n_gens:
+            break
+        norm = form.eval(v)
+        if not norm:
+            continue
+        # B(v,x) = B(x,v) on a quadric; H(v,x) is the conjugate of h(x,v)
+        b = form.polarize_batch(v, pts)
+        if hermitian:
+            b = field.conj_table[b]
+        coef = mul[field.div(scale, norm)][b]
+        img = add[pts, mul[coef[:, None], np.array(v)[None, :]]]
+        lead = img[rows, (img != 0).argmax(axis=1)]
+        img = mul[field.inv_table[lead][:, None], img]
+        pmap = [space.point_index.get(tuple(p)) for p in img.tolist()]
+        if None in pmap or len(set(pmap)) != len(pmap):
+            raise AssertionError(f"{space.name}: reflection in {v} does not "
+                                 "permute the points")
+        bits = [1 << p for p in pmap]
+        if all(gen_image(bits, g) in orbit for g in orbit):
+            continue
+        gmap = tuple(gen_image(bits, g) for g in range(n_gens))
+        if None in gmap or len(set(gmap)) != n_gens:
+            raise AssertionError(f"{space.name}: reflection in {v} does not "
+                                 "permute the generators")
+        perms.append(gmap)
+        todo = list(orbit)
+        while todo:
+            g = todo.pop()
+            for perm in perms:
+                h = perm[g]
+                if h not in orbit:
+                    orbit.add(h)
+                    todo.append(h)
+    if len(orbit) != n_gens:
+        raise AssertionError(f"{space.name}: reflections move generator 0 to "
+                             f"{len(orbit)} of {n_gens} generators")
+    return perms
 
 
 # -- quotient geometry --------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from polarblock.projective import Subspace
 from polarblock.spaces import build_polar_space
 from polarblock import analysis as A
 from polarblock import search as S
@@ -176,13 +177,16 @@ def test_budget_env_override(monkeypatch):
     assert S.default_budget_secs() == 600.0
 
 
-def test_h44_budgeted_allowed_incomplete():
+def test_h44_budgeted_certifies_pencils():
     sp = build_polar_space("h", 2, 2)
     res = S.min_blocking(sp, budget_nodes=50_000, budget_secs=10)
-    if res.complete:
-        assert res.optimum <= 9
-    else:
-        assert res.optimum is not None  # explicit upper bound
+    assert res.complete and res.optimum == 9
+    pencils = sorted(tuple(sp.generators_through(Subspace(sp.field, sp.n, (p,))))
+                     for p in sp.points)
+    assert res.witnesses == pencils and len(pencils) == 165
+    # no blocking set of size 8: one node, generator 0 pinned
+    below = S.min_blocking(sp, upper_bound=8)
+    assert (below.complete, below.optimum, below.nodes) == (True, None, 1)
 
 
 # Node counts and witness lists of the engine, pinned so that a rewrite of
@@ -191,20 +195,20 @@ def test_h44_budgeted_allowed_incomplete():
 _PIN_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
                "q43": ("q", 2, 3), "qm52": ("qminus", 2, 2)}
 _ENGINE_PINS = [
-    ("min_blocking", "q42", 184, 35, "78ad4ff03e30abf9"),
-    ("min_blocking", "qplus3-2", 16, 9, "ce3cd0650317ed23"),
-    ("min_blocking", "q43", 8126, 130, "9d55a89f9f007f14"),
-    ("min_blocking", "qm52", 54701, 243, "3171abcb5f74fc2e"),
-    ("min_cover_of_space", "q42", 117, 6, "a89a66b1182e85fe"),
-    ("min_cover_of_space", "qplus3-2", 8, 2, "d1bc02012b076eff"),
-    ("min_cover_of_space", "q43", 13271, 360, "78a0743e7181f0b7"),
-    ("min_cover_of_space", "qm52", 11340, 200, "457de0e2125b0e28"),
-    ("min_maximal_partial_spread", "q42", 54, 20, "6bad077db44d9e21"),
-    ("min_maximal_partial_spread", "qplus3-2", 9, 2, "d1bc02012b076eff"),
-    ("min_maximal_partial_spread", "q43", 780, 90, "fee361675f931630"),
-    ("min_maximal_partial_spread", "qm52", 2708, 216, "584fe69cc0412768"),
-    ("enumerate_minimal", "q42", 602, 35, "78ad4ff03e30abf9"),
-    ("enumerate_minimal", "qm52", 54701, 243, "3171abcb5f74fc2e"),
+    ("min_blocking", "q42", 43, 35, "78ad4ff03e30abf9"),
+    ("min_blocking", "qplus3-2", 5, 9, "ce3cd0650317ed23"),
+    ("min_blocking", "q43", 252, 130, "9d55a89f9f007f14"),
+    ("min_blocking", "qm52", 938, 243, "3171abcb5f74fc2e"),
+    ("min_cover_of_space", "q42", 79, 6, "a89a66b1182e85fe"),
+    ("min_cover_of_space", "qplus3-2", 4, 2, "d1bc02012b076eff"),
+    ("min_cover_of_space", "q43", 3549, 360, "78a0743e7181f0b7"),
+    ("min_cover_of_space", "qm52", 903, 200, "457de0e2125b0e28"),
+    ("min_maximal_partial_spread", "q42", 11, 20, "6bad077db44d9e21"),
+    ("min_maximal_partial_spread", "qplus3-2", 3, 2, "d1bc02012b076eff"),
+    ("min_maximal_partial_spread", "q43", 69, 90, "fee361675f931630"),
+    ("min_maximal_partial_spread", "qm52", 194, 216, "584fe69cc0412768"),
+    ("enumerate_minimal", "q42", 170, 35, "78ad4ff03e30abf9"),
+    ("enumerate_minimal", "qm52", 938, 243, "3171abcb5f74fc2e"),
 ]
 _ENUM_BOUND = {"q42": 4, "qm52": 5}
 
@@ -240,8 +244,8 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_run_engine", counting)
-    expected = {2: (72, None, None), 3: (233, 6, (0, 1, 3, 4, 5, 7)),
-                4: (2215, 7, (0, 1, 2, 5, 8, 17, 20))}
+    expected = {2: (72, None, None), 3: (220, 6, (0, 1, 3, 4, 5, 7)),
+                4: (1093, 7, (0, 1, 2, 5, 8, 17, 20))}
     for q, want in expected.items():
         total[0] = 0
         r = S.smallest_nontrivial_pg2(q)
@@ -249,7 +253,89 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
 
 
 def test_engine_h44_budget_stop_pinned():
+    # a budget stop returns the pinned witnesses found so far, unexpanded
     sp = build_polar_space("h", 2, 2)
-    res = S.min_blocking(sp, budget_nodes=50_000, budget_secs=1e9)
-    assert (res.nodes, res.complete, res.optimum) == (50_001, False, 9)
-    assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210)]
+    res = S.min_blocking(sp, budget_nodes=2_000, budget_secs=1e9)
+    assert (res.nodes, res.complete, res.optimum) == (2_001, False, 9)
+    assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210),
+                             (0, 3, 6, 27, 36, 45, 276, 285, 294)]
+
+
+_SYMMETRY_SPACES = {**_PIN_SPACES, "q62": ("q", 3, 2), "h44": ("h", 2, 2),
+                    "qm72": ("qminus", 3, 2)}
+
+
+def _meets_matrix(sp) -> np.ndarray:
+    n = sp.num_generators
+    nbytes = (n + 7) // 8
+    return np.array([np.unpackbits(np.frombuffer(m.to_bytes(nbytes, "little"),
+                                                 dtype=np.uint8),
+                                   bitorder="little", count=n)
+                     for m in sp.meets], dtype=bool)
+
+
+@pytest.mark.parametrize("key", sorted(_SYMMETRY_SPACES))
+def test_generator_permutations_preserve_meets(key):
+    sp = build_polar_space(*_SYMMETRY_SPACES[key])
+    perms = sp.generator_permutations()
+    assert perms is sp.generator_permutations()  # cached on the space
+    meets = _meets_matrix(sp)
+    orbit = {0}
+    for perm in perms:
+        assert sorted(perm) == list(range(sp.num_generators))
+        p = np.array(perm)
+        # meets[g][h] == meets[perm g][perm h] for every pair
+        assert (meets[np.ix_(p, p)] == meets).all()
+        orbit |= {perm[g] for g in orbit}
+    todo = list(orbit)
+    while todo:
+        g = todo.pop()
+        for perm in perms:
+            if perm[g] not in orbit:
+                orbit.add(perm[g])
+                todo.append(perm[g])
+    assert orbit == set(range(sp.num_generators))
+
+
+@pytest.mark.parametrize("key", ["q42", "qplus3-2"])
+def test_pinned_optimum_vs_bruteforce(key):
+    sp = build_polar_space(*_PIN_SPACES[key])
+    res = S.min_blocking(sp)
+    assert res.complete
+    assert S.no_blocking_below(sp, res.optimum)
+    assert not S.no_blocking_below(sp, res.optimum + 1)
+    brute = [c for c in combinations(range(sp.num_generators), res.optimum)
+             if A.is_blocking(sp, c)]
+    assert res.witnesses == brute
+
+
+def _essential_by_generator_loop(sp, members):
+    """The per-generator essentiality test that the bitmask pass replaced."""
+    lmask = A.members_mask(members)
+    essential = 0
+    for g in range(sp.num_generators):
+        if (1 << g) & lmask:
+            continue
+        hits = sp.meets[g] & lmask
+        if hits and hits & (hits - 1) == 0:
+            essential |= hits
+    return tuple(i for i in members if (1 << i) & essential)
+
+
+@pytest.mark.parametrize("key", sorted(_ENUM_BOUND))
+def test_essential_members_vs_generator_loop(key, monkeypatch):
+    sp = build_polar_space(*_PIN_SPACES[key])
+    engine = S._run_engine
+    leaves = []
+
+    def recording(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        leaves.extend(out[0])
+        return out
+
+    monkeypatch.setattr(S, "_run_engine", recording)
+    S.enumerate_minimal(sp, _ENUM_BOUND[key])
+    # and every leaf of the unpinned tree (on q42 some are not minimal)
+    S._run_engine(sp.meets, sp.meets, max_size=_ENUM_BOUND[key], mode="leaves")
+    for w in leaves:
+        assert A.essential_members(sp, w) == _essential_by_generator_loop(sp, w)
