@@ -243,26 +243,36 @@ def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
     return tuple(sorted(thru))
 
 
-def _orbit_closure(space: PolarSpace, sets) -> list[tuple[int, ...]]:
-    """The sets and all their images under the space's generator
-    permutations, sorted.  Sets of one size are closed together, a whole
-    breadth-first frontier per step, keyed by the bytes of their sorted
-    int32 rows."""
+def _orbit_expand(space: PolarSpace, pinned) -> list[tuple[int, ...]]:
+    """Every image of the pinned sets (all sets of a family that contain
+    generator 0) under the space's generator permutations, sorted.
+
+    A walk over the orbit of generator 0 yields, for every generator g, a
+    permutation tau with tau(0) = g.  A set S of the family whose least
+    member is g is then tau(P) for exactly one pinned P, so each set is
+    emitted once, from its least member, and no set of seen sets is kept.
+    """
+    n = space.num_generators
     perms = np.array(space.generator_permutations(), dtype=np.int32)
+    groups = [np.array([s for s in pinned if len(s) == k], dtype=np.int32)
+              for k in sorted({len(s) for s in pinned})]
     out = []
-    for k in sorted({len(s) for s in sets}):
-        frontier = np.array([s for s in sets if len(s) == k], dtype=np.int32)
-        key = np.dtype((np.void, 4 * k))
-        seen = set(frontier.view(key).ravel().tolist())
-        while len(frontier):
-            images = np.sort(perms[:, frontier].reshape(-1, k), axis=1)
-            new = set(np.ascontiguousarray(images).view(key).ravel().tolist())
-            new -= seen
-            seen |= new
-            frontier = np.frombuffer(b"".join(new), dtype=np.int32).reshape(-1, k)
-        rows = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, k)
-        out.extend(map(tuple, rows.tolist()))
-    return sorted(out)
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    stack = [np.arange(n, dtype=np.int32)]
+    while stack:
+        tau = stack.pop()
+        g = int(tau[0])
+        for rows in groups:
+            images = np.sort(tau[rows], axis=1)
+            out.extend(map(tuple, images[images[:, 0] == g].tolist()))
+        for perm in perms:
+            h = perm[g]
+            if not reached[h]:
+                reached[h] = True
+                stack.append(perm[tau])
+    out.sort()
+    return out
 
 
 def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
@@ -274,8 +284,8 @@ def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
     sols, complete, nodes, _ = _run_engine(rows, cols, start=0, **kw)
     if keep is not None:
         sols = [w for w in sols if keep(space, w)]
-    if complete:
-        sols = _orbit_closure(space, sols)
+    if complete and sols:
+        sols = _orbit_expand(space, sols)
     return sols, complete, nodes, time.monotonic() - t0
 
 
