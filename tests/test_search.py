@@ -280,14 +280,13 @@ def test_generator_permutations_preserve_meets(key):
     perms = sp.generator_permutations()
     assert perms is sp.generator_permutations()  # cached on the space
     meets = _meets_matrix(sp)
-    orbit = {0}
     for perm in perms:
         assert sorted(perm) == list(range(sp.num_generators))
         p = np.array(perm)
         # meets[g][h] == meets[perm g][perm h] for every pair
         assert (meets[np.ix_(p, p)] == meets).all()
-        orbit |= {perm[g] for g in orbit}
-    todo = list(orbit)
+    orbit = {0}
+    todo = [0]
     while todo:
         g = todo.pop()
         for perm in perms:
@@ -337,5 +336,7 @@ def test_essential_members_vs_generator_loop(key, monkeypatch):
     S.enumerate_minimal(sp, _ENUM_BOUND[key])
     # and every leaf of the unpinned tree (on q42 some are not minimal)
     S._run_engine(sp.meets, sp.meets, max_size=_ENUM_BOUND[key], mode="leaves")
+    # covers by generators, whose members can be pairwise disjoint
+    leaves.extend(S.min_cover_of_space(sp).witnesses)
     for w in leaves:
         assert A.essential_members(sp, w) == _essential_by_generator_loop(sp, w)
