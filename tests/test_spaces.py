@@ -1,4 +1,5 @@
 import hashlib
+import json
 from itertools import combinations
 from math import prod
 
@@ -346,10 +347,25 @@ PINNED_BUILDS = {
     ("qminus", 3, 2): (
         "be037b3e5e6e143c9344c922af655b226e17794dd276df79d0a806c8b922407d",
         "03e4aecb8fc900f05a12f60b66ae978571963364abb2d8f83af58b241c2adc28"),
+    ("q", 4, 2): (
+        "c21f446e04ee0662d7d8442100b2c3913bcb0164d7feb6395fe221127daa5ad9",
+        "f55012987e4768d96e966f77a3b68c49566a93941cf46eb1ebe7ac340d23050d"),
+    ("q", 3, 3): (
+        "23aad5416f76f7c99a7ae832d958d082bfe4d644ba5ef4efeb39befbe56a3508",
+        "e1a9f10a36a601d213d54ee236350d58f5a4ce4ad83f4e99cce06a487a060534"),
+    ("h", 3, 2): (
+        "a5624061f0670cde7367511be2a000f4496216691b5731800318df025a76a268",
+        "10c0d0ba8cc538375650ce3e24e868231e585d268329c85d7a66574973cdfe48"),
 }
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_BUILDS))
+def _keys_h64_slow(keys):
+    # the H(6,4) build takes seconds; acceptance criterion 6 shares it
+    return [pytest.param(k, marks=pytest.mark.slow) if k == ("h", 3, 2) else k
+            for k in sorted(keys)]
+
+
+@pytest.mark.parametrize("key", _keys_h64_slow(PINNED_BUILDS))
 def test_build_output_pinned(key):
     sp = build_polar_space(*key)
     want_hash, want_meets = PINNED_BUILDS[key]
@@ -359,3 +375,22 @@ def test_build_output_pinned(key):
     for row in sp.meets:
         h.update(row.to_bytes(width, "little"))
     assert h.hexdigest() == want_meets
+
+
+# sha256 of the compact JSON of PolarSpace.levels (the RREF rows of every
+# kept level), recorded before the level extension was keyed by point mask.
+# Rank 2 keeps only the points, so these rank-3 spaces are the ones whose
+# lines go through the intermediate-level path.
+PINNED_LEVELS = {
+    ("q", 3, 2): "1f3477f9ad2720797210cef70ac5b78a99322477151a34fa7133eb1a04a494e3",
+    ("qminus", 3, 2): "126b4add364e78e0a85bc2a7c26f157453642a7d67bc0ef0be13c9fe666148ea",
+    ("q", 3, 3): "4c921761e2cf6230973ea630f05e789388107db8cc078592555c58e8e447c6cc",
+    ("h", 3, 2): "1439cfea6d1c1d2b7446b7ea2f3ae474aae9c74aaafcf489e3fba5484ebe5485",
+}
+
+
+@pytest.mark.parametrize("key", _keys_h64_slow(PINNED_LEVELS))
+def test_levels_output_pinned(key):
+    sp = build_polar_space(*key)
+    blob = json.dumps(sp.levels, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_LEVELS[key]
