@@ -6,9 +6,10 @@ point/generator incidence and the generator-meets-generator relation as
 bitmask rows.  Totally singular subspaces are enumerated level by level
 and every level is kept: a subspace U is extended by the singular points
 of perp(U) \\ U, and once a span W = <U, P> is found all of W's points
-leave U's candidates.  Intermediate subspaces are deduplicated by their
-reduced-row-echelon rows; generators by their point mask, which for a
-generator W = <U, P> is perp(U) & perp(P) on the singular points.
+leave U's candidates.  Every level is deduplicated by point mask, and a
+subspace is row-reduced once, when its mask is first seen.  Below the
+generators W's points are P + x for the vectors x of U, added as integer
+codes; a generator W = <U, P> has the points perp(U) & perp(P).
 
 Every build, standard or quotient, is memoized by (kind, rank, q, form):
 a build is deterministic in its form, so the quotients at points with equal
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -314,44 +316,84 @@ def _collinearity_masks(form: Form, points, arr: np.ndarray) -> list[int]:
     return masks
 
 
-def _extend_level(field: GF, points, point_index, collinear, level,
-                  last: bool):
+def _point_codes(field: GF, points):
+    """Integer codes of every nonzero multiple of every point, so that
+    vectors add as integers.
+
+    Each base-p digit of each coordinate takes a slot of w bits.  Over
+    characteristic 2 a slot is one bit and a sum of codes is their XOR.
+    Over odd p two codes are added as integers (2^(w-1) >= p, so no slot
+    carries into the next) and every slot that reached p loses p.  Returns
+    the addition, each point's codes (its own code first, then the other
+    nonzero multiples) and the map from every code to its point's bit.
+    """
+    p, h, mul = field.p, field.h, field.mull
+    w = 1 if p == 2 else (p - 1).bit_length() + 1
+    width = w * h
+    elem = [sum((e // p ** i % p) << (w * i) for i in range(h))
+            for e in range(field.q)]
+    multiples, bit_of = [], {}
+    for i, pt in enumerate(points):
+        codes = []
+        for c in range(1, field.q):
+            row, code = mul[c], 0
+            for x in pt:
+                code = code << width | elem[row[x]]
+            codes.append(code)
+            bit_of[code] = 1 << i
+        multiples.append(codes)
+    if p == 2:
+        return operator.xor, multiples, bit_of
+    ones = sum(1 << (w * k) for k in range(len(points[0]) * h))
+    top, bias = ones << (w - 1), ((1 << (w - 1)) - p) * ones
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + bias) & top) >> (w - 1)) * p
+
+    return add, multiples, bit_of
+
+
+def _extend_level(field: GF, points, point_index, collinear, level, codes):
     """Extend every totally singular subspace of one level by one point.
 
     level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
     and the mask of its points.  Walking the candidates perp(U) & Q \\ U
     from the lowest bit, each point P spans W = <U, P>, and all of W's
     points then leave the candidates, so W costs one step per U it
-    contains.  W is keyed by its RREF rows, and its points are enumerated
-    only when it is new.  On the last level W is a generator, its point set
-    is perp(U) & perp(P), and that mask is the key: RREF runs once per new
-    generator.  RREF rows are singular points, so they are stored as the
-    shared point tuples.  Returns the new pairs sorted by rows.
+    contains.  Every W is keyed by its point mask, and RREF runs only when
+    the mask is new, once per distinct W.  Below the generators, W's points
+    are U's points, P and P + x for every nonzero vector x of U, looked up
+    through the integer codes of _point_codes; codes is None on the last
+    level, where W is a generator and its points are perp(U) & perp(P).
+    RREF rows are singular points, so they are stored as the shared point
+    tuples.  Returns the new pairs sorted by rows.
     """
+    if codes is not None:
+        add, multiples, bit_of = codes
     found = {}
     for rows, umask in level:
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
         cand = full & ~umask
+        if codes is not None:
+            ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
         while cand:
-            p = (cand & -cand).bit_length() - 1
-            if last:
+            low = cand & -cand
+            p = low.bit_length() - 1
+            if codes is None:
                 wmask = full & collinear[p]
-                if wmask not in found:
-                    w = rref(field, rows + (points[p],))
-                    found[wmask] = tuple(points[point_index[r]] for r in w)
             else:
+                pc = multiples[p][0]
+                wmask = umask | low
+                for c in ucodes:
+                    wmask |= bit_of[add(pc, c)]
+            if wmask not in found:
                 w = rref(field, rows + (points[p],))
-                wmask = found.get(w)
-                if wmask is None:
-                    wmask = 0
-                    for wp in subspace_points(field, w):
-                        wmask |= 1 << point_index[wp]
-                    found[tuple(points[point_index[r]] for r in w)] = wmask
+                found[wmask] = tuple(points[point_index[r]] for r in w)
             cand &= ~wmask
-    pairs = ((w, m) for m, w in found.items()) if last else found.items()
-    return sorted(pairs)
+    return sorted((w, m) for m, w in found.items())
 
 
 @lru_cache(maxsize=None)
@@ -377,10 +419,11 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     # level 0: the points themselves
     level = [((p,), 1 << i) for i, p in enumerate(points)]
     levels = []
+    codes = _point_codes(field, points) if rank > 2 else None
     for k in range(rank - 1):
         levels.append([rows for rows, _ in level])
         level = _extend_level(field, points, point_index, collinear, level,
-                              k == rank - 2)
+                              codes if k < rank - 2 else None)
 
     if len(level) != exp_gens:
         raise BuildError(
@@ -448,9 +491,13 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     x -> x - (B(x,v)/Q(v)) v on a quadric and x -> x + (zeta-1) h(x,v)/h(v,v) v
     on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  A reflection is
     kept only when it enlarges the orbit of generator 0, and the scan stops
-    once that orbit is every generator.  Each kept map is checked to be a
-    bijection of the points and of the generators that sends every
-    generator's point mask to a generator's point mask; such a pair of
+    once that orbit is every generator.  The maps are array lookups: points
+    by their base-q codes, generators by a weighted sum over their point
+    rows (fixed random 64-bit weights, so the key ignores row order) among
+    the sorted generator keys.  Each reflection must permute the points and
+    send the point set of every generator of the orbit exactly onto a
+    generator's; the orbit's image decides whether it is kept, and a kept
+    map must also be a bijection of all the generators.  Such a pair of
     bijections preserves incidence, hence meets.
     """
     form, field = space.form, space.field
@@ -464,19 +511,33 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
         scale = field.neg(1)
     pts = space.pts_array
     rows = np.arange(len(pts))
-    n_gens = space.num_generators
-    gen_of_mask = {m: g for g, m in enumerate(space.gen_point_mask)}
+    n_pts, n_gens = space.num_points, space.num_generators
+    place = field.q ** np.arange(form.n, -1, -1, dtype=np.int64)
+    point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int64)
+    point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
+    gen_rows = np.array(space.gen_points, dtype=np.int64)
+    weight = np.random.default_rng(0).integers(
+        0, 2 ** 63, n_pts, dtype=np.int64).astype(np.uint64)
+    keys = weight[gen_rows].sum(axis=1)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
 
-    def gen_image(bits, g):
-        m = 0
-        for p in space.gen_points[g]:
-            m |= bits[p]
-        return gen_of_mask.get(m)
+    def gen_images(pmap, v, gens):
+        image = pmap[gen_rows[gens]]
+        image_keys = weight[image].sum(axis=1)
+        at = np.minimum(np.searchsorted(sorted_keys, image_keys), n_gens - 1)
+        gmap = order[at]
+        if ((sorted_keys[at] != image_keys).any()
+                or (np.sort(image, axis=1) != gen_rows[gmap]).any()):
+            raise AssertionError(f"{space.name}: reflection in {v} does not "
+                                 "permute the generators")
+        return gmap
 
-    perms: list[tuple[int, ...]] = []
-    orbit = {0}
+    maps = []
+    in_orbit = np.zeros(n_gens, dtype=bool)
+    in_orbit[0] = True
     for v in enumerate_pg_points(form.n, field):
-        if len(orbit) == n_gens:
+        if in_orbit.all():
             break
         norm = form.eval(v)
         if not norm:
@@ -489,30 +550,28 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
         img = add[pts, mul[coef[:, None], np.array(v)[None, :]]]
         lead = img[rows, (img != 0).argmax(axis=1)]
         img = mul[field.inv_table[lead][:, None], img]
-        pmap = [space.point_index.get(tuple(p)) for p in img.tolist()]
-        if None in pmap or len(set(pmap)) != len(pmap):
+        pmap = point_of_code[img.astype(np.int64) @ place]
+        if (pmap < 0).any() or np.bincount(pmap, minlength=n_pts).max() != 1:
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the points")
-        bits = [1 << p for p in pmap]
-        if all(gen_image(bits, g) in orbit for g in orbit):
+        if in_orbit[gen_images(pmap, v, in_orbit)].all():
             continue
-        gmap = tuple(gen_image(bits, g) for g in range(n_gens))
-        if None in gmap or len(set(gmap)) != n_gens:
+        gmap = gen_images(pmap, v, slice(None))
+        if np.bincount(gmap, minlength=n_gens).max() != 1:
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the generators")
-        perms.append(gmap)
-        todo = list(orbit)
-        while todo:
-            g = todo.pop()
-            for perm in perms:
-                h = perm[g]
-                if h not in orbit:
-                    orbit.add(h)
-                    todo.append(h)
-    if len(orbit) != n_gens:
+        maps.append(gmap)
+        while True:  # close the orbit under the kept maps
+            grown = in_orbit.copy()
+            for m in maps:
+                grown[m[in_orbit]] = True
+            if (grown == in_orbit).all():
+                break
+            in_orbit = grown
+    if not in_orbit.all():
         raise AssertionError(f"{space.name}: reflections move generator 0 to "
-                             f"{len(orbit)} of {n_gens} generators")
-    return perms
+                             f"{int(in_orbit.sum())} of {n_gens} generators")
+    return [tuple(m.tolist()) for m in maps]
 
 
 # -- quotient geometry --------------------------------------------------------

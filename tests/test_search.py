@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
@@ -294,6 +296,26 @@ def test_generator_permutations_preserve_meets(key):
                 orbit.add(perm[g])
                 todo.append(perm[g])
     assert orbit == set(range(sp.num_generators))
+
+
+# number of kept reflections and the sha256 of the compact JSON of the
+# permutation list, recorded before the generator maps became array lookups
+_PERM_PINS = {
+    "q42": (4, "6e5bd9099e46823130b9ff137bb193dbd7a5efe5265a184e50df729caf5aefce"),
+    "qplus3-2": (3, "4357656f4feb04745f65cced9de352d37c6746e60f9a8779e0fa6a0a75800bd6"),
+    "q43": (5, "1b729e609b9937f2f799f639f4435901e47cbbd92c82fb88541f5f99133ba09b"),
+    "qm52": (6, "62c4730a3b18efea3596ddd869d9ce76cbf71450ac20368de6fb076d687883c0"),
+    "q62": (7, "25c1146b5bd8141ade7159e22aefb8805c88311623a25e347b62c1fdf158e154"),
+    "h44": (5, "6ba756e7963bedb80e862af4016e2e137057a8526dfe591daa575bee0fc1c056"),
+    "qm72": (9, "52936261e6a146e4003e47e1e9453e2148889e1ce54073bee3f2773eb0479407"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PERM_PINS))
+def test_generator_permutations_pinned(key):
+    perms = build_polar_space(*_SYMMETRY_SPACES[key]).generator_permutations()
+    digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
+    assert (len(perms), digest) == _PERM_PINS[key]
 
 
 @pytest.mark.parametrize("key", ["q42", "qplus3-2"])

@@ -7,7 +7,14 @@ import pytest
 
 from polarblock import spaces
 from polarblock.gf import make_field
-from polarblock.projective import canonicalize, enumerate_pg_points, rref, theta
+from polarblock.projective import (
+    canonicalize,
+    enumerate_pg_points,
+    normalize_point,
+    rref,
+    subspace_points,
+    theta,
+)
 from polarblock.forms import is_totally_singular
 from polarblock.spaces import (
     BudgetError,
@@ -279,6 +286,47 @@ def test_lines_vs_bruteforce(key):
         if is_totally_singular(sp.form, l):
             brute.add(l.rows)
     assert [l.rows for l in sp.totally_singular_subspaces(1)] == sorted(brute)
+
+
+@pytest.mark.parametrize("key", [("q", 3, 2), ("q", 3, 3), ("qminus", 3, 2)])
+def test_extend_level_keys_are_point_masks(key):
+    # every level rebuilt from the points: each returned mask is the point
+    # set of its rows, the rows are their own RREF, and the levels match the
+    # kept ones
+    sp = build_polar_space(*key)
+    field, points, index = sp.field, sp.points, sp.point_index
+    codes = spaces._point_codes(field, points)
+    level = [((p,), 1 << i) for i, p in enumerate(points)]
+    for k in range(sp.rank - 1):
+        last = k == sp.rank - 2
+        level = spaces._extend_level(field, points, index, sp.collinear,
+                                     level, None if last else codes)
+        for rows, mask in level:
+            assert rows == rref(field, rows)
+            assert mask == sum(1 << index[p]
+                               for p in subspace_points(field, rows))
+        want = ([g.rows for g in sp.generators] if last
+                else sp.levels[k + 1])
+        assert [rows for rows, _ in level] == want
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_point_code_sums(p, h):
+    # a + c*b for every pair of points of PG(2,q) and every scalar c != 0,
+    # through the integer codes, against the field tables
+    field = make_field(p, h)
+    pts = enumerate_pg_points(2, field)
+    add, multiples, bit_of = spaces._point_codes(field, pts)
+    bit = {pt: 1 << i for i, pt in enumerate(pts)}
+    add_t, mul_t = field.addl, field.mull
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            if i == j:
+                continue
+            for c, code in zip(range(1, field.q), multiples[j]):
+                s = [add_t[x][mul_t[c][y]] for x, y in zip(a, b)]
+                got = bit_of[add(multiples[i][0], code)]
+                assert got == bit[normalize_point(field, s)]
 
 
 def test_unknown_kind_and_guard():
