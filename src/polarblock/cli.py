@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, constructions, search
@@ -264,8 +265,38 @@ def cmd_accept(args):
     return EXIT_OK
 
 
+def _budget_nodes(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
+def _budget_secs(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not 0 <= x < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative number of seconds, got {text!r}")
+    return x
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line and exits 2; subcommand
+    parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polarblock",
         description="finite classical polar spaces and generator blocking sets")
     ap.add_argument("--format", choices=["json", "text"], default="text")
@@ -306,8 +337,9 @@ def make_parser() -> argparse.ArgumentParser:
                             "min-maximal-spread"])
     _add_space_args(p)
     p.add_argument("--bound", type=int)
-    p.add_argument("--budget-nodes", type=int, default=search.DEFAULT_BUDGET_NODES)
-    p.add_argument("--budget-secs", type=float, default=None)
+    p.add_argument("--budget-nodes", type=_budget_nodes,
+                   default=search.DEFAULT_BUDGET_NODES)
+    p.add_argument("--budget-secs", type=_budget_secs, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 

@@ -138,6 +138,19 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--budget-nodes", "-5"), ("--budget-nodes", "x"),
+    ("--budget-secs", "-1"), ("--budget-secs", "nan"),
+    ("--budget-secs", "inf")])
+def test_bad_search_budget_is_usage_error(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "min-blocking", "--kind", "q", "--rank", "2",
+              "--q", "2", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and option in err
+
+
 def test_construct_with_seed_vertex(capsys, tmp_path):
     f = tmp_path / "set.json"
     code, out, _ = run(capsys, "construct", "--kind", "q", "--rank", "2",
