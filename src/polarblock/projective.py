@@ -72,6 +72,33 @@ def rref(field: GF, rows) -> tuple[Vector, ...]:
     return tuple(tuple(r) for r in work[:piv])
 
 
+def rref_extend(field: GF, rows, v: Vector) -> tuple[Vector, ...]:
+    """rref(rows + (v,)) for RREF rows and a vector v outside their span:
+    v is reduced against the rows, scaled to a leading 1, cleared from the
+    other rows' entries in its pivot column and inserted in pivot order."""
+    add, mul, neg, inv = field.addl, field.mull, field.negl, field.invl
+    w = v
+    for r in rows:
+        c = w[r.index(1)]  # the leading 1 of r is its pivot
+        if c:
+            mc = mul[neg[c]]
+            w = [add[a][mc[b]] for a, b in zip(w, r)]
+    pc = next(i for i, x in enumerate(w) if x)
+    if w[pc] != 1:
+        mc = mul[inv[w[pc]]]
+        w = [mc[x] for x in w]
+    out = [tuple(w)]
+    for r in rows:
+        c = r[pc]
+        if c:
+            mc = mul[neg[c]]
+            r = tuple([add[a][mc[b]] for a, b in zip(r, w)])
+        out.append(r)
+    # distinct pivots: a row with an earlier pivot is lexicographically larger
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A projective subspace: canonical RREF basis over a shared field."""

@@ -45,6 +45,7 @@ from .projective import (
     enumerate_pg_points,
     nullspace,
     rref,
+    rref_extend,
     subspace_points,
     theta,
 )
@@ -361,8 +362,9 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
     and the mask of its points.  Walking the candidates perp(U) & Q \\ U
     from the lowest bit, each point P spans W = <U, P>, and all of W's
     points then leave the candidates, so W costs one step per U it
-    contains.  Every W is keyed by its point mask, and RREF runs only when
-    the mask is new, once per distinct W.  Below the generators, W's points
+    contains.  Every W is keyed by its point mask, and only a new mask has
+    its RREF rows computed, by extending U's rows with P (rref_extend), so
+    each distinct W is reduced once.  Below the generators, W's points
     are U's points, P and P + x for every nonzero vector x of U, looked up
     through the integer codes of _point_codes; codes is None on the last
     level, where W is a generator and its points are perp(U) & perp(P).
@@ -390,7 +392,7 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
                 for c in ucodes:
                     wmask |= bit_of[add(pc, c)]
             if wmask not in found:
-                w = rref(field, rows + (points[p],))
+                w = rref_extend(field, rows, points[p])
                 found[wmask] = tuple(points[point_index[r]] for r in w)
             cand &= ~wmask
     return sorted((w, m) for m, w in found.items())

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +14,7 @@ from polarblock.projective import (
     normalize_point,
     nullspace,
     rref,
+    rref_extend,
     span,
     subspace_points,
     theta,
@@ -41,6 +43,26 @@ def test_canonicalize_known_cases():
     assert b.dim == 0
     c = canonicalize(F2, 2, [])
     assert c.rows == () and c.dim == -1
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_rref_extend_matches_rref(p, h):
+    # random bases of PG(4,q) extended by random vectors outside their span,
+    # both raw and normalized
+    field = make_field(p, h)
+    rng = random.Random(p * 10 + h)
+    checked = 0
+    while checked < 300:
+        k = rng.randrange(0, 5)
+        rows = rref(field, [tuple(rng.randrange(field.q) for _ in range(5))
+                            for _ in range(k)])
+        v = tuple(rng.randrange(field.q) for _ in range(5))
+        full = rref(field, rows + (v,))
+        if len(full) == len(rows):
+            continue
+        assert rref_extend(field, rows, v) == full
+        assert rref_extend(field, rows, normalize_point(field, v)) == full
+        checked += 1
 
 
 def test_rref_idempotent_and_order_free():
