@@ -6,10 +6,11 @@ point/generator incidence and the generator-meets-generator relation as
 bitmask rows.  Totally singular subspaces are enumerated level by level
 and every level is kept: a subspace U is extended by the singular points
 of perp(U) \\ U, and once a span W = <U, P> is found all of W's points
-leave U's candidates.  Every level is deduplicated by point mask, and a
-subspace is row-reduced once, when its mask is first seen.  Below the
-generators W's points are P + x for the vectors x of U, added as integer
-codes; a generator W = <U, P> has the points perp(U) & perp(P).
+leave U's candidates.  W's points are computed as a bitmask: below the
+generators they are P + x for the vectors x of U, added as integer codes,
+and a generator W = <U, P> has the points perp(U) & perp(P).  W is kept
+only when U holds its lowest points, so each subspace is found, and its
+RREF rows computed, exactly once.
 
 Every build, standard or quotient, is memoized by (kind, rank, q, form):
 a build is deterministic in its form, so the quotients at points with equal
@@ -359,26 +360,33 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
     """Extend every totally singular subspace of one level by one point.
 
     level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
-    and the mask of its points.  Walking the candidates perp(U) & Q \\ U
-    from the lowest bit, each point P spans W = <U, P>, and all of W's
-    points then leave the candidates, so W costs one step per U it
-    contains.  Every W is keyed by its point mask, and only a new mask has
-    its RREF rows computed, by extending U's rows with P (rref_extend), so
-    each distinct W is reduced once.  Below the generators, W's points
-    are U's points, P and P + x for every nonzero vector x of U, looked up
-    through the integer codes of _point_codes; codes is None on the last
-    level, where W is a generator and its points are perp(U) & perp(P).
+    and the mask of its points.  Each W = <U, P> is computed as a point
+    mask.  Below the generators its points are U's points, P and P + x for
+    every nonzero vector x of U, looked up through the integer codes of
+    _point_codes; codes is None on the last level, where W is a generator
+    and its points are perp(U) & perp(P).
+
+    Points are indexed in lex order, so the lowest points of W are those
+    with a zero in the pivot column of its first RREF row: they form a
+    hyperplane U0 of W, the only one below all of W's other points.  W is
+    kept only when it comes from U0, so every W is found once and has its
+    RREF rows computed once, by extending U0's rows with P (rref_extend).
+    P therefore runs over perp(U) & Q above U's highest point, from the
+    lowest bit, and all of W's points leave the candidates after each step.
     RREF rows are singular points, so they are stored as the shared point
     tuples.  Returns the new pairs sorted by rows.
     """
     if codes is not None:
         add, multiples, bit_of = codes
-    found = {}
+    out = []
     for rows, umask in level:
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
-        cand = full & ~umask
+        top = umask.bit_length() - 1
+        below = (1 << top) - 1
+        u_below = umask & below
+        cand = full >> (top + 1) << (top + 1)
         if codes is not None:
             ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
         while cand:
@@ -391,11 +399,12 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
                 wmask = umask | low
                 for c in ucodes:
                     wmask |= bit_of[add(pc, c)]
-            if wmask not in found:
+            if wmask & below == u_below:  # U is W's lowest hyperplane
                 w = rref_extend(field, rows, points[p])
-                found[wmask] = tuple(points[point_index[r]] for r in w)
+                out.append((tuple(points[point_index[r]] for r in w), wmask))
             cand &= ~wmask
-    return sorted((w, m) for m, w in found.items())
+    out.sort()
+    return out
 
 
 @lru_cache(maxsize=None)
