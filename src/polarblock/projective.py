@@ -35,7 +35,7 @@ def normalize_point(field: GF, v) -> Vector:
 
 def rref(field: GF, rows) -> tuple[Vector, ...]:
     """Reduced row-echelon form; zero rows dropped, pivots scaled to 1."""
-    work = [list(map(int, r)) for r in rows]
+    work = [list(int(x) for x in r) for r in rows]
     if work:
         width = len(work[0])
         for r in work:

@@ -524,11 +524,11 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     rows = np.arange(len(pts))
     n_pts, n_gens = space.num_points, space.num_generators
     place = field.q ** np.arange(form.n, -1, -1, dtype=np.int64)
-    point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int64)
+    point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int32)
     point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
     gen_rows = np.array(space.gen_points, dtype=np.int64)
-    weight = np.random.default_rng(0).integers(
-        0, 2 ** 63, n_pts, dtype=np.int64).astype(np.uint64)
+    weight = np.random.default_rng(0).integers(2 ** 64, size=n_pts,
+                                               dtype=np.uint64)
     keys = weight[gen_rows].sum(axis=1)
     order = np.argsort(keys)
     sorted_keys = keys[order]
