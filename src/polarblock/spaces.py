@@ -504,11 +504,11 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     kept only when it enlarges the orbit of generator 0, and the scan stops
     once that orbit is every generator.  The maps are array lookups: points
     by their base-q codes, generators by a weighted sum over their point
-    rows (fixed random 64-bit weights, so the key ignores row order) among
-    the sorted generator keys.  Each reflection must permute the points and
-    send the point set of every generator of the orbit exactly onto a
-    generator's; the orbit's image decides whether it is kept, and a kept
-    map must also be a bijection of all the generators.  Such a pair of
+    rows (fixed pseudo-random 64-bit weights, so the key ignores row order)
+    among the sorted generator keys.  Each reflection must permute the
+    points and send the point set of every generator of the orbit exactly
+    onto a generator's; the orbit's image decides whether it is kept, and a
+    kept map must also be a bijection of all the generators.  Such a pair of
     bijections preserves incidence, hence meets.
     """
     form, field = space.form, space.field
@@ -527,8 +527,12 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int32)
     point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
     gen_rows = np.array(space.gen_points, dtype=np.int64)
-    weight = np.random.default_rng(0).integers(2 ** 64, size=n_pts,
-                                               dtype=np.uint64)
+    # splitmix64 of the point index: fixed, well-mixed weights without
+    # loading numpy.random (several MB of resident memory)
+    z = np.arange(1, n_pts + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    weight = z ^ (z >> np.uint64(31))
     keys = weight[gen_rows].sum(axis=1)
     order = np.argsort(keys)
     sorted_keys = keys[order]
