@@ -505,7 +505,7 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     once that orbit is every generator.  The maps are array lookups: points
     by their base-q codes, generators by a weighted sum over their point
     rows (fixed pseudo-random 64-bit weights, so the key ignores row order)
-    among the sorted generator keys.  Each reflection must permute the
+    looked up among the generators' keys.  Each reflection must permute the
     points and send the point set of every generator of the orbit exactly
     onto a generator's; the orbit's image decides whether it is kept, and a
     kept map must also be a bijection of all the generators.  Such a pair of
@@ -526,23 +526,21 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     place = field.q ** np.arange(form.n, -1, -1, dtype=np.int64)
     point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int32)
     point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
-    gen_rows = np.array(space.gen_points, dtype=np.int64)
+    gen_rows = np.array(space.gen_points, dtype=np.int32)
     # splitmix64 of the point index: fixed, well-mixed weights without
     # loading numpy.random (several MB of resident memory)
     z = np.arange(1, n_pts + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
     weight = z ^ (z >> np.uint64(31))
-    keys = weight[gen_rows].sum(axis=1)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    gen_of_key = {k: g for g, k in
+                  enumerate(weight[gen_rows].sum(axis=1).tolist())}
 
     def gen_images(pmap, v, gens):
         image = pmap[gen_rows[gens]]
-        image_keys = weight[image].sum(axis=1)
-        at = np.minimum(np.searchsorted(sorted_keys, image_keys), n_gens - 1)
-        gmap = order[at]
-        if ((sorted_keys[at] != image_keys).any()
+        gmap = np.array([gen_of_key.get(k, -1)
+                         for k in weight[image].sum(axis=1).tolist()])
+        if ((gmap < 0).any()
                 or (np.sort(image, axis=1) != gen_rows[gmap]).any()):
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the generators")
