@@ -535,6 +535,8 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     weight = z ^ (z >> np.uint64(31))
     gen_of_key = {k: g for g, k in
                   enumerate(weight[gen_rows].sum(axis=1).tolist())}
+    if len(gen_of_key) != n_gens:
+        raise AssertionError(f"{space.name}: two generators share a key")
 
     def gen_images(pmap, v, gens):
         image = pmap[gen_rows[gens]]
