@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -252,3 +254,53 @@ def test_quotient_of_section_cover_blocks():
     for hole in prof.holes[:5]:
         qspace, proj, _ = A.project_blocking_set(sp, cov.members, hole)
         assert A.is_blocking(qspace, proj)
+
+
+# sha256 of the compact JSON of [space, members, classify(...).to_json()]
+# over every minimal set of enumerate_minimal(Q(6,2), 3) and
+# enumerate_minimal(Q-(5,2), 5), the min_blocking(Q(4,3)) witnesses and the
+# four rank-3 cone examples; recorded before classify mapped members
+# through the memoized quotient tables.
+PINNED_CLASSIFY = "76a8aea0c132448a8dba874a3f0ce9ee0c91f8020fdcec1ba519a359cf0b9c84"
+
+# sha256 of [space, row, hole, projected members, quotient content hash]
+# for every hole of the four rank-3 cone examples, recorded at the same time.
+PINNED_PROJECTIONS = "2cb6a3a8eb5d917abecc41660c353e2379d2522fd6e0cea26f43e3203a6f26f2"
+
+CONE_ROWS = (("q", 3, 2, "conic-pencil"), ("q", 3, 2, "qplus3-spread"),
+             ("qminus", 3, 2, "elliptic-pencil"), ("qminus", 3, 2, "q4-cover"))
+
+
+def _digest(obj):
+    blob = json.dumps(obj, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_classify_output_pinned():
+    import polarblock.search as S
+
+    cases = []
+    for key, find in ((("q", 3, 2), lambda sp: S.enumerate_minimal(sp, 3).sets),
+                      (("qminus", 2, 2), lambda sp: S.enumerate_minimal(sp, 5).sets),
+                      (("q", 2, 3), lambda sp: S.min_blocking(sp).witnesses)):
+        sp = build_polar_space(*key)
+        cases += [(key, sp, tuple(sorted(m))) for m in find(sp)]
+    for *key, row in CONE_ROWS:
+        sp = build_polar_space(*key)
+        cases.append((tuple(key), sp, C.cone_example(sp, row).members))
+    assert len(cases) == 1575 + 243 + 130 + 4
+    out = [[list(key), list(m), A.classify(sp, m).to_json()]
+           for key, sp, m in cases]
+    assert _digest(out) == PINNED_CLASSIFY
+
+
+def test_projection_output_pinned():
+    out = []
+    for *key, row in CONE_ROWS:
+        sp = build_polar_space(*key)
+        members = C.cone_example(sp, row).members
+        for hole in A.coverage_profile(sp, members).holes:
+            qs, proj, _ = A.project_blocking_set(sp, members, hole)
+            out.append([list(key), row, hole, list(proj), qs.content_hash()])
+    assert len(out) == 276
+    assert _digest(out) == PINNED_PROJECTIONS
