@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
-import numpy as np
-
-from .projective import Subspace, canonicalize, meet, span
+# meet stays importable here: perfbench/tracer.py wraps these names
+from .projective import Subspace, canonicalize, meet, span  # noqa: F401
 from .spaces import (
     IteratedQuotient,
     PolarSpace,
@@ -330,25 +329,27 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     """Project a blocking set from one of its holes into the quotient.
 
     Each member g maps to the span of the hole with g meet perp(hole),
-    taken in the quotient geometry; duplicates merge.  Returns (quotient
-    space, projected member indices, quotient map).
+    taken in the quotient geometry; duplicates merge.  That span is the one
+    generator through the hole and through g's points collinear with it, so
+    it is found as the single bit of point_gen_mask[hole] AND-ed with
+    point_gen_mask[p] over those points p, and mapped to its quotient index
+    by the quotient map's generator table.  Returns (quotient space,
+    projected member indices, quotient map).
     """
     members = validate_members(space, members)
     if space.point_gen_mask[hole] & members_mask(members):
         raise ValueError(f"point {hole} is covered; not a hole")
     qspace, qm = quotient_at_point(space, hole)
-    field = space.field
-    hsub = canonicalize(field, space.n, [space.points[hole]])
-    hperp = space.form.perp(hsub)
+    pgm = space.point_gen_mask
     out = set()
     for m in members:
-        cut = meet(space.generators[m], hperp)
-        lifted = span(cut, hsub)
-        img = qm.to_quotient(lifted)
-        gi = qspace.gen_index.get(img.rows)
-        if gi is None:
-            raise AssertionError("projected member is not a quotient generator")
-        out.add(gi)
+        lifted = pgm[hole]
+        for p in _iter_bits(space.gen_point_mask[m] & space.collinear[hole]):
+            lifted &= pgm[p]
+        if lifted.bit_count() != 1:
+            raise AssertionError(f"member {m} lifts to {lifted.bit_count()} "
+                                 "generators through the hole")
+        out.add(qm.gen_image(lifted.bit_length() - 1))
     projected = tuple(sorted(out))
     if not is_blocking(qspace, projected):
         raise AssertionError("projection from a hole failed to block the quotient")
@@ -401,22 +402,27 @@ def check_gq_axioms(points, lines) -> GQCheckResult:
                     return GQCheckResult(False, None,
                                          "two points on two common lines", pair)
                 seen_pairs.add(pair)
-    adj = np.zeros((npts, npts), dtype=bool)
-    for l in lns:
-        ix = np.array(l)
-        adj[np.ix_(ix, ix)] = True
-    inc = np.zeros((len(lns), npts), dtype=bool)
-    for li, l in enumerate(lns):
-        inc[li, list(l)] = True
-    for li, l in enumerate(lns):
-        col = adj[list(l)].sum(axis=0)
-        off = ~inc[li]
-        bad = np.nonzero(off & (col != 1))[0]
-        if len(bad):
-            x = int(bad[0])
+    # unique collinear pair: every point off a line is collinear with
+    # exactly one of its points; ones/twos mark the points collinear with
+    # at least one/two points of the line
+    line_mask = [sum(1 << p for p in l) for l in lns]
+    adj = [0] * npts
+    for l, lm in zip(lns, line_mask):
+        for p in l:
+            adj[p] |= lm
+    every = (1 << npts) - 1
+    for l, lm in zip(lns, line_mask):
+        ones = twos = 0
+        for p in l:
+            twos |= ones & adj[p]
+            ones |= adj[p]
+        bad = (every & ~ones | twos) & ~lm
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            col = sum(adj[p] >> x & 1 for p in l)
             return GQCheckResult(False, None,
                                  "unique-collinear-pair axiom violated",
-                                 (pts[x], tuple(pts[p] for p in l), int(col[x])))
+                                 (pts[x], tuple(pts[p] for p in l), col))
     return GQCheckResult(True, (s, t))
 
 
@@ -524,15 +530,20 @@ def classify(space: PolarSpace, members) -> Classification:
     if not is_minimal(space, members):
         raise ValueError("classify requires a minimal blocking set")
 
-    v = space.generators[members[0]]
-    for m in members[1:]:
-        v = meet(v, space.generators[m])
+    # the members' common points are the points of their meet, the vertex
+    common = space.all_points_mask
+    for m in members:
+        common &= space.gen_point_mask[m]
+    v = canonicalize(space.field, space.n,
+                     [space.points[p] for p in _iter_bits(common)])
 
     result = Classification(LABEL_UNKNOWN)
     if v.dim == space.rank - 2:
-        thru = space.generators_through(v)
+        thru = space.all_gens_mask
+        for p in _iter_bits(common):
+            thru &= space.point_gen_mask[p]
         if (len(members) == pencil_size(space.kind, space.q)
-                and list(members) == sorted(thru)):
+                and members_mask(members) == thru):
             if space.rank == 2:
                 result = Classification(LABEL_PENCIL, vertex=v)
             else:
@@ -543,14 +554,7 @@ def classify(space: PolarSpace, members) -> Classification:
     elif v.dim == space.rank - 3:
         iq = IteratedQuotient(space, v)
         qspace = iq.quotient
-        imgs = set()
-        for m in members:
-            img = iq.to_quotient(space.generators[m])
-            gi = qspace.gen_index.get(img.rows)
-            if gi is None:
-                return Classification(LABEL_UNKNOWN)
-            imgs.add(gi)
-        proj = tuple(sorted(imgs))
+        proj = tuple(sorted({iq.gen_image(m) for m in members}))
         if len(proj) == len(members) and is_blocking(qspace, proj) \
                 and is_minimal(qspace, proj):
             base = _classify_rank2(qspace, proj)
@@ -619,13 +623,7 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
                 return False
         iq = IteratedQuotient(space, v)
         qspace = iq.quotient
-        imgs = set()
-        for m in members:
-            gi = qspace.gen_index.get(iq.to_quotient(space.generators[m]).rows)
-            if gi is None:
-                return False
-            imgs.add(gi)
-        proj = tuple(sorted(imgs))
+        proj = tuple(sorted({iq.gen_image(m) for m in members}))
         if len(proj) != len(members):
             return False
         base = cls.base

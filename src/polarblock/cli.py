@@ -59,6 +59,12 @@ def _parse_vertex(space, text: str):
         part = part.strip()
         if part:
             rows.append([int(x) for x in part.split(",")])
+    order = space.field.q
+    for row in rows:
+        for x in row:
+            if not 0 <= x < order:
+                raise ValueError(f"--seed-vertex entry {x} is not an element "
+                                 f"of GF({order}): expected 0..{order - 1}")
     return canonicalize(space.field, space.n, rows)
 
 

@@ -173,6 +173,20 @@ class Form:
                     acc = ADD[acc, MUL[wj][pts[:, j]]]
         return acc
 
+    def polar_rows(self, pts: np.ndarray) -> np.ndarray:
+        """Rows C with B(u, x) (or H(u, x)) = sum_i u_i C[i, x] over a
+        matrix of points x, so that each u then costs one table pass per
+        nonzero coordinate."""
+        f = self.field
+        ADD, MUL = f.add_table, f.mul_table
+        xs = f.conj_table[pts] if self.kind == "hermitian" else pts
+        out = np.zeros((self.n + 1, len(pts)), dtype=ADD.dtype)
+        for i, gi in enumerate(self.gram):
+            for j, g in enumerate(gi):
+                if g:
+                    out[i] = ADD[out[i], MUL[g][xs[:, j]]]
+        return out
+
     # -- structure -----------------------------------------------------------
 
     def bilinear_radical(self) -> Subspace:

@@ -228,6 +228,7 @@ class PolarSpace:
             self.s = self.t = None
         self._hash = None
         self._gen_perms = None
+        self._quotient_maps = {}
 
     @property
     def name(self) -> str:
@@ -271,6 +272,18 @@ class PolarSpace:
             self._gen_perms = _reflection_permutations(self)
         return self._gen_perms
 
+    def quotient_map(self, point_idx: int) -> "QuotientMap":
+        """The projection onto the quotient at a point (built on first use,
+        then cached)."""
+        if self.rank < 2:
+            raise BuildError("quotient needs rank >= 2")
+        if not 0 <= point_idx < self.num_points:
+            raise BuildError(f"no point with index {point_idx}")
+        qm = self._quotient_maps.get(point_idx)
+        if qm is None:
+            qm = self._quotient_maps[point_idx] = QuotientMap(self, point_idx)
+        return qm
+
     def content_hash(self) -> str:
         if self._hash is None:
             payload = {
@@ -311,9 +324,15 @@ def _singular_points(form: Form) -> list[Vector]:
 
 
 def _collinearity_masks(form: Form, points, arr: np.ndarray) -> list[int]:
+    ADD, MUL = form.field.add_table, form.field.mul_table
+    rows = form.polar_rows(arr)
     masks = []
     for p in points:
-        vals = form.polarize_batch(p, arr)
+        vals = None
+        for c, row in zip(p, rows):
+            if c:
+                term = row if c == 1 else MUL[c][row]
+                vals = term if vals is None else ADD[vals, term]
         masks.append(_mask_from_bool(vals == 0))
     return masks
 
@@ -623,6 +642,21 @@ class QuotientMap:
         qform = space.form.restrict(self.crows)
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
                                         qform)
+        self._gen_image = {}
+
+    def gen_image(self, g: int) -> int | None:
+        """Index of generator g's image among the quotient's generators, or
+        None when g misses P (computed on first use, then cached)."""
+        if g not in self._gen_image:
+            img = None
+            if self.space.point_gen_mask[self.point_idx] >> g & 1:
+                rows = self.to_quotient(self.space.generators[g]).rows
+                img = self.quotient.gen_index.get(rows)
+                if img is None:
+                    raise AssertionError(
+                        f"image of generator {g} is not a quotient generator")
+            self._gen_image[g] = img
+        return self._gen_image[g]
 
     def to_quotient(self, sub: Subspace) -> Subspace:
         field = self.space.field
@@ -650,17 +684,14 @@ class QuotientMap:
 
 def quotient_at_point(space: PolarSpace, point_idx: int):
     """Quotient polar space at a singular point, with the projection map."""
-    if space.rank < 2:
-        raise BuildError("quotient needs rank >= 2")
-    if not 0 <= point_idx < space.num_points:
-        raise BuildError(f"no point with index {point_idx}")
-    qm = QuotientMap(space, point_idx)
+    qm = space.quotient_map(point_idx)
     return qm.quotient, qm
 
 
 class IteratedQuotient:
     """Composition of point quotients along a basis of a totally singular
-    vertex subspace V; maps subspaces through V to the quotient at V."""
+    vertex subspace V; maps subspaces and generators through V to the
+    quotient at V.  The point quotients are the spaces' cached maps."""
 
     def __init__(self, space: PolarSpace, vertex: Subspace):
         self.space = space
@@ -669,8 +700,7 @@ class IteratedQuotient:
         cur = space
         v = vertex
         while v.dim >= 0:
-            p = v.rows[0]
-            qm = QuotientMap(cur, cur.point_index[p])
+            qm = cur.quotient_map(cur.point_index[v.rows[0]])
             self.maps.append(qm)
             v = qm.to_quotient(v)
             cur = qm.quotient
@@ -680,6 +710,15 @@ class IteratedQuotient:
         for qm in self.maps:
             sub = qm.to_quotient(sub)
         return sub
+
+    def gen_image(self, g: int) -> int | None:
+        """Index of generator g's image in the quotient at V, or None when
+        g does not contain V."""
+        for qm in self.maps:
+            g = qm.gen_image(g)
+            if g is None:
+                return None
+        return g
 
     def from_quotient(self, sub: Subspace) -> Subspace:
         for qm in reversed(self.maps):

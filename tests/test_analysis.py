@@ -304,3 +304,99 @@ def test_projection_output_pinned():
             out.append([list(key), row, hole, list(proj), qs.content_hash()])
     assert len(out) == 276
     assert _digest(out) == PINNED_PROJECTIONS
+
+
+def _gq_axioms_numpy(points, lines):
+    """check_gq_axioms as it was before the unique-collinear-pair axiom
+    became a bitmask pass: boolean matrices filled with np.ix_."""
+    import numpy as np
+
+    pts = list(points)
+    index = {p: i for i, p in enumerate(pts)}
+    npts = len(pts)
+    lns = [tuple(sorted(index[p] for p in l)) for l in lines]
+    if not pts or not lns:
+        return A.GQCheckResult(False, None, "empty point or line set", ())
+    sizes = {len(set(l)) for l in lns}
+    if len(sizes) != 1:
+        return A.GQCheckResult(False, None, "line sizes not constant",
+                               (sorted(sizes),))
+    s = sizes.pop() - 1
+    if s < 1:
+        return A.GQCheckResult(False, None, "lines must have at least 2 points", ())
+    deg = [0] * npts
+    for l in lns:
+        for p in l:
+            deg[p] += 1
+    if len(set(deg)) != 1:
+        return A.GQCheckResult(False, None, "point degrees not constant",
+                               (min(deg), max(deg)))
+    t = deg[0] - 1
+    if t < 1:
+        return A.GQCheckResult(False, None, "points must lie on at least 2 lines", ())
+    seen_pairs = set()
+    for li, l in enumerate(lns):
+        for a in range(len(l)):
+            for bj in range(a + 1, len(l)):
+                pair = (l[a], l[bj])
+                if pair in seen_pairs:
+                    return A.GQCheckResult(False, None,
+                                           "two points on two common lines", pair)
+                seen_pairs.add(pair)
+    adj = np.zeros((npts, npts), dtype=bool)
+    for l in lns:
+        ix = np.array(l)
+        adj[np.ix_(ix, ix)] = True
+    inc = np.zeros((len(lns), npts), dtype=bool)
+    for li, l in enumerate(lns):
+        inc[li, list(l)] = True
+    for li, l in enumerate(lns):
+        col = adj[list(l)].sum(axis=0)
+        off = ~inc[li]
+        bad = np.nonzero(off & (col != 1))[0]
+        if len(bad):
+            x = int(bad[0])
+            return A.GQCheckResult(False, None,
+                                   "unique-collinear-pair axiom violated",
+                                   (pts[x], tuple(pts[p] for p in l), int(col[x])))
+    return A.GQCheckResult(True, (s, t))
+
+
+# the rank-2 spaces of acceptance criterion 2; H(4,9) takes seconds here
+CRITERION_2_SPACES = [
+    pytest.param(key, marks=pytest.mark.slow) if key == ("h", 2, 3) else key
+    for key in [(kind, 2, q) for q in (2, 3)
+                for kind in ("q", "qminus", "h", "qplus3", "h3")]]
+
+
+@pytest.mark.parametrize("key", CRITERION_2_SPACES)
+def test_gq_axioms_match_numpy_version(key):
+    import random
+
+    sp = build_polar_space(*key)
+    points = range(sp.num_points)
+    lines = [list(l) for l in sp.gen_points]
+    assert A.check_gq_axioms(points, lines) == _gq_axioms_numpy(points, lines)
+    rng = random.Random(f"{key}")
+    on = [[i for i, l in enumerate(lines) if p in l] for p in points]
+    failures = set()
+    for trial in range(8):
+        # swap a point a of line i with a point b of line j, so sizes and
+        # degrees stay constant; from trial 4 on, a and b share a third line
+        # k, which keeps every pair of points on at most one line
+        i = rng.randrange(len(lines))
+        a = rng.choice(lines[i])
+        if trial < 4:
+            j = rng.choice([j for j in range(len(lines)) if a not in lines[j]])
+            b = rng.choice([p for p in lines[j] if p not in lines[i]])
+        else:
+            k = rng.choice([k for k in on[a] if k != i])
+            b = rng.choice([p for p in lines[k] if p != a])
+            j = rng.choice([j for j in on[b] if j != k])
+        bad = [list(l) for l in lines]
+        bad[i][bad[i].index(a)] = b
+        bad[j][bad[j].index(b)] = a
+        got = A.check_gq_axioms(points, bad)
+        assert got == _gq_axioms_numpy(points, bad)
+        failures.add(got.failure)
+    assert "unique-collinear-pair axiom violated" in failures

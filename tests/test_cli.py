@@ -161,6 +161,15 @@ def test_construct_with_seed_vertex(capsys, tmp_path):
     assert len(data["members"]) == 3
 
 
+@pytest.mark.parametrize("entry", ["9", "3", "2", "-1"])
+def test_seed_vertex_entry_out_of_field_exits_1(capsys, entry):
+    code, out, err = run(capsys, "construct", "--kind", "q", "--rank", "3",
+                         "--q", "2", "--example", "pencil",
+                         f"--seed-vertex={entry},0,0,0,0,0,0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "GF(2)" in err
+
+
 @pytest.mark.parametrize("rank,example", [(2, "section-cover"),
                                           (3, "cone:q4-cover")])
 def test_section_cover_budget_exit_code(capsys, monkeypatch, rank, example):

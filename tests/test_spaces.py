@@ -177,6 +177,31 @@ def test_quotients_share_builds_by_form():
     assert qc.quotient.form != qd.quotient.form and c is not d
 
 
+@pytest.mark.parametrize("key", [("q", 3, 2), ("qminus", 3, 2), ("h", 2, 2)])
+def test_quotient_map_memo_and_gen_image(key):
+    sp = build_polar_space(*key)
+    for pi in range(sp.num_points):
+        qm = sp.quotient_map(pi)
+        assert sp.quotient_map(pi) is qm
+        assert quotient_at_point(sp, pi) == (qm.quotient, qm)
+        for g, gen in enumerate(sp.generators):
+            if gen.contains_point(sp.points[pi]):
+                want = qm.quotient.gen_index[qm.to_quotient(gen).rows]
+            else:
+                want = None
+            assert qm.gen_image(g) == want
+
+
+def test_iterated_quotient_gen_image():
+    sp = build_polar_space("q", 4, 2)
+    line = canonicalize(sp.field, sp.n, sp.levels[1][0])
+    iq = spaces.IteratedQuotient(sp, line)
+    for g, gen in enumerate(sp.generators):
+        want = (iq.quotient.gen_index[iq.to_quotient(gen).rows]
+                if gen.contains(line) else None)
+        assert iq.gen_image(g) == want
+
+
 def test_quotient_rejects_bad_input():
     sp = build_polar_space("qminus", 1, 2)
     with pytest.raises(BuildError):
