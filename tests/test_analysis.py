@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from polarblock.projective import canonicalize
 from polarblock.spaces import build_polar_space, quotient_at_point
 from polarblock import analysis as A
 from polarblock import constructions as C
@@ -400,3 +401,83 @@ def test_gq_axioms_match_numpy_version(key):
         assert got == _gq_axioms_numpy(points, bad)
         failures.add(got.failure)
     assert "unique-collinear-pair axiom violated" in failures
+
+
+def test_verify_rejects_forged_subgq_spread():
+    sp = build_polar_space("q", 2, 2)
+    fam0, fam1 = C.grid_rulings(sp, C.hyperbolic_section(sp).gen_indices)
+    forged = A.Classification("SubGQSpread", details={"order": (2, 1)})
+    assert A.verify_classification(sp, fam0, forged)
+    assert not A.verify_classification(sp, pencil_through_point(sp, 0), forged)
+    # two members of one ruling and one of the other: not pairwise disjoint
+    assert not A.verify_classification(sp, fam0[:2] + fam1[:1], forged)
+
+
+def test_verify_rejects_forged_section_cover():
+    sp = build_polar_space("qminus", 2, 2)
+    cov = C.section_cover(sp)
+    cls = A.classify(sp, cov.members)
+    assert A.verify_classification(sp, cov.members, cls)
+    tangent = C.find_section(sp, "pt*Q-(3,2)").hyperplane
+    forged = A.Classification("CoverOfSectionQ4",
+                              details={"hyperplane": tangent.to_json()})
+    assert not A.verify_classification(sp, cov.members, forged)
+    # the cover plus one line outside its section still covers the section
+    sec = C.find_section(sp, "Q(4,2)")
+    assert set(cov.members) <= set(sec.gen_indices)
+    outside = next(g for g in range(sp.num_generators)
+                   if g not in sec.gen_indices)
+    assert not A.verify_classification(sp, cov.members + (outside,), cls)
+
+
+def test_verify_rejects_forged_cone():
+    sp = build_polar_space("q", 3, 2)
+    cone = C.cone_example(sp, "qplus3-spread")
+    cls = A.classify(sp, cone.members)
+    assert cls.label == "ConeOverQplus3Spread"
+    assert A.verify_classification(sp, cone.members, cls)
+    # a point of the first member other than the vertex lies on no other
+    # member
+    v = sp.point_index[cls.vertex.rows[0]]
+    p = next(p for p in sp.gen_points[cone.members[0]] if p != v)
+    off = A.Classification(cls.label, vertex=canonicalize(
+        sp.field, sp.n, [sp.points[p]]), base=cls.base)
+    assert not A.verify_classification(sp, cone.members, off)
+    wrong_base = A.Classification(cls.label, vertex=cls.vertex,
+                                  base=A.Classification("CoverOfSectionQ4"))
+    assert not A.verify_classification(sp, cone.members, wrong_base)
+
+
+def _disjointness_loop(space, members):
+    """(partial spread, spread, cover) by a pairwise-disjointness scan."""
+    acc = 0
+    disjoint = True
+    for m in members:
+        pm = space.gen_point_mask[m]
+        if acc & pm:
+            disjoint = False
+        acc |= pm
+    cover = acc == space.all_points_mask
+    return disjoint, disjoint and cover, cover
+
+
+def test_spread_predicates_match_disjointness_loop():
+    import polarblock.search as S
+
+    q42 = build_polar_space("q", 2, 2)
+    grid = build_polar_space("qplus3", 2, 2)
+    qm52 = build_polar_space("qminus", 2, 2)
+    fam0, fam1 = C.grid_rulings(grid)
+    cases = [(q42, w) for w in S.min_cover_of_space(q42).witnesses]
+    cases += [(grid, fam) for fam in (fam0, fam1, fam0[:2], fam0[:2] + fam1[:1])]
+    cases += [(sp, pencil_through_point(sp, p))
+              for sp in (q42, grid, qm52) for p in (0, 5)]
+    cases += [(qm52, w) for w in S.enumerate_minimal(qm52, 5).sets]
+    seen = set()
+    for sp, members in cases:
+        got = (A.is_partial_spread(sp, members), A.is_spread(sp, members),
+               A.is_cover(sp, members))
+        assert got == _disjointness_loop(sp, members)
+        seen.add(got)
+    assert seen == {(True, True, True), (True, False, False),
+                    (False, False, False)}
