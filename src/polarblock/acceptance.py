@@ -9,6 +9,7 @@ arise from the generator budget guard, never silently.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,11 @@ def _ok(cid, title, detail):
     return CriterionResult(cid, title, "pass", detail)
 
 
+def _census(sp, sets) -> dict[str, int]:
+    """Number of sets per classify label, in order of first appearance."""
+    return dict(Counter(analysis.classify(sp, w).label for w in sets))
+
+
 def criterion_1():
     """Counting identities |P| = (st+1)(s+1), |G| = (st+1)(t+1)."""
     cid, title = 1, "GQ counting identities at q in {2,3}"
@@ -130,11 +136,7 @@ def criterion_3():
             return _fail(cid, title, f"{sp.name}: search incomplete")
         if res.optimum != sp.t + 1:
             return _fail(cid, title, f"{sp.name}: optimum {res.optimum} != {sp.t + 1}")
-        mins = search.minimum_minimal_blocking_sets(sp, res)
-        census: dict[str, int] = {}
-        for w in mins:
-            census[analysis.classify(sp, w).label] = \
-                census.get(analysis.classify(sp, w).label, 0) + 1
+        census = _census(sp, search.minimum_minimal_blocking_sets(sp, res))
         bad = set(census) - {LABEL_PENCIL, LABEL_SUBGQ_SPREAD}
         if bad:
             return _fail(cid, title, f"{sp.name}: unexpected labels {bad}")
@@ -152,12 +154,10 @@ def criterion_4():
     er = search.enumerate_minimal(sp, sp.t + 1 + th.max_delta)
     if not er.complete:
         return _fail(cid, title, "enumeration incomplete")
-    census: dict[str, int] = {}
-    for w in er.sets:
-        if len(w) != 5:
-            return _fail(cid, title, f"minimal set of size {len(w)} below 5")
-        label = analysis.classify(sp, w).label
-        census[label] = census.get(label, 0) + 1
+    short = [w for w in er.sets if len(w) != 5]
+    if short:
+        return _fail(cid, title, f"minimal set of size {len(short[0])} below 5")
+    census = _census(sp, er.sets)
     bad = set(census) - {LABEL_PENCIL, LABEL_COVER_Q4}
     if bad:
         return _fail(cid, title, f"unexpected labels {bad}")
@@ -174,10 +174,7 @@ def criterion_5():
     er = search.enumerate_minimal(sp, 3)
     if not er.complete:
         return _fail(cid, title, "enumeration incomplete")
-    census: dict[str, int] = {}
-    for w in er.sets:
-        label = analysis.classify(sp, w).label
-        census[label] = census.get(label, 0) + 1
+    census = _census(sp, er.sets)
     bad = set(census) - {LABEL_CONE_CONIC, LABEL_CONE_QPLUS3}
     if bad:
         return _fail(cid, title, f"unexpected labels {bad}")

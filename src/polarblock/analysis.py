@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
+from .forms import is_totally_singular
 # meet stays importable here: perfbench/tracer.py wraps these names
 from .projective import Subspace, canonicalize, meet, span  # noqa: F401
 from .spaces import (
@@ -180,7 +181,7 @@ def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
     ppg = space.points_per_generator()
     if num_covered != len(members) * ppg - W:
         raise AssertionError("coverage count identity violated")
-    holes = tuple(p for p in range(space.num_points) if not (covered >> p) & 1)
+    holes = tuple(_iter_bits(space.all_points_mask & ~covered))
 
     b = b_tilde = hole_hist = None
     if space.rank == 2:
@@ -429,33 +430,28 @@ def check_gq_axioms(points, lines) -> GQCheckResult:
 # -- partial spreads -----------------------------------------------------------
 
 
-def is_partial_spread(space: PolarSpace, members) -> bool:
-    members = validate_members(space, members)
-    acc = 0
+def covered_mask(space: PolarSpace, members) -> int:
+    """Bitmask of the points lying on some member."""
+    cov = 0
     for m in members:
-        pm = space.gen_point_mask[m]
-        if acc & pm:
-            return False
-        acc |= pm
-    return True
+        cov |= space.gen_point_mask[m]
+    return cov
+
+
+def is_partial_spread(space: PolarSpace, members) -> bool:
+    """Pairwise disjoint members: they cover as many points as they hold."""
+    members = validate_members(space, members)
+    return (covered_mask(space, members).bit_count()
+            == len(members) * space.points_per_generator())
 
 
 def is_spread(space: PolarSpace, members) -> bool:
-    members = validate_members(space, members)
-    acc = 0
-    for m in members:
-        pm = space.gen_point_mask[m]
-        if acc & pm:
-            return False
-        acc |= pm
-    return acc == space.all_points_mask
+    return is_partial_spread(space, members) and is_cover(space, members)
 
 
 def is_cover(space: PolarSpace, members) -> bool:
-    acc = 0
-    for m in validate_members(space, members):
-        acc |= space.gen_point_mask[m]
-    return acc == space.all_points_mask
+    members = validate_members(space, members)
+    return covered_mask(space, members) == space.all_points_mask
 
 
 def is_maximal_partial_spread(space: PolarSpace, members) -> bool:
@@ -483,41 +479,73 @@ class Classification:
         return out
 
 
-def _classify_rank2(space: PolarSpace, members) -> Classification:
+def _pencil_label(space: PolarSpace) -> str:
+    if space.rank == 2:
+        return LABEL_PENCIL
+    return _CONE_PENCIL_LABELS.get(space.kind, LABEL_UNKNOWN)
+
+
+def _is_pencil(space: PolarSpace, members, v: Subspace) -> bool:
+    """The members are all generators through the totally singular v, and
+    as many as a pencil has."""
+    return (len(members) == pencil_size(space.kind, space.q)
+            and list(members) == space.generators_through(v))
+
+
+def _subgq_spread_lines(space: PolarSpace, members) -> int | None:
+    """Number of lines of the subquadrangle of order (s, t/s) induced on the
+    points the members cover, when the members are pairwise disjoint and
+    so form a spread of it; None otherwise."""
     s, t = space.s, space.t
-    field = space.field
+    if t % s or not is_partial_spread(space, members):
+        return None
+    cov = covered_mask(space, members)
+    sub_lines = [space.gen_points[g] for g in range(space.num_generators)
+                 if space.gen_point_mask[g] & ~cov == 0]
+    res = check_gq_axioms(_iter_bits(cov), sub_lines)
+    if res.ok and res.order == (s, t // s):
+        return len(sub_lines)
+    return None
+
+
+def _covers_q4_section(space: PolarSpace, members, h: Subspace):
+    """The section of the hyperplane h when it is a nondegenerate Q(4,q)
+    containing every member and covered by them; None otherwise."""
+    sec = hyperplane_section(space, h)
+    if (sec.label == f"Q(4,{space.q})"
+            and set(members) <= set(sec.gen_indices)
+            and covered_mask(space, members) & sec.point_mask == sec.point_mask):
+        return sec
+    return None
+
+
+def _cone_base(space: PolarSpace, members, v: Subspace):
+    """The quotient at the vertex v and the members' images in it."""
+    iq = IteratedQuotient(space, v)
+    return iq.quotient, tuple(sorted({iq.gen_image(m) for m in members}))
+
+
+def _classify_rank2(space: PolarSpace, members) -> Classification:
     # cover of a nondegenerate parabolic hyperplane section (elliptic ambient)
     if space.kind == "qminus":
         h = space.generators[members[0]]
         for m in members[1:]:
             h = span(h, space.generators[m])
         if h.dim == space.n - 1:
-            sec = hyperplane_section(space, h)
-            if sec.label == f"Q(4,{space.q})":
-                cov = 0
-                for m in members:
-                    cov |= space.gen_point_mask[m]
-                if cov & sec.point_mask == sec.point_mask:
-                    return Classification(
-                        LABEL_COVER_Q4, details={
-                            "hyperplane": h.to_json(),
-                            "section_points": len(sec.point_indices),
-                        })
-    # spread of the subquadrangle induced on the covered points
-    if t % s == 0 and t >= s:
-        prof = coverage_profile(space, members)
-        gprime = [g for g in range(space.num_generators)
-                  if space.gen_point_mask[g] & ~prof.covered_mask == 0]
-        mpts = [p for p in range(space.num_points)
-                if (prof.covered_mask >> p) & 1]
-        res = check_gq_axioms(mpts, [space.gen_points[g] for g in gprime])
-        if res.ok and res.order == (s, t // s):
-            if (set(members) <= set(gprime)
-                    and is_partial_spread(space, members)
-                    and prof.W == 0 and prof.num_covered == len(members) * (s + 1)):
+            sec = _covers_q4_section(space, members, h)
+            if sec is not None:
                 return Classification(
-                    LABEL_SUBGQ_SPREAD,
-                    details={"order": res.order, "sub_lines": len(gprime)})
+                    LABEL_COVER_Q4, details={
+                        "hyperplane": h.to_json(),
+                        "section_points": len(sec.point_indices),
+                    })
+    # spread of the subquadrangle induced on the covered points
+    sub_lines = _subgq_spread_lines(space, members)
+    if sub_lines is not None:
+        return Classification(
+            LABEL_SUBGQ_SPREAD,
+            details={"order": (space.s, space.t // space.s),
+                     "sub_lines": sub_lines})
     return Classification(LABEL_UNKNOWN)
 
 
@@ -539,22 +567,12 @@ def classify(space: PolarSpace, members) -> Classification:
 
     result = Classification(LABEL_UNKNOWN)
     if v.dim == space.rank - 2:
-        thru = space.all_gens_mask
-        for p in _iter_bits(common):
-            thru &= space.point_gen_mask[p]
-        if (len(members) == pencil_size(space.kind, space.q)
-                and members_mask(members) == thru):
-            if space.rank == 2:
-                result = Classification(LABEL_PENCIL, vertex=v)
-            else:
-                label = _CONE_PENCIL_LABELS.get(space.kind, LABEL_UNKNOWN)
-                result = Classification(label, vertex=v)
+        if _is_pencil(space, members, v):
+            result = Classification(_pencil_label(space), vertex=v)
     elif space.rank == 2:
         result = _classify_rank2(space, members)
     elif v.dim == space.rank - 3:
-        iq = IteratedQuotient(space, v)
-        qspace = iq.quotient
-        proj = tuple(sorted({iq.gen_image(m) for m in members}))
+        qspace, proj = _cone_base(space, members, v)
         if len(proj) == len(members) and is_blocking(qspace, proj) \
                 and is_minimal(qspace, proj):
             base = _classify_rank2(qspace, proj)
@@ -574,67 +592,32 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
     """Independent re-check of a classification witness."""
     members = validate_members(space, members)
     label = cls.label
+    v = cls.vertex
     if label == LABEL_UNKNOWN:
         return True
-    if label in (LABEL_PENCIL, *[l for l in _CONE_PENCIL_LABELS.values()]):
-        v = cls.vertex
-        if v is None or v.dim != space.rank - 2:
-            return False
-        from .forms import is_totally_singular
-
-        if not is_totally_singular(space.form, v):
-            return False
-        thru = sorted(space.generators_through(v))
-        return (list(members) == thru
-                and len(members) == pencil_size(space.kind, space.q))
+    if label in (LABEL_PENCIL, *_CONE_PENCIL_LABELS.values()):
+        return (label == _pencil_label(space)
+                and v is not None and v.dim == space.rank - 2
+                and is_totally_singular(space.form, v)
+                and _is_pencil(space, members, v))
     if label == LABEL_SUBGQ_SPREAD:
-        s, t = space.s, space.t
-        acc = 0
-        for m in members:
-            pm = space.gen_point_mask[m]
-            if acc & pm:
-                return False
-            acc |= pm
-        gprime = [g for g in range(space.num_generators)
-                  if space.gen_point_mask[g] & ~acc == 0]
-        mpts = [p for p in range(space.num_points) if (acc >> p) & 1]
-        res = check_gq_axioms(mpts, [space.gen_points[g] for g in gprime])
-        return bool(res.ok and res.order == (s, t // s)
-                    and set(members) <= set(gprime)
-                    and len(mpts) == len(members) * (s + 1))
+        return _subgq_spread_lines(space, members) is not None
     if label == LABEL_COVER_Q4:
         rows = tuple(tuple(r) for r in cls.details["hyperplane"])
         h = canonicalize(space.field, space.n, rows)
-        sec = hyperplane_section(space, h)
-        if sec.label != f"Q(4,{space.q})":
-            return False
-        if not set(members) <= set(sec.gen_indices):
-            return False
-        cov = 0
-        for m in members:
-            cov |= space.gen_point_mask[m]
-        return cov & sec.point_mask == sec.point_mask
+        return _covers_q4_section(space, members, h) is not None
     if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):
-        v = cls.vertex
-        if v is None or v.dim != space.rank - 3:
-            return False
-        for m in members:
-            if not space.generators[m].contains(v):
-                return False
-        iq = IteratedQuotient(space, v)
-        qspace = iq.quotient
-        proj = tuple(sorted({iq.gen_image(m) for m in members}))
-        if len(proj) != len(members):
-            return False
-        base = cls.base
-        if base is None:
-            return False
         expected = (LABEL_SUBGQ_SPREAD if label == LABEL_CONE_QPLUS3
                     else LABEL_COVER_Q4)
-        if base.label != expected:
+        # a vertex on every member is totally singular, so the quotient at
+        # it exists
+        if (v is None or v.dim != space.rank - 3
+                or cls.base is None or cls.base.label != expected
+                or not all(space.generators[m].contains(v) for m in members)):
             return False
-        fresh = _classify_rank2(qspace, proj)
-        return fresh.label == expected
+        qspace, proj = _cone_base(space, members, v)
+        return (len(proj) == len(members)
+                and _classify_rank2(qspace, proj).label == expected)
     return False
 
 

@@ -23,7 +23,13 @@ from .spaces import (
     hyperplane_section,
     pencil_size,
 )
-from .analysis import BlockingSet, is_blocking, is_minimal, is_partial_spread
+from .analysis import (
+    BlockingSet,
+    covered_mask,
+    is_blocking,
+    is_minimal,
+    is_partial_spread,
+)
 from . import search
 
 CONE_ROWS = {
@@ -92,13 +98,10 @@ def grid_rulings(space: PolarSpace, lines=None) -> tuple[list[int], list[int]]:
     fam0 = [l for l in lines
             if l == l0 or not (space.gen_point_mask[l] & space.gen_point_mask[l0])]
     fam1 = [l for l in lines if l not in fam0]
-    cov = [0, 0]
-    for i, fam in enumerate((fam0, fam1)):
+    for fam in (fam0, fam1):
         if len(fam) != q + 1 or not is_partial_spread(space, fam):
             raise ValueError("line set has no grid structure")
-        for l in fam:
-            cov[i] |= space.gen_point_mask[l]
-    if cov[0] != cov[1]:
+    if covered_mask(space, fam0) != covered_mask(space, fam1):
         raise ValueError("line set has no grid structure")
     for a in fam0:
         for b in fam1:
@@ -112,10 +115,7 @@ def ruling_spread(space: PolarSpace, which: int = 0, lines=None) -> BlockingSet:
     partitioning the grid's points."""
     fam0, fam1 = grid_rulings(space, lines)
     members = tuple((fam0, fam1)[which])
-    cov = 0
-    for m in members:
-        cov |= space.gen_point_mask[m]
-    if lines is None and cov != space.all_points_mask:
+    if lines is None and covered_mask(space, members) != space.all_points_mask:
         raise AssertionError("ruling does not partition the grid")
     return BlockingSet(space, members)
 
@@ -203,14 +203,13 @@ def cone_example(space: PolarSpace, row: str,
         base = ruling_spread(quot, 0, lines=sec.gen_indices)
     else:
         base = section_cover(quot)
-    members = []
-    for b in base.members:
-        lifted = iq.from_quotient(quot.generators[b])
-        gi = space.gen_index.get(lifted.rows)
-        if gi is None:
-            raise AssertionError("lifted base element is not a generator")
-        members.append(gi)
-    members = tuple(sorted(members))
+    # generators through the vertex correspond one to one to the
+    # quotient's generators
+    wanted = set(base.members)
+    members = tuple(g for g in space.generators_through(vertex)
+                    if iq.gen_image(g) in wanted)
+    if len(members) != len(wanted):
+        raise AssertionError("base elements do not lift to generators")
     bs = BlockingSet(space, members)
     if not is_blocking(space, members):
         raise AssertionError("cone example is not blocking")

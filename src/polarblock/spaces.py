@@ -615,8 +615,8 @@ class QuotientMap:
     """Projection from a singular point P onto perp(P)/P.
 
     to_quotient maps a totally singular subspace U with P in U inside
-    perp(P) to its image; from_quotient lifts an image back to the span
-    with P.  The quotient is a polar space of the same kind and rank-1.
+    perp(P) to its image, and gen_image maps generator indices.  The
+    quotient is a polar space of the same kind and rank-1.
     """
 
     def __init__(self, space: PolarSpace, point_idx: int):
@@ -668,19 +668,6 @@ class QuotientMap:
             rows.append(x[1:])
         return canonicalize(field, len(self.crows) - 1, rows)
 
-    def from_quotient(self, sub: Subspace) -> Subspace:
-        field = self.space.field
-        add, mul = field.addl, field.mull
-        rows = [self.point]
-        for x in sub.rows:
-            v = [0] * (self.space.n + 1)
-            for coef, cr in zip(x, self.crows):
-                if coef:
-                    mc = mul[coef]
-                    v = [add[a][mc[b]] for a, b in zip(v, cr)]
-            rows.append(tuple(v))
-        return canonicalize(field, self.space.n, rows)
-
 
 def quotient_at_point(space: PolarSpace, point_idx: int):
     """Quotient polar space at a singular point, with the projection map."""
@@ -719,11 +706,6 @@ class IteratedQuotient:
             if g is None:
                 return None
         return g
-
-    def from_quotient(self, sub: Subspace) -> Subspace:
-        for qm in reversed(self.maps):
-            sub = qm.from_quotient(sub)
-        return sub
 
 
 # -- hyperplane sections -------------------------------------------------------

@@ -139,12 +139,13 @@ def test_quotient_coherence_bijection():
     for pi in (0, 7):
         qs, qm = quotient_at_point(sp, pi)
         p = sp.points[pi]
-        thru = [g for g in sp.generators if g.contains_point(p)]
-        imgs = {qm.to_quotient(g).rows for g in thru}
+        thru = [gi for gi, g in enumerate(sp.generators) if g.contains_point(p)]
+        imgs = {qm.to_quotient(sp.generators[gi]).rows for gi in thru}
         assert imgs == {g.rows for g in qs.generators}
-        for g in thru:
-            back = qm.from_quotient(qm.to_quotient(g))
-            assert back.rows == g.rows
+        assert sorted(qm.gen_image(gi) for gi in thru) == list(range(qs.num_generators))
+        for gi in thru:
+            img = qs.generators[qm.gen_image(gi)]
+            assert img.rows == qm.to_quotient(sp.generators[gi]).rows
 
 
 # content_hash() of quotient_at_point(space, i)[0]; on H(4,4) the quotient
