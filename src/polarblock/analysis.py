@@ -496,8 +496,10 @@ def _subgq_spread_lines(space: PolarSpace, members) -> int | None:
     """Number of lines of the subquadrangle of order (s, t/s) induced on the
     points the members cover, when the members are pairwise disjoint and
     so form a spread of it; None otherwise."""
+    if space.rank != 2 or not is_partial_spread(space, members):
+        return None
     s, t = space.s, space.t
-    if t % s or not is_partial_spread(space, members):
+    if t % s:
         return None
     cov = covered_mask(space, members)
     sub_lines = [space.gen_points[g] for g in range(space.num_generators)

@@ -411,6 +411,9 @@ def test_verify_rejects_forged_subgq_spread():
     assert not A.verify_classification(sp, pencil_through_point(sp, 0), forged)
     # two members of one ruling and one of the other: not pairwise disjoint
     assert not A.verify_classification(sp, fam0[:2] + fam1[:1], forged)
+    s6 = build_polar_space("q", 3, 2)
+    cone = C.cone_example(s6, "qplus3-spread")
+    assert not A.verify_classification(s6, cone.members, forged)
 
 
 def test_verify_rejects_forged_section_cover():
