@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -484,3 +485,40 @@ def test_spread_predicates_match_disjointness_loop():
         seen.add(got)
     assert seen == {(True, True, True), (True, False, False),
                     (False, False, False)}
+
+
+def _minimize_with_restarts(space, members):
+    """Strip the lex-least removable member and rescan from the start,
+    until no member can go."""
+    cur = list(A.validate_members(space, members))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(cur)):
+            trial = cur[:i] + cur[i + 1:]
+            if trial and A.is_blocking(space, trial):
+                cur = trial
+                changed = True
+                break
+    return tuple(cur)
+
+
+@pytest.mark.parametrize("key", [("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3),
+                                 ("q", 3, 2), ("qminus", 3, 2)])
+def test_minimize_matches_restart_loop(key):
+    sp = build_polar_space(*key)
+    rng = random.Random(11)
+    order = list(range(sp.num_generators))
+    for _ in range(40):
+        # a random blocking set: generators in random order until every
+        # generator is met, then a few more
+        rng.shuffle(order)
+        members, hit = [], 0
+        for g in order:
+            if hit == sp.all_gens_mask:
+                break
+            members.append(g)
+            hit |= sp.meets[g]
+        members += rng.sample(order[len(members):], rng.randint(0, 5))
+        assert A.minimize_blocking_set(sp, members) == \
+            _minimize_with_restarts(sp, members)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,23 @@ def test_thresholds(capsys):
     data = json.loads(out)
     assert data["qminus"]["max_delta"] == 0
     assert data["epsilon"]["epsilon"] == 2
+
+
+# sha256 of the stdout of `--format json thresholds --q Q`, recorded while
+# the command still ran the PG(2,q) oracle twice.
+PINNED_THRESHOLDS = {
+    2: "c9b51bd7855076a904ebbbd436a48021d2a449cfef142c2a0ec707d10fea01e9",
+    3: "4357b8d9d12be2ff25c06cf553626e607961c5ead72d3adc32d7ce125197adaa",
+    4: "c60cc3570702db19dc3fad632b2c46f8109e15010ec6aa33c20cd7c1d5dac4f5",
+    5: "c467052ca662bb7a5df11bd700ceb031a5da32741cca847eea4f0c53a82120df",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_THRESHOLDS))
+def test_thresholds_json_pinned(capsys, q):
+    code, out, _ = run(capsys, "--format", "json", "thresholds", "--q", str(q))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_THRESHOLDS[q]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 from math import prod
 
@@ -8,6 +9,7 @@ import pytest
 from polarblock import spaces
 from polarblock.gf import make_field
 from polarblock.projective import (
+    Subspace,
     canonicalize,
     enumerate_pg_points,
     normalize_point,
@@ -468,3 +470,62 @@ def test_levels_output_pinned(key):
     sp = build_polar_space(*key)
     blob = json.dumps(sp.levels, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_LEVELS[key]
+
+
+def _generators_through_point_scan(space, sub):
+    """The generators containing sub, found by scanning every generator for
+    the points of sub (KeyError when one of them is not singular)."""
+    if sub.dim < 0:
+        return list(range(space.num_generators))
+    smask = 0
+    for p in subspace_points(space.field, sub.rows):
+        smask |= 1 << space.point_index[p]
+    return [gi for gi in range(space.num_generators)
+            if space.gen_point_mask[gi] & smask == smask]
+
+
+@pytest.mark.parametrize("key", [("q", 2, 3), ("qminus", 2, 2), ("h", 2, 2),
+                                 ("q", 3, 2), ("qminus", 3, 2), ("q", 4, 2)])
+def test_generators_through_matches_point_scan(key):
+    sp = build_polar_space(*key)
+    subs = [Subspace(sp.field, sp.n, rows) for level in sp.levels
+            for rows in level]
+    # random spans, mostly of singular points so that many are totally
+    # singular; the scan answers only for those
+    rng = random.Random(7)
+    pg = enumerate_pg_points(sp.n, sp.field)
+    for _ in range(300):
+        pool = sp.points if rng.random() < 0.8 else pg
+        pts = rng.sample(pool, rng.randint(1, sp.rank))
+        subs.append(canonicalize(sp.field, sp.n, pts))
+    answered = 0
+    for sub in subs:
+        try:
+            want = _generators_through_point_scan(sp, sub)
+        except KeyError:
+            continue
+        answered += 1
+        assert sp.generators_through(sub) == want
+    assert answered > sum(len(level) for level in sp.levels)
+
+
+def _crows_rref_trial(space, point_idx):
+    """The rows of perp(P) that extend <P> to a basis of perp(P), taken in
+    order whenever one raises the rank of the rows kept so far."""
+    p = space.points[point_idx]
+    perp = space.form.perp(canonicalize(space.field, space.n, [p]))
+    basis, crows = [p], []
+    for r in perp.rows:
+        if len(rref(space.field, tuple(basis) + (r,))) > len(basis):
+            basis.append(r)
+            crows.append(r)
+    return tuple(crows)
+
+
+@pytest.mark.parametrize("key", _keys_h64_slow(
+    [("q", 2, 3), ("qminus", 2, 3), ("h", 2, 2), ("q", 3, 2),
+     ("qminus", 3, 2), ("q", 4, 2), ("q", 3, 3), ("h", 3, 2)]))
+def test_quotient_map_crows_match_rref_trial(key):
+    sp = build_polar_space(*key)
+    for i in range(sp.num_points):
+        assert sp.quotient_map(i).crows == _crows_rref_trial(sp, i)
