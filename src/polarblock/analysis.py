@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from math import isqrt
 
 from .forms import is_totally_singular
-# meet stays importable here: perfbench/tracer.py wraps these names
+# meet and span stay importable here: perfbench/tracer.py wraps these names
 from .projective import Subspace, canonicalize, meet, span  # noqa: F401
 from .spaces import (
     IteratedQuotient,
@@ -139,16 +139,14 @@ def minimize_blocking_set(space: PolarSpace, members) -> tuple[int, ...]:
     cur = list(validate_members(space, members))
     if not is_blocking(space, cur):
         raise ValueError("input set is not blocking")
-    changed = True
-    while changed:
-        changed = False
-        for i, m in enumerate(cur):
-            trial = cur[:i] + cur[i + 1:]
-            if trial and is_blocking(space, trial):
-                cur = trial
-                changed = True
-                break
-    return tuple(cur)
+    # one pass suffices: a member that was needed stays needed once others
+    # are removed, since a subset of a non-blocking set does not block
+    kept = []
+    for i, m in enumerate(cur):
+        rest = kept + cur[i + 1:]
+        if not (rest and is_blocking(space, rest)):
+            kept.append(m)
+    return tuple(kept)
 
 
 # -- coverage bookkeeping ------------------------------------------------------
@@ -530,9 +528,8 @@ def _cone_base(space: PolarSpace, members, v: Subspace):
 def _classify_rank2(space: PolarSpace, members) -> Classification:
     # cover of a nondegenerate parabolic hyperplane section (elliptic ambient)
     if space.kind == "qminus":
-        h = space.generators[members[0]]
-        for m in members[1:]:
-            h = span(h, space.generators[m])
+        h = canonicalize(space.field, space.n,
+                         [r for m in members for r in space.generators[m].rows])
         if h.dim == space.n - 1:
             sec = _covers_q4_section(space, members, h)
             if sec is not None:
@@ -605,9 +602,10 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
     if label == LABEL_SUBGQ_SPREAD:
         return _subgq_spread_lines(space, members) is not None
     if label == LABEL_COVER_Q4:
-        rows = tuple(tuple(r) for r in cls.details["hyperplane"])
+        rows = tuple(tuple(r) for r in cls.details.get("hyperplane", ()))
         h = canonicalize(space.field, space.n, rows)
-        return _covers_q4_section(space, members, h) is not None
+        return (h.dim == space.n - 1
+                and _covers_q4_section(space, members, h) is not None)
     if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):
         expected = (LABEL_SUBGQ_SPREAD if label == LABEL_CONE_QPLUS3
                     else LABEL_COVER_Q4)
@@ -615,7 +613,7 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
         # it exists
         if (v is None or v.dim != space.rank - 3
                 or cls.base is None or cls.base.label != expected
-                or not all(space.generators[m].contains(v) for m in members)):
+                or not set(members) <= set(space.generators_through(v))):
             return False
         qspace, proj = _cone_base(space, members, v)
         return (len(proj) == len(members)

@@ -231,9 +231,11 @@ def cmd_search(args):
 def cmd_thresholds(args):
     q = args.q
     eps = search.smallest_nontrivial_pg2(q) if q <= 9 else None
+    # the oracle's answer feeds the threshold, so it runs once
+    epsilon = "auto" if eps is None else (eps.epsilon if eps.exists else None)
     payload = {"q": q}
     for kind in ("qminus", "h", "q"):
-        th = analysis.theorem_threshold(kind, q)
+        th = analysis.theorem_threshold(kind, q, epsilon=epsilon)
         payload[kind] = {
             "description": th.description,
             "max_delta": th.max_delta,
@@ -244,8 +246,7 @@ def cmd_thresholds(args):
             "exists": eps.exists, "size": eps.size, "epsilon": eps.epsilon,
             "source": eps.source,
         }
-    else:
-        th = analysis.theorem_threshold("q", q)
+    else:  # th is the "q" threshold, with the prime-formula epsilon
         payload["epsilon"] = {"exists": th.epsilon_exists, "epsilon": th.epsilon,
                               "source": th.epsilon_source}
     text = [f"q = {q}"]

@@ -226,12 +226,11 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     minimum is the worst case of the not-contained-in-T count, with an
     attaining dual functional in span coordinates.
     """
-    from .projective import BasisSolver, enumerate_pg_points, span as span_of
+    from .projective import BasisSolver, canonicalize, enumerate_pg_points
 
     field = space.field
-    total = space.generators[members[0]]
-    for m in members[1:]:
-        total = span_of(total, space.generators[m])
+    total = canonicalize(field, space.n,
+                         [r for m in members for r in space.generators[m].rows])
     solver = BasisSolver(field, total.rows)
     coords = []
     for m in members:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import GF, make_field
-from .projective import Subspace, nullspace, rref, subspace_points
+from .projective import Subspace, nullspace, subspace_points
 
 QUADRATIC_KINDS = ("parabolic", "elliptic", "hyperbolic")
 KINDS = QUADRATIC_KINDS + ("hermitian",)
@@ -149,43 +149,42 @@ class Form:
                         acc = ADD[acc, term]
         return acc
 
+    def _polar_row(self, u) -> list[int]:
+        """w = u G, so that B(u, x) = sum_j w_j x_j (with x_j conjugated on
+        a hermitian form)."""
+        add, mul = self.field.addl, self.field.mull
+        w = [0] * (self.n + 1)
+        for ui, gi in zip(u, self.gram):
+            if ui:
+                mu = mul[ui]
+                for j, g in enumerate(gi):
+                    if g:
+                        w[j] = add[w[j]][mu[g]]
+        return w
+
+    def _polar_values(self, u, xs: np.ndarray) -> np.ndarray:
+        """B(u, x) over the rows x of xs, which a hermitian form takes
+        already conjugated."""
+        ADD, MUL = self.field.add_table, self.field.mul_table
+        acc = np.zeros(len(xs), dtype=ADD.dtype)
+        for j, wj in enumerate(self._polar_row(u)):
+            if wj:
+                acc = ADD[acc, MUL[wj][xs[:, j]]]
+        return acc
+
+    def _conjugated(self, pts: np.ndarray) -> np.ndarray:
+        return self.field.conj_table[pts] if self.kind == "hermitian" else pts
+
     def polarize_batch(self, u, pts: np.ndarray) -> np.ndarray:
         """B(u, x) (or H(u, x)) for one u against a matrix of points."""
-        f = self.field
-        ADD, MUL = f.add_table, f.mul_table
-        mul, add = f.mull, f.addl
-        w = [0] * (self.n + 1)
-        for j in range(self.n + 1):
-            a = 0
-            for i in range(self.n + 1):
-                if u[i] and self.gram[i][j]:
-                    a = add[a][mul[u[i]][self.gram[i][j]]]
-            w[j] = a
-        acc = np.zeros(len(pts), dtype=ADD.dtype)
-        if self.kind == "hermitian":
-            cpts = f.conj_table[pts]
-            for j, wj in enumerate(w):
-                if wj:
-                    acc = ADD[acc, MUL[wj][cpts[:, j]]]
-        else:
-            for j, wj in enumerate(w):
-                if wj:
-                    acc = ADD[acc, MUL[wj][pts[:, j]]]
-        return acc
+        return self._polar_values(u, self._conjugated(pts))
 
     def polar_rows(self, pts: np.ndarray) -> np.ndarray:
         """Rows C with B(u, x) (or H(u, x)) = sum_i u_i C[i, x] over a
         matrix of points x, so that each u then costs one table pass per
-        nonzero coordinate."""
-        f = self.field
-        ADD, MUL = f.add_table, f.mul_table
-        xs = f.conj_table[pts] if self.kind == "hermitian" else pts
-        out = np.zeros((self.n + 1, len(pts)), dtype=ADD.dtype)
-        for i, gi in enumerate(self.gram):
-            for j, g in enumerate(gi):
-                if g:
-                    out[i] = ADD[out[i], MUL[g][xs[:, j]]]
-        return out
+        nonzero coordinate.  Row i is B(e_i, x)."""
+        xs = self._conjugated(pts)
+        return np.array([self._polar_values(e, xs) for e in _unit_rows(self.n)])
 
     # -- structure -----------------------------------------------------------
 
@@ -218,23 +217,10 @@ class Form:
         else:
             gen_rows = sub.rows
         if not gen_rows:
-            return Subspace(f, self.n, rref(f, [[1 if i == j else 0
-                                                 for j in range(self.n + 1)]
-                                                for i in range(self.n + 1)]))
-        mrows = []
-        conj = f.conj_table
-        mul, add = f.mull, f.addl
-        for u in gen_rows:
-            row = []
-            for j in range(self.n + 1):
-                a = 0
-                for i in range(self.n + 1):
-                    if u[i] and self.gram[i][j]:
-                        a = add[a][mul[u[i]][self.gram[i][j]]]
-                if self.kind == "hermitian" and a:
-                    a = int(conj[a])
-                row.append(a)
-            mrows.append(row)
+            return Subspace(f, self.n, _unit_rows(self.n))
+        mrows = [self._polar_row(u) for u in gen_rows]
+        if self.kind == "hermitian":
+            mrows = [f.conj_table[w].tolist() for w in mrows]
         return nullspace(f, mrows, self.n)
 
     def restrict(self, rows) -> "Form":
@@ -270,6 +256,11 @@ def is_totally_singular(form: Form, sub: Subspace) -> bool:
 
 
 # -- standard forms ----------------------------------------------------------
+
+
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors e_0, ..., e_n: the RREF basis of all of PG(n,q)."""
+    return tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
 
 
 def _zero(n: int):

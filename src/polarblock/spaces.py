@@ -45,11 +45,12 @@ from .projective import (
     canonicalize,
     enumerate_pg_points,
     nullspace,
-    rref,
     rref_extend,
-    subspace_points,
     theta,
 )
+# rref and subspace_points stay importable here: perfbench/tracer.py wraps
+# these names
+from .projective import rref, subspace_points  # noqa: F401
 from .forms import (
     Form,
     elliptic_form,
@@ -255,14 +256,16 @@ class PolarSpace:
         return [Subspace(self.field, self.n, rows) for rows in self.levels[dim]]
 
     def generators_through(self, sub: Subspace) -> list[int]:
-        """Indices of all generators containing the given subspace."""
-        if sub.dim < 0:
-            return list(range(self.num_generators))
-        smask = 0
-        for p in subspace_points(self.field, sub.rows):
-            smask |= 1 << self.point_index[p]
-        return [gi for gi in range(self.num_generators)
-                if self.gen_point_mask[gi] & smask == smask]
+        """Indices of all generators containing the given subspace: those
+        through every row of its basis.  A row that is not a singular point
+        lies in no generator."""
+        common = self.all_gens_mask
+        for r in sub.rows:
+            i = self.point_index.get(r)
+            if i is None:
+                return []
+            common &= self.point_gen_mask[i]
+        return list(_iter_bits(common))
 
     def generator_permutations(self) -> list[tuple[int, ...]]:
         """Generator permutations induced by isometries, under which
@@ -628,17 +631,12 @@ class QuotientMap:
         perp = space.form.perp(psub)
         if not perp.contains_point(self.point):
             raise BuildError("perp(P) does not contain P; P not singular?")
-        crows = []
-        basis = [self.point]
-        solver_rows = [self.point]
-        for r in perp.rows:
-            trial = rref(field, tuple(basis) + (r,))
-            if len(trial) > len(basis):
-                basis.append(r)
-                crows.append(r)
-                solver_rows.append(r)
-        self.crows = tuple(crows)
-        self.solver = BasisSolver(field, solver_rows)
+        # P = sum of P[c] * row over the RREF rows of perp(P), c the row's
+        # pivot column; the other rows, without the last one with P[c] != 0,
+        # complete P to a basis of perp(P)
+        last = max(i for i, r in enumerate(perp.rows) if self.point[r.index(1)])
+        self.crows = perp.rows[:last] + perp.rows[last + 1:]
+        self.solver = BasisSolver(field, (self.point,) + self.crows)
         qform = space.form.restrict(self.crows)
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
                                         qform)

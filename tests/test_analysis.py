@@ -432,6 +432,12 @@ def test_verify_rejects_forged_section_cover():
     outside = next(g for g in range(sp.num_generators)
                    if g not in sec.gen_indices)
     assert not A.verify_classification(sp, cov.members + (outside,), cls)
+    # a witness without a hyperplane, and one whose rows span a point
+    assert not A.verify_classification(
+        sp, cov.members, A.Classification("CoverOfSectionQ4"))
+    point = A.Classification("CoverOfSectionQ4",
+                             details={"hyperplane": [list(sp.points[0])]})
+    assert not A.verify_classification(sp, cov.members, point)
 
 
 def test_verify_rejects_forged_cone():

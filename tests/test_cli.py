@@ -147,6 +147,22 @@ def test_thresholds_json_pinned(capsys, q):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_THRESHOLDS[q]
 
 
+def test_thresholds_runs_oracle_once(capsys, monkeypatch):
+    from polarblock import search
+
+    calls = []
+    oracle = search.smallest_nontrivial_pg2
+
+    def counting(q, *args, **kwargs):
+        calls.append(q)
+        return oracle(q, *args, **kwargs)
+
+    monkeypatch.setattr(search, "smallest_nontrivial_pg2", counting)
+    code, _, _ = run(capsys, "--format", "json", "thresholds", "--q", "4")
+    assert code == 0
+    assert calls == [4]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["space", "stats", "--kind", "nope", "--rank", "2", "--q", "2"])

@@ -509,6 +509,18 @@ def test_generators_through_matches_point_scan(key):
     assert answered > sum(len(level) for level in sp.levels)
 
 
+def test_generators_through_non_singular_span_is_empty():
+    sp = build_polar_space("q", 2, 3)
+    off = next(p for p in enumerate_pg_points(sp.n, sp.field)
+               if p not in sp.point_index)
+    assert sp.generators_through(canonicalize(sp.field, sp.n, [off])) == []
+    # a secant line: both basis points singular, the line not
+    a, b = next((a, b) for a, b in combinations(range(sp.num_points), 2)
+                if not sp.collinear[a] >> b & 1)
+    secant = canonicalize(sp.field, sp.n, [sp.points[a], sp.points[b]])
+    assert sp.generators_through(secant) == []
+
+
 def _crows_rref_trial(space, point_idx):
     """The rows of perp(P) that extend <P> to a basis of perp(P), taken in
     order whenever one raises the rank of the rows kept so far."""
