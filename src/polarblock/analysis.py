@@ -509,8 +509,11 @@ def _subgq_spread_lines(space: PolarSpace, members) -> int | None:
 
 
 def _covers_q4_section(space: PolarSpace, members, h: Subspace):
-    """The section of the hyperplane h when it is a nondegenerate Q(4,q)
-    containing every member and covered by them; None otherwise."""
+    """The section of h when h is a hyperplane whose section is a
+    nondegenerate Q(4,q) containing every member and covered by them; None
+    otherwise."""
+    if h.dim != space.n - 1:
+        return None
     sec = hyperplane_section(space, h)
     if (sec.label == f"Q(4,{space.q})"
             and set(members) <= set(sec.gen_indices)
@@ -530,14 +533,13 @@ def _classify_rank2(space: PolarSpace, members) -> Classification:
     if space.kind == "qminus":
         h = canonicalize(space.field, space.n,
                          [r for m in members for r in space.generators[m].rows])
-        if h.dim == space.n - 1:
-            sec = _covers_q4_section(space, members, h)
-            if sec is not None:
-                return Classification(
-                    LABEL_COVER_Q4, details={
-                        "hyperplane": h.to_json(),
-                        "section_points": len(sec.point_indices),
-                    })
+        sec = _covers_q4_section(space, members, h)
+        if sec is not None:
+            return Classification(
+                LABEL_COVER_Q4, details={
+                    "hyperplane": h.to_json(),
+                    "section_points": len(sec.point_indices),
+                })
     # spread of the subquadrangle induced on the covered points
     sub_lines = _subgq_spread_lines(space, members)
     if sub_lines is not None:
@@ -604,8 +606,7 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
     if label == LABEL_COVER_Q4:
         rows = tuple(tuple(r) for r in cls.details.get("hyperplane", ()))
         h = canonicalize(space.field, space.n, rows)
-        return (h.dim == space.n - 1
-                and _covers_q4_section(space, members, h) is not None)
+        return _covers_q4_section(space, members, h) is not None
     if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):
         expected = (LABEL_SUBGQ_SPREAD if label == LABEL_CONE_QPLUS3
                     else LABEL_COVER_Q4)
