@@ -605,6 +605,9 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
         return _subgq_spread_lines(space, members) is not None
     if label == LABEL_COVER_Q4:
         rows = tuple(tuple(r) for r in cls.details.get("hyperplane", ()))
+        if not all(len(r) == space.n + 1
+                   and all(0 <= x < space.field.q for x in r) for r in rows):
+            return False
         h = canonicalize(space.field, space.n, rows)
         return _covers_q4_section(space, members, h) is not None
     if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):

@@ -233,7 +233,8 @@ def cmd_thresholds(args):
     eps = search.smallest_nontrivial_pg2(q) if q <= 9 else None
     # the oracle's answer feeds the threshold, so it runs once
     epsilon = "auto" if eps is None else (eps.epsilon if eps.exists else None)
-    payload = {"q": q}
+    # "q" holds the parabolic kind's threshold, as "qminus" and "h" do theirs
+    payload = {"base_q": q}
     for kind in ("qminus", "h", "q"):
         th = analysis.theorem_threshold(kind, q, epsilon=epsilon)
         payload[kind] = {

@@ -18,14 +18,17 @@ no line inside the blocking set).
 The engine is deterministic: it branches on an uncovered row with the
 fewest remaining hitters (lexicographic tie-break), visits candidates in
 index order and partitions the space by banning earlier siblings, so node
-counts and witness order are reproducible.  Two lower bounds prune a node
-that has rem picks left.  One scan of the uncovered rows yields the branch
-row and a greedy packing of rows with pairwise disjoint hitter sets (more
-than rem such rows prune).  Only when the packing fails does the covering
-capacity run: rem picks cover at most the rem largest counts
-|cols[c] & uncovered| over the candidates hitting an uncovered row, and a
-sum below |uncovered| prunes.  The cheap form rem * max|cols[c]| is tried
-first.  Budgets (node count and wall time) make incompleteness explicit,
+counts and witness order are reproducible.  A node with rem picks left
+is pruned when rem * max|cols[c]| < |uncovered|.  With one pick left the
+node makes it itself: the allowed candidates hitting every uncovered row
+(an AND of the rows, stopped as soon as it is empty) give the finished
+sets, and no child node is made.  Otherwise the covering capacity runs
+before any row scan: rem picks cover at most the rem largest counts
+|cols[c] & uncovered| over the allowed candidates (rows and cols are
+transposes, so one that hits no uncovered row counts 0), and a sum below
+|uncovered| prunes.  Only then does a scan of the uncovered rows pick the
+branch row, stopping at an empty row (prune) or at one with a single
+hitter.  Budgets (node count and wall time) make incompleteness explicit,
 never silent.
 
 The four searches over a polar space's generators (min_blocking,
@@ -124,77 +127,82 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     sols: list[tuple[int, ...]] = []
     maxdeg = max((c.bit_count() for c in cols), default=0)
 
+    def found(mask, depth):
+        nonlocal best, done
+        if mode == "min":
+            if depth > best:
+                return
+            if depth < best:
+                best = depth
+                sols.clear()
+        sols.append(tuple(_iter_bits(mask)))
+        done = first_only
+
+    def fills_row(mask, c):
+        # under forbid_rows: does picking c complete some row of c?
+        return any(not rows[r] & ~mask for r in _iter_bits(cols[c]))
+
     def rec(chosen_mask, depth, allowed, uncovered):
-        nonlocal nodes, best, done
+        nonlocal nodes
         nodes += 1
         if nodes > budget_nodes:
             raise _BudgetStop
         if nodes % 2048 == 0 and time.monotonic() > deadline:
             raise _BudgetStop
         if not uncovered:
-            if mode == "min":
-                if depth > best:
-                    return
-                if depth < best:
-                    best = depth
-                    sols.clear()
-            sols.append(tuple(_iter_bits(chosen_mask)))
-            done = first_only
+            found(chosen_mask, depth)
             return
         rem = (best if mode == "min" else max_size) - depth
         if rem <= 0:
             return
-        # One pass over the uncovered rows.  Branch row: fewest allowed
-        # hitters, first index breaks ties; the choice (and the empty-row
-        # prune) stops at the first row with a single hitter.  Lower
-        # bound: a greedy packing of rows with pairwise disjoint hitters.
-        best_count = len(cols) + 1
-        best_cand = 0
-        lb = 0
-        acc = 0
-        hitters = 0
-        u = uncovered
-        while u:
-            low = u & -u
-            u ^= low
-            ra = rows[low.bit_length() - 1] & allowed
-            if best_count > 1:
-                if not ra:
-                    return
-                k = ra.bit_count()
-                if k < best_count:
-                    best_count = k
-                    best_cand = ra
-            if not ra & acc:
-                lb += 1
-                if lb > rem:
-                    return
-                acc |= ra
-            hitters |= ra
-        # Covering capacity: rem picks cover at most the rem largest counts
-        # |cols[c] & uncovered| among the candidates hitting an uncovered row.
         need = uncovered.bit_count()
         if rem * maxdeg < need:
             return
-        # bin() lists the bits from the top: reversed, bit c is character c
+        if rem == 1:
+            # Last pick, made here: the candidates hitting every uncovered row.
+            u = uncovered
+            while u and allowed:
+                low = u & -u
+                u ^= low
+                allowed &= rows[low.bit_length() - 1]
+            for c in _iter_bits(allowed):
+                new_mask = chosen_mask | 1 << c
+                if not (forbid_rows and fills_row(new_mask, c)):
+                    found(new_mask, depth + 1)
+                    if done:
+                        return
+            return
+        # Covering capacity: rem picks cover at most the rem largest counts
+        # |cols[c] & uncovered| over the allowed candidates (0 for one that
+        # hits no uncovered row).  bin() lists the bits from the top:
+        # reversed, bit c is character c.
         caps = [(col & uncovered).bit_count()
-                for col, bit in zip(cols, bin(hitters)[:1:-1]) if bit == "1"]
+                for col, bit in zip(cols, bin(allowed)[:1:-1]) if bit == "1"]
         caps.sort(reverse=True)
         if sum(caps[:rem]) < need:
             return
+        # Branch row: fewest allowed hitters, first index breaks ties; the
+        # scan stops at an empty row (prune) or one with a single hitter.
+        best_count = len(cols) + 1
+        best_cand = 0
+        u = uncovered
+        while u and best_count > 1:
+            low = u & -u
+            u ^= low
+            ra = rows[low.bit_length() - 1] & allowed
+            if not ra:
+                return
+            k = ra.bit_count()
+            if k < best_count:
+                best_count = k
+                best_cand = ra
         # Children in index order; each bans its earlier siblings.
         for c in _iter_bits(best_cand):
             low = 1 << c
             allowed &= ~low
             new_mask = chosen_mask | low
-            if forbid_rows:
-                full = False
-                for r in _iter_bits(cols[c]):
-                    if not rows[r] & ~new_mask:
-                        full = True
-                        break
-                if full:
-                    continue
+            if forbid_rows and fills_row(new_mask, c):
+                continue
             child_allowed = allowed
             if conflicts is not None:
                 child_allowed &= ~conflicts[c]

@@ -438,6 +438,10 @@ def test_verify_rejects_forged_section_cover():
     point = A.Classification("CoverOfSectionQ4",
                              details={"hyperplane": [list(sp.points[0])]})
     assert not A.verify_classification(sp, cov.members, point)
+    # rows of the wrong length, and an entry outside GF(2)
+    for rows in ([[1, 0]], [[2, 0, 0, 0, 0, 0]]):
+        bad = A.Classification("CoverOfSectionQ4", details={"hyperplane": rows})
+        assert not A.verify_classification(sp, cov.members, bad)
 
 
 def test_verify_rejects_forged_cone():

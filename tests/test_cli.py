@@ -128,15 +128,17 @@ def test_thresholds(capsys):
     data = json.loads(out)
     assert data["qminus"]["max_delta"] == 0
     assert data["epsilon"]["epsilon"] == 2
+    assert data["base_q"] == 3 and "max_delta" in data["q"]
 
 
-# sha256 of the stdout of `--format json thresholds --q Q`, recorded while
-# the command still ran the PG(2,q) oracle twice.
+# sha256 of the stdout of `--format json thresholds --q Q`, recorded once q
+# had its own "base_q" key (the oracle-run-twice output, q missing, carried
+# the same thresholds).
 PINNED_THRESHOLDS = {
-    2: "c9b51bd7855076a904ebbbd436a48021d2a449cfef142c2a0ec707d10fea01e9",
-    3: "4357b8d9d12be2ff25c06cf553626e607961c5ead72d3adc32d7ce125197adaa",
-    4: "c60cc3570702db19dc3fad632b2c46f8109e15010ec6aa33c20cd7c1d5dac4f5",
-    5: "c467052ca662bb7a5df11bd700ceb031a5da32741cca847eea4f0c53a82120df",
+    2: "c4012007436e47b7f1bbb5e295560b78357c1ab64580a4d3fb82d0667ffd2458",
+    3: "b589d5d0982b0962f37f51b4e5d36cc4876799ad536c7733c8990c996d623db6",
+    4: "1eef05b76ad82cfff0716b5cc0a8e9dd3dc1d2a0432eec499ed0e431cb5a8dc3",
+    5: "1fce9449c4cae29e0533296127104a5290aa297d49d02b8fb3bf86e534e6e369",
 }
 
 

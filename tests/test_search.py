@@ -197,20 +197,20 @@ def test_h44_budgeted_certifies_pencils():
 _PIN_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
                "q43": ("q", 2, 3), "qm52": ("qminus", 2, 2)}
 _ENGINE_PINS = [
-    ("min_blocking", "q42", 43, 35, "78ad4ff03e30abf9"),
-    ("min_blocking", "qplus3-2", 5, 9, "ce3cd0650317ed23"),
-    ("min_blocking", "q43", 252, 130, "9d55a89f9f007f14"),
-    ("min_blocking", "qm52", 938, 243, "3171abcb5f74fc2e"),
-    ("min_cover_of_space", "q42", 79, 6, "a89a66b1182e85fe"),
-    ("min_cover_of_space", "qplus3-2", 4, 2, "d1bc02012b076eff"),
-    ("min_cover_of_space", "q43", 3549, 360, "78a0743e7181f0b7"),
-    ("min_cover_of_space", "qm52", 903, 200, "457de0e2125b0e28"),
-    ("min_maximal_partial_spread", "q42", 11, 20, "6bad077db44d9e21"),
-    ("min_maximal_partial_spread", "qplus3-2", 3, 2, "d1bc02012b076eff"),
-    ("min_maximal_partial_spread", "q43", 69, 90, "fee361675f931630"),
-    ("min_maximal_partial_spread", "qm52", 194, 216, "584fe69cc0412768"),
-    ("enumerate_minimal", "q42", 170, 35, "78ad4ff03e30abf9"),
-    ("enumerate_minimal", "qm52", 938, 243, "3171abcb5f74fc2e"),
+    ("min_blocking", "q42", 8, 35, "78ad4ff03e30abf9"),
+    ("min_blocking", "qplus3-2", 1, 9, "ce3cd0650317ed23"),
+    ("min_blocking", "q43", 144, 130, "9d55a89f9f007f14"),
+    ("min_blocking", "qm52", 753, 243, "3171abcb5f74fc2e"),
+    ("min_cover_of_space", "q42", 44, 6, "a89a66b1182e85fe"),
+    ("min_cover_of_space", "qplus3-2", 3, 2, "d1bc02012b076eff"),
+    ("min_cover_of_space", "q43", 3019, 360, "78a0743e7181f0b7"),
+    ("min_cover_of_space", "qm52", 813, 200, "457de0e2125b0e28"),
+    ("min_maximal_partial_spread", "q42", 5, 20, "6bad077db44d9e21"),
+    ("min_maximal_partial_spread", "qplus3-2", 2, 2, "d1bc02012b076eff"),
+    ("min_maximal_partial_spread", "q43", 50, 90, "fee361675f931630"),
+    ("min_maximal_partial_spread", "qm52", 145, 216, "584fe69cc0412768"),
+    ("enumerate_minimal", "q42", 43, 35, "78ad4ff03e30abf9"),
+    ("enumerate_minimal", "qm52", 753, 243, "3171abcb5f74fc2e"),
 ]
 _ENUM_BOUND = {"q42": 4, "qm52": 5}
 
@@ -246,8 +246,8 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_run_engine", counting)
-    expected = {2: (72, None, None), 3: (220, 6, (0, 1, 3, 4, 5, 7)),
-                4: (1093, 7, (0, 1, 2, 5, 8, 17, 20))}
+    expected = {2: (72, None, None), 3: (140, 6, (0, 1, 3, 4, 5, 7)),
+                4: (799, 7, (0, 1, 2, 5, 8, 17, 20))}
     for q, want in expected.items():
         total[0] = 0
         r = S.smallest_nontrivial_pg2(q)
@@ -261,6 +261,77 @@ def test_engine_h44_budget_stop_pinned():
     assert (res.nodes, res.complete, res.optimum) == (2_001, False, 9)
     assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210),
                              (0, 3, 6, 27, 36, 45, 276, 285, 294)]
+
+
+# min_blocking on spaces too large for the pins above, recorded before the
+# last pick moved into the parent node: (optimum, witness count, digest)
+@pytest.mark.slow
+@pytest.mark.parametrize("args,want", [
+    (("q", 4, 2), (3, 118_575, "cc0e7bce6d28ed30")),
+    (("q", 3, 3), (4, 36_400, "bea93d918934eff8")),
+], ids=["q82", "q63"])
+def test_min_blocking_large_pinned(args, want):
+    res = S.min_blocking(build_polar_space(*args))
+    assert res.complete
+    assert (res.optimum, len(res.witnesses), _witness_digest(res.witnesses)) == want
+
+
+def _brute_hitting_sets(rows, ncands, max_size, conflicts=None,
+                        forbid_rows=False, start=None):
+    """Every hitting set of size <= max_size, by combination scan."""
+    out = []
+    for k in range(max_size + 1):
+        for combo in combinations(range(ncands), k):
+            m = sum(1 << c for c in combo)
+            if any(not r & m for r in rows):
+                continue
+            if start is not None and start not in combo:
+                continue
+            if forbid_rows and any(not r & ~m for r in rows):
+                continue
+            if conflicts is not None and any(
+                    conflicts[a] >> b & 1 for a, b in combinations(combo, 2)):
+                continue
+            out.append(combo)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_vs_bruteforce_random_relations(seed):
+    rng = np.random.default_rng(seed)
+    nrows, ncands = int(rng.integers(3, 13)), int(rng.integers(3, 12))
+    density = rng.uniform(0.2, 0.6)
+    rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
+            for _ in range(nrows)]
+    cols = S._transpose(rows, ncands)
+    pairs = [(a, b) for a, b in combinations(range(ncands), 2)
+             if rng.random() < 0.3]
+    conflicts = [0] * ncands
+    for a, b in pairs:
+        conflicts[a] |= 1 << b
+        conflicts[b] |= 1 << a
+    max_size = int(rng.integers(1, ncands + 1))
+    start = int(rng.integers(ncands))
+    for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
+               {"start": start}, {"conflicts": conflicts, "start": start}):
+        valid = _brute_hitting_sets(rows, ncands, max_size, **kw)
+        run = dict(kw, max_size=max_size)
+        sols, complete, _, _ = S._run_engine(rows, cols, mode="min", **run)
+        assert complete
+        opt = min(map(len, valid), default=None)
+        assert sols == [w for w in valid if len(w) == opt]
+        # leaves: distinct valid sets, among them every minimal one
+        leaves, _, _, _ = S._run_engine(rows, cols, mode="leaves", **run)
+        assert len(set(leaves)) == len(leaves) and set(leaves) <= set(valid)
+        vset = set(valid)
+        minimal = [w for w in valid
+                   if not any(w[:i] + w[i + 1:] in vset for i in range(len(w)))]
+        assert set(minimal) <= set(leaves)
+        for mode in ("min", "leaves"):
+            first, _, _, _ = S._run_engine(rows, cols, mode=mode,
+                                           first_only=True, **run)
+            assert len(first) == min(len(valid), 1)
+            assert set(first) <= vset
 
 
 _SYMMETRY_SPACES = {**_PIN_SPACES, "q62": ("q", 3, 2), "h44": ("h", 2, 2),
