@@ -1,12 +1,13 @@
 import hashlib
 import json
+import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from polarblock.projective import Subspace
-from polarblock.spaces import build_polar_space
+from polarblock.spaces import _iter_bits, build_polar_space
 from polarblock import analysis as A
 from polarblock import search as S
 
@@ -254,6 +255,13 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
         assert (total[0], r.size, r.witness) == want
 
 
+def test_engine_h44_full_run_pinned():
+    res = S.min_blocking(build_polar_space("h", 2, 2))
+    assert (res.complete, res.optimum, res.nodes) == (True, 9, 6_987)
+    assert len(res.witnesses) == 165
+    assert _witness_digest(res.witnesses) == "63971d82bfb6a109"
+
+
 def test_engine_h44_budget_stop_pinned():
     # a budget stop returns the pinned witnesses found so far, unexpanded
     sp = build_polar_space("h", 2, 2)
@@ -269,7 +277,8 @@ def test_engine_h44_budget_stop_pinned():
 @pytest.mark.parametrize("args,want", [
     (("q", 4, 2), (3, 118_575, "cc0e7bce6d28ed30")),
     (("q", 3, 3), (4, 36_400, "bea93d918934eff8")),
-], ids=["q82", "q63"])
+    (("qminus", 3, 2), (5, 26_775, "d255faaad9cae952")),
+], ids=["q82", "q63", "qm72"])
 def test_min_blocking_large_pinned(args, want):
     res = S.min_blocking(build_polar_space(*args))
     assert res.complete
@@ -332,6 +341,154 @@ def test_engine_vs_bruteforce_random_relations(seed):
                                            first_only=True, **run)
             assert len(first) == min(len(valid), 1)
             assert set(first) <= vset
+
+
+# The engine as it was before the parent-count bound, kept as the
+# reference for a node-for-node comparison: every prune decision, and so
+# every node count, witness list and budget stop, must stay the same.
+def _reference_engine(rows, cols, *, max_size, mode, conflicts=None,
+                      forbid_rows=False, first_only=False, start=None,
+                      budget_nodes=S.DEFAULT_BUDGET_NODES, budget_secs=1e9):
+    deadline = time.monotonic() + budget_secs
+    nodes = 0
+    best = max_size
+    done = False
+    sols = []
+    maxdeg = max((c.bit_count() for c in cols), default=0)
+
+    def found(mask, depth):
+        nonlocal best, done
+        if mode == "min":
+            if depth > best:
+                return
+            if depth < best:
+                best = depth
+                sols.clear()
+        sols.append(tuple(_iter_bits(mask)))
+        done = first_only
+
+    def fills_row(mask, c):
+        return any(not rows[r] & ~mask for r in _iter_bits(cols[c]))
+
+    def rec(chosen_mask, depth, allowed, uncovered):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget_nodes:
+            raise S._BudgetStop
+        if nodes % 2048 == 0 and time.monotonic() > deadline:
+            raise S._BudgetStop
+        if not uncovered:
+            found(chosen_mask, depth)
+            return
+        rem = (best if mode == "min" else max_size) - depth
+        if rem <= 0:
+            return
+        need = uncovered.bit_count()
+        if rem * maxdeg < need:
+            return
+        if rem == 1:
+            u = uncovered
+            while u and allowed:
+                low = u & -u
+                u ^= low
+                allowed &= rows[low.bit_length() - 1]
+            for c in _iter_bits(allowed):
+                new_mask = chosen_mask | 1 << c
+                if not (forbid_rows and fills_row(new_mask, c)):
+                    found(new_mask, depth + 1)
+                    if done:
+                        return
+            return
+        caps = [(col & uncovered).bit_count()
+                for col, bit in zip(cols, bin(allowed)[:1:-1]) if bit == "1"]
+        caps.sort(reverse=True)
+        if sum(caps[:rem]) < need:
+            return
+        best_count = len(cols) + 1
+        best_cand = 0
+        u = uncovered
+        while u and best_count > 1:
+            low = u & -u
+            u ^= low
+            ra = rows[low.bit_length() - 1] & allowed
+            if not ra:
+                return
+            k = ra.bit_count()
+            if k < best_count:
+                best_count = k
+                best_cand = ra
+        for c in _iter_bits(best_cand):
+            low = 1 << c
+            allowed &= ~low
+            new_mask = chosen_mask | low
+            if forbid_rows and fills_row(new_mask, c):
+                continue
+            child_allowed = allowed
+            if conflicts is not None:
+                child_allowed &= ~conflicts[c]
+            rec(new_mask, depth + 1, child_allowed, uncovered & ~cols[c])
+            if done:
+                return
+
+    chosen, depth = 0, 0
+    allowed = (1 << len(cols)) - 1
+    uncovered = (1 << len(rows)) - 1
+    if start is not None:
+        chosen, depth = 1 << start, 1
+        allowed &= ~chosen
+        if conflicts is not None:
+            allowed &= ~conflicts[start]
+        uncovered &= ~cols[start]
+    complete = True
+    try:
+        rec(chosen, depth, allowed, uncovered)
+    except S._BudgetStop:
+        complete = False
+    sols.sort()
+    return sols, complete, nodes
+
+
+def _assert_same_tree(rows, cols, **kw):
+    want = _reference_engine(rows, cols, **kw)
+    sols, complete, nodes, _ = S._run_engine(rows, cols, budget_secs=1e9, **kw)
+    assert (sols, complete, nodes) == want
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_engine_vs_reference_random_relations(seed):
+    # large enough that nodes with three or more picks left pass the
+    # capacity test and hand their counts to their children
+    rng = np.random.default_rng(1000 + seed)
+    nrows, ncands = int(rng.integers(20, 41)), int(rng.integers(20, 41))
+    density = rng.uniform(0.25, 0.5)
+    rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
+            for _ in range(nrows)]
+    cols = S._transpose(rows, ncands)
+    conflicts = [0] * ncands
+    for a, b in combinations(range(ncands), 2):
+        if rng.random() < 0.1:
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+    max_size = int(rng.integers(4, 7))
+    start = int(rng.integers(ncands))
+    for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
+               {"start": start}, {"conflicts": conflicts, "start": start},
+               {"first_only": True}, {"forbid_rows": True, "first_only": True},
+               {"budget_nodes": 300}):
+        for mode in ("min", "leaves"):
+            _assert_same_tree(rows, cols, max_size=max_size, mode=mode, **kw)
+
+
+@pytest.mark.parametrize("key,mode,max_size", [
+    ("q43", "min", 10), ("q43", "leaves", 6), ("qm52", "min", 5),
+    ("qm52", "leaves", 5), ("h44", "min", 9), ("q62", "min", 7),
+], ids=lambda v: str(v))
+def test_engine_vs_reference_meets(key, mode, max_size):
+    sp = build_polar_space(*_SYMMETRY_SPACES[key])
+    _assert_same_tree(sp.meets, sp.meets, max_size=max_size, mode=mode, start=0)
+    if mode == "min":
+        _assert_same_tree(sp.meets, sp.meets, max_size=max_size, mode=mode,
+                          start=0, conflicts=sp.meets)
 
 
 _SYMMETRY_SPACES = {**_PIN_SPACES, "q62": ("q", 3, 2), "h44": ("h", 2, 2),
