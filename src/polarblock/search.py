@@ -26,7 +26,12 @@ sets, and no child node is made.  Otherwise the covering capacity runs
 before any row scan: rem picks cover at most the rem largest counts
 |cols[c] & uncovered| over the allowed candidates (rows and cols are
 transposes, so one that hits no uncovered row counts 0), and a sum below
-|uncovered| prunes.  Only then does a scan of the uncovered rows pick the
+|uncovered| prunes.  A node with three or more picks left hands its
+children its sorted counts.  No count grows from parent to child, so a
+child recounts only those above t = (|uncovered| - 1) // rem, and rem
+copies of t stand in for the rest: a cheap upper bound on the capacity.
+Only if it does not prune is every candidate counted, so each prune is
+the exact test's.  Only then does a scan of the uncovered rows pick the
 branch row, stopping at an empty row (prune) or at one with a single
 hitter.  Budgets (node count and wall time) make incompleteness explicit,
 never silent.
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import os
 import time
+from heapq import heappushpop
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -138,11 +144,14 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         sols.append(tuple(_iter_bits(mask)))
         done = first_only
 
+    rows_of = ([[rows[r] for r in _iter_bits(col)] for col in cols]
+               if forbid_rows else None)
+
     def fills_row(mask, c):
         # under forbid_rows: does picking c complete some row of c?
-        return any(not rows[r] & ~mask for r in _iter_bits(cols[c]))
+        return 0 in map((~mask).__and__, rows_of[c])
 
-    def rec(chosen_mask, depth, allowed, uncovered):
+    def rec(chosen_mask, depth, allowed, uncovered, pcaps):
         nonlocal nodes
         nodes += 1
         if nodes > budget_nodes:
@@ -174,11 +183,29 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
             return
         # Covering capacity: rem picks cover at most the rem largest counts
         # |cols[c] & uncovered| over the allowed candidates (0 for one that
-        # hits no uncovered row).  bin() lists the bits from the top:
+        # hits no uncovered row).  First the bound from the parent's sorted
+        # (count, candidate) list; top is a min-heap of the rem largest.
+        if pcaps is not None:
+            top = [(need - 1) // rem] * rem
+            for k, c in pcaps:
+                if k <= top[0]:
+                    break
+                heappushpop(top, (cols[c] & uncovered).bit_count())
+            if sum(top) < need:
+                return
+        # Then the exact capacity.  bin() lists the bits from the top:
         # reversed, bit c is character c.
-        caps = [(col & uncovered).bit_count()
-                for col, bit in zip(cols, bin(allowed)[:1:-1]) if bit == "1"]
-        caps.sort(reverse=True)
+        bits = bin(allowed)[:1:-1]
+        pcaps = None
+        if rem > 2:
+            pcaps = sorted([((col & uncovered).bit_count(), c)
+                            for c, (col, bit) in enumerate(zip(cols, bits))
+                            if bit == "1"], reverse=True)
+            caps = [k for k, _ in pcaps[:rem]]
+        else:
+            caps = sorted([(col & uncovered).bit_count()
+                           for col, bit in zip(cols, bits) if bit == "1"],
+                          reverse=True)
         if sum(caps[:rem]) < need:
             return
         # Branch row: fewest allowed hitters, first index breaks ties; the
@@ -206,7 +233,8 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
             child_allowed = allowed
             if conflicts is not None:
                 child_allowed &= ~conflicts[c]
-            rec(new_mask, depth + 1, child_allowed, uncovered & ~cols[c])
+            rec(new_mask, depth + 1, child_allowed, uncovered & ~cols[c],
+                pcaps)
             if done:
                 return
 
@@ -221,7 +249,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         uncovered &= ~cols[start]
     complete = True
     try:
-        rec(chosen, depth, allowed, uncovered)
+        rec(chosen, depth, allowed, uncovered, None)
     except _BudgetStop:
         complete = False
     seconds = time.monotonic() - t0
@@ -453,7 +481,9 @@ def smallest_nontrivial_pg2(q: int,
                             budget_nodes: int = DEFAULT_BUDGET_NODES,
                             budget_secs: float | None = None) -> EpsilonResult:
     """Smallest blocking set of PG(2,q) containing no line, by exact
-    search for q <= 9; the prime formula eps = (q+1)/2 beyond that."""
+    search for q <= 9; the prime formula eps = (q+1)/2 beyond that.  The
+    searches for the target sizes q+2, q+3, ... share one node budget and
+    one deadline."""
     if q > 9:
         if is_prime(q):
             eps = (q + 1) // 2
@@ -472,15 +502,15 @@ def smallest_nontrivial_pg2(q: int,
         line_masks.append(m)
     # rows are lines, and the hitting candidates of a line are its points
     lines_through = _transpose(line_masks, npts)
-    total_nodes = 0
-    total_secs = 0.0
+    if budget_secs is None:
+        budget_secs = default_budget_secs()
+    deadline = time.monotonic() + budget_secs
     for target in range(q + 2, npts + 1):
-        sols, complete, nodes, seconds = _run_engine(
+        sols, complete, nodes, _ = _run_engine(
             line_masks, lines_through, max_size=target, mode="min",
             forbid_rows=True, first_only=True, budget_nodes=budget_nodes,
-            budget_secs=budget_secs)
-        total_nodes += nodes
-        total_secs += seconds
+            budget_secs=deadline - time.monotonic())
+        budget_nodes -= nodes
         if not complete:
             return EpsilonResult(q, None, None, None, None, "search",
                                  complete=False,

@@ -255,6 +255,26 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
         assert (total[0], r.size, r.witness) == want
 
 
+def test_pg2_oracle_budget_spans_restarts(monkeypatch):
+    # q = 4 takes 784 nodes at target 6 and 15 at target 7: a budget of
+    # 790 nodes fits each search alone, but not the two together
+    engine = S._run_engine
+    total = [0]
+
+    def counting(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        total[0] += out[2]
+        return out
+
+    monkeypatch.setattr(S, "_run_engine", counting)
+    r = S.smallest_nontrivial_pg2(4, budget_nodes=790)
+    assert (r.complete, r.exists, r.witness) == (False, None, None)
+    assert total[0] <= 790 + 1
+    total[0] = 0
+    r = S.smallest_nontrivial_pg2(4, budget_nodes=799)
+    assert (r.complete, r.size, total[0]) == (True, 7, 799)
+
+
 def test_engine_h44_full_run_pinned():
     res = S.min_blocking(build_polar_space("h", 2, 2))
     assert (res.complete, res.optimum, res.nodes) == (True, 9, 6_987)
