@@ -26,15 +26,14 @@ sets, and no child node is made.  Otherwise the covering capacity runs
 before any row scan: rem picks cover at most the rem largest counts
 |cols[c] & uncovered| over the allowed candidates (rows and cols are
 transposes, so one that hits no uncovered row counts 0), and a sum below
-|uncovered| prunes.  A node with three or more picks left hands its
-children its sorted counts.  No count grows from parent to child, so a
-child recounts only those above t = (|uncovered| - 1) // rem, and rem
-copies of t stand in for the rest: a cheap upper bound on the capacity.
-Only if it does not prune is every candidate counted, so each prune is
-the exact test's.  Only then does a scan of the uncovered rows pick the
-branch row, stopping at an empty row (prune) or at one with a single
-hitter.  Budgets (node count and wall time) make incompleteness explicit,
-never silent.
+|uncovered| prunes.  A node hands its children its sorted counts.  No
+count grows from parent to child, so a child recounts only those above
+t = (|uncovered| - 1) // rem, and rem copies of t stand in for the rest:
+a cheap upper bound on the capacity.  Only if it does not prune is every
+candidate counted, so each prune is the exact test's.  Only then does a
+scan of the uncovered rows pick the branch row, stopping at an empty row
+(prune) or at one with a single hitter.  Budgets (node count and wall
+time) make incompleteness explicit, never silent.
 
 The four searches over a polar space's generators (min_blocking,
 enumerate_minimal, min_cover_of_space, min_maximal_partial_spread) pin
@@ -53,8 +52,8 @@ from __future__ import annotations
 
 import os
 import time
-from heapq import heappushpop
 from dataclasses import dataclass
+from heapq import heappushpop
 from itertools import combinations
 
 import numpy as np
@@ -184,7 +183,9 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         # Covering capacity: rem picks cover at most the rem largest counts
         # |cols[c] & uncovered| over the allowed candidates (0 for one that
         # hits no uncovered row).  First the bound from the parent's sorted
-        # (count, candidate) list; top is a min-heap of the rem largest.
+        # (count, candidate) list.  top is a min-heap of the rem largest so
+        # far; once a parent count is at or below its least, no later
+        # candidate can enter it.
         if pcaps is not None:
             top = [(need - 1) // rem] * rem
             for k, c in pcaps:
@@ -193,20 +194,13 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 heappushpop(top, (cols[c] & uncovered).bit_count())
             if sum(top) < need:
                 return
-        # Then the exact capacity.  bin() lists the bits from the top:
-        # reversed, bit c is character c.
+        # Then the exact capacity, as that list for the children.  bin()
+        # lists the bits from the top: reversed, bit c is character c.
         bits = bin(allowed)[:1:-1]
-        pcaps = None
-        if rem > 2:
-            pcaps = sorted([((col & uncovered).bit_count(), c)
-                            for c, (col, bit) in enumerate(zip(cols, bits))
-                            if bit == "1"], reverse=True)
-            caps = [k for k, _ in pcaps[:rem]]
-        else:
-            caps = sorted([(col & uncovered).bit_count()
-                           for col, bit in zip(cols, bits) if bit == "1"],
-                          reverse=True)
-        if sum(caps[:rem]) < need:
+        pcaps = sorted([((col & uncovered).bit_count(), c)
+                        for c, (col, bit) in enumerate(zip(cols, bits))
+                        if bit == "1"], reverse=True)
+        if sum(k for k, _ in pcaps[:rem]) < need:
             return
         # Branch row: fewest allowed hitters, first index breaks ties; the
         # scan stops at an empty row (prune) or one with a single hitter.
