@@ -146,6 +146,27 @@ def test_cone_avoidance_bounds_quadric_cones():
         assert got >= C.CONE_AVOIDANCE_BOUND[row](2), (kind, row, got)
 
 
+# min_generators_outside_hyperplanes of the five cone rows of criterion 8:
+# the minimum and its first attaining functional in span coordinates
+PINNED_AVOIDANCE = {
+    ("q", "conic-pencil"): (1, (1, 0, 0, 0, 0)),
+    ("q", "qplus3-spread"): (2, (0, 0, 0, 1, 0)),
+    ("qminus", "elliptic-pencil"): (2, (0, 0, 1, 1, 0, 0)),
+    ("qminus", "q4-cover"): (3, (1, 0, 0, 0, 0, 0)),
+    ("h", "hermitian-pencil"): (6, (0, 0, 1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("kind,row", [
+    pytest.param(*k, marks=pytest.mark.slow) if k[0] == "h" else k
+    for k in PINNED_AVOIDANCE])
+def test_cone_avoidance_pinned(kind, row):
+    sp = build_polar_space(kind, 3, 2)
+    bs = C.cone_example(sp, row)
+    got = C.min_generators_outside_hyperplanes(sp, bs.members)
+    assert got == PINNED_AVOIDANCE[kind, row]
+
+
 def test_table1_sizes():
     # sizes follow the base-set column: q+1, q+1, q^2+1, q^2+1, q^3+1
     s6 = build_polar_space("q", 3, 2)

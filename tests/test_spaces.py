@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -203,6 +203,39 @@ def test_iterated_quotient_gen_image():
         want = (iq.quotient.gen_index[iq.to_quotient(gen).rows]
                 if gen.contains(line) else None)
         assert iq.gen_image(g) == want
+
+
+def _coords_by_search(field, basis):
+    """Every vector of the row span, keyed to its coefficient vector."""
+    add, mul = field.addl, field.mull
+    width = len(basis[0])
+    out = {}
+    for coeffs in product(range(field.q), repeat=len(basis)):
+        v = [0] * width
+        for c, r in zip(coeffs, basis):
+            v = [add[x][mul[c][y]] for x, y in zip(v, r)]
+        out[tuple(v)] = coeffs
+    return out
+
+
+@pytest.mark.parametrize("key", [("q", 2, 3), ("qminus", 2, 2), ("h", 2, 2),
+                                 ("q", 3, 2)])
+def test_quotient_coordinates_vs_bruteforce(key):
+    # to_quotient is the span of the coordinates after P in the basis
+    # (P, crows), found here by trying every coefficient vector
+    sp = build_polar_space(*key)
+    rng = random.Random(13)
+    for pi in sorted(rng.sample(range(sp.num_points), 5)):
+        qm = sp.quotient_map(pi)
+        coords = _coords_by_search(sp.field, (qm.point,) + qm.crows)
+        for g, gen in enumerate(sp.generators):
+            if gen.contains_point(qm.point):
+                want = canonicalize(sp.field, len(qm.crows) - 1,
+                                    [coords[r][1:] for r in gen.rows])
+                assert qm.to_quotient(gen) == want
+            else:
+                with pytest.raises(ValueError):
+                    qm.to_quotient(gen)
 
 
 def test_quotient_rejects_bad_input():
