@@ -639,9 +639,6 @@ class Threshold:
     epsilon_exists: bool | None = None
     epsilon_source: str | None = None
 
-    def admissible(self, delta: int) -> bool:
-        return 0 <= delta <= self.max_delta
-
 
 def theorem_threshold(kind: str, q: int, rank: int = 3,
                       epsilon="auto") -> Threshold:

@@ -273,7 +273,7 @@ def cmd_accept(args):
     return EXIT_OK
 
 
-def _budget_nodes(text: str) -> int:
+def _non_negative_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -344,8 +344,8 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["min-blocking", "enumerate-minimal", "min-cover",
                             "min-maximal-spread"])
     _add_space_args(p)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--budget-nodes", type=_budget_nodes,
+    p.add_argument("--bound", type=_non_negative_int)
+    p.add_argument("--budget-nodes", type=_non_negative_int,
                    default=search.DEFAULT_BUDGET_NODES)
     p.add_argument("--budget-secs", type=_budget_secs, default=None)
     p.add_argument("--out")

@@ -226,15 +226,18 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     minimum is the worst case of the not-contained-in-T count, with an
     attaining dual functional in span coordinates.
     """
-    from .projective import BasisSolver, canonicalize, enumerate_pg_points
+    from .projective import canonicalize, enumerate_pg_points
 
     field = space.field
     total = canonicalize(field, space.n,
                          [r for m in members for r in space.generators[m].rows])
-    solver = BasisSolver(field, total.rows)
+    # every member row lies in the span: its coordinates are its entries
+    # at the pivots of the RREF rows
+    pivots = [r.index(1) for r in total.rows]
     coords = []
     for m in members:
-        coords.append([solver.express(r) for r in space.generators[m].rows])
+        coords.append([tuple(r[c] for c in pivots)
+                       for r in space.generators[m].rows])
     add, mul = field.addl, field.mull
     best = None
     arg = None

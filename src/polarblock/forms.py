@@ -68,29 +68,20 @@ class Form:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, v) -> int:
-        f = self.field
-        add, mul = f.addl, f.mull
         if len(v) != self.n + 1:
             raise ValueError(f"vector length {len(v)} != ambient {self.n + 1}")
-        acc = 0
         if self.kind == "hermitian":
-            conj = f.conj_table
-            for i, ci in enumerate(self.coeff):
-                vi = v[i]
-                if not vi:
-                    continue
-                for j, c in enumerate(ci):
-                    if c and v[j]:
-                        acc = add[acc][mul[mul[vi][int(conj[v[j]])]][c]]
-        else:
-            for i, ci in enumerate(self.coeff):
-                vi = v[i]
-                if not vi:
-                    continue
-                for j in range(i, self.n + 1):
-                    c = ci[j]
-                    if c and v[j]:
-                        acc = add[acc][mul[mul[vi][v[j]]][c]]
+            return self.polarize(v, v)
+        add, mul = self.field.addl, self.field.mull
+        acc = 0
+        for i, ci in enumerate(self.coeff):
+            vi = v[i]
+            if not vi:
+                continue
+            for j in range(i, self.n + 1):
+                c = ci[j]
+                if c and v[j]:
+                    acc = add[acc][mul[mul[vi][v[j]]][c]]
         return acc
 
     def polarize(self, u, v) -> int:
@@ -100,24 +91,12 @@ class Form:
             raise ValueError("vector length mismatch")
         f = self.field
         add, mul = f.addl, f.mull
-        acc = 0
         if self.kind == "hermitian":
-            conj = f.conj_table
-            for i, gi in enumerate(self.gram):
-                ui = u[i]
-                if not ui:
-                    continue
-                for j, g in enumerate(gi):
-                    if g and v[j]:
-                        acc = add[acc][mul[mul[ui][int(conj[v[j]])]][g]]
-        else:
-            for i, gi in enumerate(self.gram):
-                ui = u[i]
-                if not ui:
-                    continue
-                for j, g in enumerate(gi):
-                    if g and v[j]:
-                        acc = add[acc][mul[mul[ui][v[j]]][g]]
+            v = f.conj_table[list(v)].tolist()
+        acc = 0
+        for wj, vj in zip(self._polar_row(u), v):
+            if wj and vj:
+                acc = add[acc][mul[wj][vj]]
         return acc
 
     # -- vectorized scans ----------------------------------------------------
@@ -187,10 +166,6 @@ class Form:
         return np.array([self._polar_values(e, xs) for e in _unit_rows(self.n)])
 
     # -- structure -----------------------------------------------------------
-
-    def bilinear_radical(self) -> Subspace:
-        """Kernel of the polarization (nucleus point for even parabolic)."""
-        return nullspace(self.field, self.gram, self.n)
 
     def perp(self, sub: Subspace) -> Subspace:
         """The polarity image of a subspace.

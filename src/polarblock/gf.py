@@ -238,9 +238,6 @@ class GF:
             raise ValueError(f"order {self.q} is not a square; no conjugation")
         return int(self.conj_table[a])
 
-    def elements(self):
-        return range(self.q)
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, h: int = 1) -> GF:

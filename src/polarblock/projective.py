@@ -5,6 +5,11 @@ first nonzero coordinate is 1.  Subspaces are kept in reduced row-echelon
 form, which is the only canonical form, equality test and hash key used
 anywhere in the package.  The empty subspace (projective dimension -1) is
 the empty row tuple.
+
+RREF is also the coordinate system: each row's pivot is its leading 1, and
+every other row is 0 in that column, so a vector of the span has as its
+coordinates in the rows its own entries at the pivots.  reduce_against is
+the one routine that tests whether a vector lies in a span.
 """
 
 from __future__ import annotations
@@ -15,22 +20,6 @@ from itertools import product
 from .gf import GF
 
 Vector = tuple[int, ...]
-
-
-def vec_scale(field: GF, c: int, u: Vector) -> Vector:
-    row = field.mull[c]
-    return tuple(row[a] for a in u)
-
-
-def normalize_point(field: GF, v) -> Vector:
-    """Scale so the first nonzero coordinate is 1; reject the zero vector."""
-    v = tuple(int(x) for x in v)
-    for x in v:
-        if x:
-            if x == 1:
-                return v
-            return vec_scale(field, field.invl[x], v)
-    raise ValueError("zero vector does not define a projective point")
 
 
 def rref(field: GF, rows) -> tuple[Vector, ...]:
@@ -77,12 +66,7 @@ def rref_extend(field: GF, rows, v: Vector) -> tuple[Vector, ...]:
     v is reduced against the rows, scaled to a leading 1, cleared from the
     other rows' entries in its pivot column and inserted in pivot order."""
     add, mul, neg, inv = field.addl, field.mull, field.negl, field.invl
-    w = v
-    for r in rows:
-        c = w[r.index(1)]  # the leading 1 of r is its pivot
-        if c:
-            mc = mul[neg[c]]
-            w = [add[a][mc[b]] for a, b in zip(w, r)]
+    w = reduce_against(field, rows, v)
     pc = next(i for i, x in enumerate(w) if x)
     if w[pc] != 1:
         mc = mul[inv[w[pc]]]
@@ -133,21 +117,13 @@ def canonicalize(field: GF, n: int, rows) -> Subspace:
     return Subspace(field, n, rref(field, rows))
 
 
-def empty_subspace(field: GF, n: int) -> Subspace:
-    return Subspace(field, n, ())
-
-
 def reduce_against(field: GF, rows, v: Vector):
     """Reduce v against RREF rows: None if v lies in the span, else the
     nonzero residue."""
     add, mul, neg = field.addl, field.mull, field.negl
-    w = list(v)
+    w = v
     for r in rows:
-        # pivot column of r = index of its leading 1
-        for pc, x in enumerate(r):
-            if x:
-                break
-        c = w[pc]
+        c = w[r.index(1)]  # the leading 1 of r is its pivot
         if c:
             mf = mul[neg[c]]
             w = [add[a][mf[b]] for a, b in zip(w, r)]
@@ -181,12 +157,7 @@ def nullspace(field: GF, rows, n: int) -> Subspace:
     """Solutions x of M x^T = 0 for the given row matrix M, as a subspace
     of PG(n,q) (rows have length n+1)."""
     red = rref(field, rows)
-    pivots = []
-    for r in red:
-        for pc, x in enumerate(r):
-            if x:
-                pivots.append(pc)
-                break
+    pivots = [r.index(1) for r in red]
     free = [c for c in range(n + 1) if c not in pivots]
     neg = field.negl
     basis = []
@@ -243,48 +214,3 @@ def theta(n: int, q: int) -> int:
         return 0
     return (q ** (n + 1) - 1) // (q - 1)
 
-
-class BasisSolver:
-    """Coordinate solver for a fixed independent row basis.
-
-    express(v) returns coefficients x with x @ rows == v, or None if v is
-    outside the span.  Used for quotient coordinates and containment tests.
-    """
-
-    def __init__(self, field: GF, rows):
-        self.field = field
-        self.rows = [tuple(r) for r in rows]
-        k = len(self.rows)
-        width = len(self.rows[0]) if k else 0
-        # reduce [rows | I]: the right part records the transform, and a
-        # reduced row with a zero left part means the rows are dependent
-        aug = rref(field, [r + tuple(1 if i == j else 0 for j in range(k))
-                           for i, r in enumerate(self.rows)])
-        if any(not any(r[:width]) for r in aug):
-            raise ValueError("basis rows are linearly dependent")
-        self._pivots = [next(c for c, x in enumerate(r) if x) for r in aug]
-        self._reduced = [r[:width] for r in aug]
-        self._transform = [r[width:] for r in aug]
-        self._k = k
-
-    def express(self, v):
-        field = self.field
-        add, mul, neg = field.addl, field.mull, field.negl
-        w = list(v)
-        coeffs = [0] * self._k
-        for i, pc in enumerate(self._pivots):
-            c = w[pc]
-            if c:
-                coeffs[i] = c
-                mf = mul[neg[c]]
-                w = [add[a][mf[b]] for a, b in zip(w, self._reduced[i])]
-        if any(w):
-            return None
-        # map coefficients back through the recorded transform
-        out = [0] * self._k
-        for i, c in enumerate(coeffs):
-            if c:
-                mc = mul[c]
-                t = self._transform[i]
-                out = [add[a][mc[b]] for a, b in zip(out, t)]
-        return tuple(out)

@@ -390,12 +390,7 @@ def min_cover(points, lines, upper_bound: int | None = None,
     """
     pts = list(points)
     pidx = {p: i for i, p in enumerate(pts)}
-    line_masks = []
-    for l in lines:
-        m = 0
-        for p in l:
-            m |= 1 << pidx[p]
-        line_masks.append(m)
+    line_masks = [analysis.members_mask(pidx[p] for p in l) for l in lines]
     if upper_bound is None:
         upper_bound = _greedy_cover_size(line_masks, (1 << len(pts)) - 1)
     sols, complete, nodes, seconds = _run_engine(
@@ -488,12 +483,7 @@ def smallest_nontrivial_pg2(q: int,
             f"q = {q} outside the oracle range and not prime: no epsilon")
     pts, lines = _pg2_incidence(q)
     npts = len(pts)
-    line_masks = []
-    for l in lines:
-        m = 0
-        for p in l:
-            m |= 1 << p
-        line_masks.append(m)
+    line_masks = [analysis.members_mask(l) for l in lines]
     # rows are lines, and the hitting candidates of a line are its points
     lines_through = _transpose(line_masks, npts)
     if budget_secs is None:

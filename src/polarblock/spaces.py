@@ -39,12 +39,12 @@ import numpy as np
 
 from .gf import GF, field_of_order
 from .projective import (
-    BasisSolver,
     Subspace,
     Vector,
     canonicalize,
     enumerate_pg_points,
     nullspace,
+    reduce_against,
     rref_extend,
     theta,
 )
@@ -635,8 +635,10 @@ class QuotientMap:
         # pivot column; the other rows, without the last one with P[c] != 0,
         # complete P to a basis of perp(P)
         last = max(i for i, r in enumerate(perp.rows) if self.point[r.index(1)])
+        self._perp_rows = perp.rows
         self.crows = perp.rows[:last] + perp.rows[last + 1:]
-        self.solver = BasisSolver(field, (self.point,) + self.crows)
+        self._drop = perp.rows[last].index(1)
+        self._pivots = [r.index(1) for r in self.crows]
         qform = space.form.restrict(self.crows)
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
                                         qform)
@@ -657,13 +659,21 @@ class QuotientMap:
         return self._gen_image[g]
 
     def to_quotient(self, sub: Subspace) -> Subspace:
+        """The image of sub in perp(P)/P, in coordinates on crows.
+
+        x in perp(P) is (x[c] / P[c]) P plus a vector of the span of crows,
+        c the pivot of the dropped row; that vector's crows coordinates are
+        its entries at their pivots."""
         field = self.space.field
+        add, mul, neg = field.addl, field.mull, field.negl
+        p, c = self.point, self._drop
+        ip = field.invl[p[c]]
         rows = []
-        for r in sub.rows:
-            x = self.solver.express(r)
-            if x is None:
+        for x in sub.rows:
+            if reduce_against(field, self._perp_rows, x) is not None:
                 raise ValueError("subspace is not contained in perp(P)")
-            rows.append(x[1:])
+            mt = mul[neg[mul[x[c]][ip]]]
+            rows.append(tuple(add[x[j]][mt[p[j]]] for j in self._pivots))
         return canonicalize(field, len(self.crows) - 1, rows)
 
 

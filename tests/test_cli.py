@@ -187,6 +187,18 @@ def test_bad_search_budget_is_usage_error(capsys, option, value):
     assert err.count("\n") == 1 and option in err
 
 
+@pytest.mark.parametrize("cmd", ["min-blocking", "enumerate-minimal",
+                                 "min-cover", "min-maximal-spread"])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_bad_search_bound_is_usage_error(capsys, cmd, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", cmd, "--kind", "q", "--rank", "2", "--q", "2",
+              "--bound", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--bound" in err
+
+
 def test_construct_with_seed_vertex(capsys, tmp_path):
     f = tmp_path / "set.json"
     code, out, _ = run(capsys, "construct", "--kind", "q", "--rank", "2",

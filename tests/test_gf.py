@@ -21,7 +21,7 @@ def test_encoding_of_zero_and_one():
         f = make_field(p, h)
         assert f.add(0, 0) == 0
         assert f.mul(1, 1) == 1
-        for a in f.elements():
+        for a in range(f.q):
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
             assert f.mul(a, 0) == 0
@@ -30,7 +30,7 @@ def test_encoding_of_zero_and_one():
 @pytest.mark.parametrize("p,h", SMALL_ORDERS)
 def test_field_axioms_exhaustive(p, h):
     f = make_field(p, h)
-    els = list(f.elements())
+    els = list(range(f.q))
     for a in els:
         for b in els:
             assert f.add(a, b) == f.add(b, a)
@@ -83,14 +83,14 @@ def test_conjugation():
     assert f4.conjugate(2) == 3  # w -> w^2 = w + 1
     assert f4.conjugate(1) == 1
     f9 = make_field(3, 2)
-    for a in f9.elements():
+    for a in range(f9.q):
         assert f9.conjugate(f9.conjugate(a)) == a
-        for b in f9.elements():
+        for b in range(f9.q):
             assert f9.conjugate(f9.mul(a, b)) == \
                 f9.mul(f9.conjugate(a), f9.conjugate(b))
         norm = f9.mul(a, f9.conjugate(a))
         assert norm < 3  # norms land in the prime subfield GF(3)
-    fixed = [a for a in f9.elements() if f9.conjugate(a) == a]
+    fixed = [a for a in range(f9.q) if f9.conjugate(a) == a]
     assert len(fixed) == 3
     with pytest.raises(ValueError):
         make_field(2, 3).conjugate(1)

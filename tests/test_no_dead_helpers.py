@@ -1,0 +1,70 @@
+"""Every function, class and method of the package has a caller outside
+tests: its name is used in src, demos or perfbench outside its own
+definition.  A helper that only tests call is dead code kept alive by its
+tests.  Comments and docstrings do not count as uses; a method that
+overrides one of a base class is called through the base class."""
+
+import ast
+import importlib
+import io
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polarblock"
+USERS = [ROOT / "src", ROOT / "demos", ROOT / "perfbench"]
+
+
+def _definitions(path):
+    """(name, first line, last line) of each top-level function or class,
+    and of each method that is not a dunder and overrides nothing."""
+    module = importlib.import_module(
+        "polarblock" if path.stem == "__init__" else f"polarblock.{path.stem}")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(module, node.name).__mro__[1:]
+            for item in node.body:
+                if (isinstance(item, kinds)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def _uses(path):
+    """(identifier, line) for each name token, and for each string literal
+    that is one identifier (getattr, setattr and patch tables use those)."""
+    src = path.read_text(encoding="utf-8")
+    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+        if tok.type == tokenize.NAME:
+            yield tok.string, tok.start[0]
+        elif tok.type == tokenize.STRING:
+            try:
+                value = ast.literal_eval(tok.string)
+            except (ValueError, SyntaxError):
+                continue
+            if isinstance(value, str) and value.isidentifier():
+                yield value, tok.start[0]
+
+
+def test_every_helper_has_a_caller_outside_tests():
+    uses = {}
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" in path.relative_to(root).parts:
+                continue
+            for name, line in _uses(path):
+                uses.setdefault(name, []).append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in _definitions(path):
+            outside = [u for u in uses.get(name, ())
+                       if not (u[0] == path and first <= u[1] <= last)]
+            if not outside:
+                dead.append(f"{path.name}:{first} {name}")
+    assert not dead, dead

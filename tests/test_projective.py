@@ -5,14 +5,12 @@ import pytest
 
 from polarblock.gf import make_field
 from polarblock.projective import (
-    BasisSolver,
     Subspace,
     canonicalize,
-    empty_subspace,
     enumerate_pg_points,
     meet,
-    normalize_point,
     nullspace,
+    reduce_against,
     rref,
     rref_extend,
     span,
@@ -25,15 +23,6 @@ F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 
 
-def test_normalize_point():
-    assert normalize_point(F3, (0, 2, 1)) == (0, 1, 2)
-    assert normalize_point(F3, (2, 0, 1)) == (1, 0, 2)
-    p = normalize_point(F4, (3, 1, 0))
-    assert p[0] == 1
-    with pytest.raises(ValueError):
-        normalize_point(F2, (0, 0, 0))
-
-
 def test_canonicalize_known_cases():
     a = canonicalize(F2, 2, [(0, 1, 0), (1, 0, 0)])
     assert a.rows == ((1, 0, 0), (0, 1, 0))
@@ -43,6 +32,11 @@ def test_canonicalize_known_cases():
     assert b.dim == 0
     c = canonicalize(F2, 2, [])
     assert c.rows == () and c.dim == -1
+    # a point's one row is scaled to a leading 1
+    assert canonicalize(F3, 2, [(0, 2, 1)]).rows == ((0, 1, 2),)
+    assert canonicalize(F3, 2, [(2, 0, 1)]).rows == ((1, 0, 2),)
+    assert canonicalize(F4, 2, [(3, 1, 0)]).rows[0][0] == 1
+    assert canonicalize(F2, 2, [(0, 0, 0)]).dim == -1
 
 
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -61,7 +55,7 @@ def test_rref_extend_matches_rref(p, h):
         if len(full) == len(rows):
             continue
         assert rref_extend(field, rows, v) == full
-        assert rref_extend(field, rows, normalize_point(field, v)) == full
+        assert rref_extend(field, rows, canonicalize(field, 4, [v]).rows[0]) == full
         checked += 1
 
 
@@ -117,7 +111,7 @@ def test_subspace_points_normalized_and_counted():
     pts = subspace_points(F3, sub.rows)
     assert len(pts) == theta(1, 3) == 4
     for p in pts:
-        assert normalize_point(F3, p) == p
+        assert canonicalize(F3, 3, [p]).rows[0] == p
         assert sub.contains_point(p)
 
 
@@ -137,7 +131,7 @@ def test_containment_and_ordering():
 
 
 def test_empty_and_ambient_mismatch():
-    e = empty_subspace(F2, 3)
+    e = Subspace(F2, 3, ())
     assert e.dim == -1
     with pytest.raises(ValueError):
         canonicalize(F2, 3, [(1, 0, 0)])
@@ -147,26 +141,14 @@ def test_empty_and_ambient_mismatch():
         span(a, b)
 
 
-def test_basis_solver_roundtrip():
-    rows = [(1, 0, 2, 1), (0, 1, 1, 0), (0, 0, 1, 1)]
-    solver = BasisSolver(F3, rows)
-    add, mul = F3.addl, F3.mull
-    for coeffs in [(1, 0, 0), (0, 2, 1), (2, 1, 2), (1, 1, 1)]:
-        v = [0, 0, 0, 0]
-        for c, r in zip(coeffs, rows):
-            v = [add[x][mul[c][y]] for x, y in zip(v, r)]
-        assert solver.express(tuple(v)) == coeffs
-    assert solver.express((1, 1, 0, 0)) is None
-    with pytest.raises(ValueError):
-        BasisSolver(F3, [(1, 0, 0, 0), (2, 0, 0, 0)])
-
-
-def test_basis_solver_every_combination_gf4():
-    # rows not in echelon order over a non-prime field: every coefficient
-    # vector round-trips, and only vectors of the span are expressed
+def test_rref_coordinates_every_combination_gf4():
+    # over a non-prime field, every coefficient vector on the RREF rows is
+    # read back as the combination's entries at the pivots, and every
+    # vector outside the span keeps a nonzero residue
     f4 = make_field(2, 2)
-    rows = [(0, 1, 2, 3, 1), (1, 3, 0, 2, 0), (0, 0, 1, 1, 2)]
-    solver = BasisSolver(f4, rows)
+    rows = rref(f4, [(0, 1, 2, 3, 1), (1, 3, 0, 2, 0), (0, 0, 1, 1, 2)])
+    assert len(rows) == 3
+    pivots = [r.index(1) for r in rows]
     add, mul = f4.addl, f4.mull
     inside = set()
     for coeffs in product(range(4), repeat=3):
@@ -174,16 +156,13 @@ def test_basis_solver_every_combination_gf4():
         for c, r in zip(coeffs, rows):
             v = [add[x][mul[c][y]] for x, y in zip(v, r)]
         inside.add(tuple(v))
-        assert solver.express(tuple(v)) == coeffs
+        assert reduce_against(f4, rows, tuple(v)) is None
+        assert tuple(v[c] for c in pivots) == coeffs
+    assert len(inside) == 4 ** 3
     for v in product(range(4), repeat=5):
         if v not in inside:
-            assert solver.express(v) is None
-    assert BasisSolver(f4, []).express(()) == ()
-    third = [add[a][mul[2][b]] for a, b in zip(rows[0], rows[1])]
-    for dependent in ([rows[0], rows[1], tuple(third)],
-                      [rows[0], (0, 0, 0, 0, 0)]):
-        with pytest.raises(ValueError):
-            BasisSolver(f4, dependent)
+            assert reduce_against(f4, rows, v) is not None
+    assert reduce_against(f4, (), ()) is None
 
 
 def test_subspace_hashable_as_key():
