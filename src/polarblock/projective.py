@@ -213,4 +213,3 @@ def theta(n: int, q: int) -> int:
     if n < 0:
         return 0
     return (q ** (n + 1) - 1) // (q - 1)
-
