@@ -133,12 +133,14 @@ def test_thresholds(capsys):
 
 # sha256 of the stdout of `--format json thresholds --q Q`, recorded once q
 # had its own "base_q" key (the oracle-run-twice output, q missing, carried
-# the same thresholds).
+# the same thresholds); q = 7 was recorded while the plane oracle searched
+# without symmetry.
 PINNED_THRESHOLDS = {
     2: "c4012007436e47b7f1bbb5e295560b78357c1ab64580a4d3fb82d0667ffd2458",
     3: "b589d5d0982b0962f37f51b4e5d36cc4876799ad536c7733c8990c996d623db6",
     4: "1eef05b76ad82cfff0716b5cc0a8e9dd3dc1d2a0432eec499ed0e431cb5a8dc3",
     5: "1fce9449c4cae29e0533296127104a5290aa297d49d02b8fb3bf86e534e6e369",
+    7: "89c3d630ccf6e70fdea95c0487bb8350b4b3469b404c15d62c0af570da4eaa8b",
 }
 
 

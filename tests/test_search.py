@@ -141,15 +141,25 @@ def test_epsilon_oracle():
         S.smallest_nontrivial_pg2(16)
 
 
-def test_epsilon_witness_line_free_blocking():
-    from polarblock.search import _pg2_incidence
-
-    r3 = S.smallest_nontrivial_pg2(3)
-    pts, lines = _pg2_incidence(3)
-    chosen = set(r3.witness)
+def _assert_line_free_blocking(q, witness):
+    _, lines = S._pg2_incidence(q)
+    chosen = set(witness)
     for line in lines:
         assert chosen & set(line)
         assert not set(line) <= chosen
+
+
+def test_epsilon_witness_line_free_blocking():
+    _assert_line_free_blocking(3, S.smallest_nontrivial_pg2(3).witness)
+
+
+def test_pg2_oracle_q7_pinned():
+    # recorded while the oracle searched without symmetry (~20 s)
+    r = S.smallest_nontrivial_pg2(7)
+    assert (r.exists, r.size, r.epsilon, r.complete, r.source) == (
+        True, 12, 4, True, "search")
+    assert r.witness == (0, 1, 3, 4, 7, 8, 13, 26, 27, 29, 33, 39)
+    _assert_line_free_blocking(7, r.witness)
 
 
 def test_budget_flags_incomplete():
