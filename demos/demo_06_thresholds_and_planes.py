@@ -4,7 +4,8 @@
 The classification statements hold for blocking sets whose excess delta
 over the pencil size stays under a kind-specific bound; the parabolic
 bound involves epsilon, the excess of the smallest non-trivial blocking
-set of PG(2,q), which an exact search supplies for q <= 9.
+set of PG(2,q), which an exact search supplies for q <= 9: it decides
+each size on the line-free sets through one fixed triangle.
 """
 
 from polarblock import smallest_nontrivial_pg2, spread_size_gate, theorem_threshold
@@ -23,11 +24,7 @@ for q in (2, 3, 4, 5, 7):
     print(f"q={q}: {label}")
 
 print("\n== plane blocking-set oracle ==")
-for q in (2, 3, 4, 5):
-    if q == 5:
-        print("q=5: the exact search confirms size 9 (epsilon 3) but takes "
-              "minutes; skipped here")
-        continue
+for q in (2, 3, 4, 5, 7, 8, 9):
     r = smallest_nontrivial_pg2(q)
     if r.exists:
         print(f"q={q}: smallest line-free blocking set has size {r.size} "

@@ -44,8 +44,15 @@ complete run's sets are expanded to their orbits under the generator
 permutations of PolarSpace.generator_permutations (reflections in
 nonsingular points), then sorted; the lists equal those of the unpinned
 search.  A budget stop returns the pinned sets found so far, unexpanded.
-min_cover on arbitrary lines and the plane oracle assume no symmetry and
-are not pinned.
+min_cover on arbitrary lines assumes no symmetry and is not pinned.
+
+The plane oracle pins a triangle.  A blocking set of PG(2,q) that contains
+no line has three non-collinear points, and PGL(3,q) is transitive on
+ordered triangles and keeps blocking sets line-free, so a size is empty
+iff no such set passes through a fixed triangle.  Each target size is
+decided with the triangle chosen at the root; at the first size that is
+not empty, one unpinned search to the first set gives the witness, the
+same set as a search without the pin.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class _BudgetStop(Exception):
 
 def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 forbid_rows: bool = False, first_only: bool = False,
-                start: int | None = None,
+                start: tuple[int, ...] = (),
                 budget_nodes: int = DEFAULT_BUDGET_NODES,
                 budget_secs: float | None = None):
     """Core exact search over every candidate.
@@ -116,8 +123,10 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     conflicts[c]: candidates unusable once c is chosen (disjointness).
     forbid_rows: no chosen set may contain every candidate of a row
     (checked on each pick through the rows of cols[c]).
-    start: a candidate every chosen set contains; the root node has it
-    chosen already (the symmetry pin of the meets-based searches).
+    start: candidates every chosen set contains; the root node has them
+    chosen already (the symmetry pins: generator 0 in the meets-based
+    searches, a triangle in the plane oracle).  A start larger than
+    max_size, or one that breaks conflicts or forbid_rows, admits no set.
 
     Each node carries the chosen set, the allowed candidates and the
     uncovered rows as bitmasks.  Returns (sols, complete, nodes, seconds).
@@ -232,18 +241,23 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
             if done:
                 return
 
-    chosen, depth = 0, 0
+    chosen = 0
     allowed = (1 << len(cols)) - 1
     uncovered = (1 << len(rows)) - 1
-    if start is not None:
-        chosen, depth = 1 << start, 1
-        allowed &= ~chosen
+    viable = len(start) <= max_size
+    for c in start:
+        low = 1 << c
+        viable = viable and allowed & low and not (
+            forbid_rows and fills_row(chosen | low, c))
+        chosen |= low
+        allowed &= ~low
         if conflicts is not None:
-            allowed &= ~conflicts[start]
-        uncovered &= ~cols[start]
+            allowed &= ~conflicts[c]
+        uncovered &= ~cols[c]
     complete = True
     try:
-        rec(chosen, depth, allowed, uncovered, None)
+        if viable:
+            rec(chosen, len(start), allowed, uncovered, None)
     except _BudgetStop:
         complete = False
     seconds = time.monotonic() - t0
@@ -311,7 +325,7 @@ def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
     generator 0: a complete run's sets (those passing keep, if given) are
     expanded to their orbits.  A budget stop returns them unexpanded."""
     t0 = time.monotonic()
-    sols, complete, nodes, _ = _run_engine(rows, cols, start=0, **kw)
+    sols, complete, nodes, _ = _run_engine(rows, cols, start=(0,), **kw)
     if keep is not None:
         sols = [w for w in sols if keep(space, w)]
     if complete and sols:
@@ -470,9 +484,16 @@ def smallest_nontrivial_pg2(q: int,
                             budget_nodes: int = DEFAULT_BUDGET_NODES,
                             budget_secs: float | None = None) -> EpsilonResult:
     """Smallest blocking set of PG(2,q) containing no line, by exact
-    search for q <= 9; the prime formula eps = (q+1)/2 beyond that.  The
-    searches for the target sizes q+2, q+3, ... share one node budget and
-    one deadline."""
+    search for q <= 9; the prime formula eps = (q+1)/2 beyond that.
+
+    Such a set has three non-collinear points: were it inside a line L, a
+    point X of L outside it would lie on q lines meeting L only in X, and
+    those would miss it.  PGL(3,q) is transitive on ordered triangles, so
+    each target size q+2, q+3, ... is decided on the sets through the
+    triangle of points 0, 1 and the first point off their line.  At the
+    first size that has one, an unpinned search returns its first set in
+    search order as the witness.  All the searches share one node budget
+    and one deadline."""
     if q > 9:
         if is_prime(q):
             eps = (q + 1) // 2
@@ -486,15 +507,26 @@ def smallest_nontrivial_pg2(q: int,
     line_masks = [analysis.members_mask(l) for l in lines]
     # rows are lines, and the hitting candidates of a line are its points
     lines_through = _transpose(line_masks, npts)
+    line01 = line_masks[(lines_through[0] & lines_through[1]).bit_length() - 1]
+    triangle = (0, 1, next(p for p in range(npts) if not line01 >> p & 1))
     if budget_secs is None:
         budget_secs = default_budget_secs()
     deadline = time.monotonic() + budget_secs
-    for target in range(q + 2, npts + 1):
+
+    def first_set(target, start):
+        nonlocal budget_nodes
         sols, complete, nodes, _ = _run_engine(
             line_masks, lines_through, max_size=target, mode="min",
-            forbid_rows=True, first_only=True, budget_nodes=budget_nodes,
+            forbid_rows=True, first_only=True, start=start,
+            budget_nodes=budget_nodes,
             budget_secs=deadline - time.monotonic())
         budget_nodes -= nodes
+        return sols, complete
+
+    for target in range(q + 2, npts + 1):
+        sols, complete = first_set(target, triangle)
+        if complete and sols:
+            sols, complete = first_set(target, ())
         if not complete:
             return EpsilonResult(q, None, None, None, None, "search",
                                  complete=False,

@@ -162,6 +162,37 @@ def test_pg2_oracle_q7_pinned():
     _assert_line_free_blocking(7, r.witness)
 
 
+@pytest.mark.parametrize("q,size", [(8, 13), (9, 13)])
+def test_pg2_oracle_q8_q9(q, size):
+    # 13 at q = 9 is the Baer subplane, at Bruen's bound q + sqrt(q) + 1
+    r = S.smallest_nontrivial_pg2(q)
+    assert (r.exists, r.size, r.epsilon, r.complete) == (
+        True, size, size - q - 1, True)
+    _assert_line_free_blocking(q, r.witness)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_pg2_triangle_pin_decides_each_size(q):
+    # the existence answer through the triangle of points 0, 1 and the
+    # first point off their line equals the unpinned answer at every size
+    pts, lines = S._pg2_incidence(q)
+    line01 = next(l for l in lines if {0, 1} <= set(l))
+    triangle = (0, 1, min(set(range(len(pts))) - set(line01)))
+    rows = [A.members_mask(l) for l in lines]
+    cols = S._transpose(rows, len(pts))
+    answers = []
+    for target in range(q + 2, len(pts) + 1):
+        found = [bool(S._run_engine(rows, cols, max_size=target, mode="min",
+                                    forbid_rows=True, first_only=True,
+                                    start=start)[0])
+                 for start in (triangle, ())]
+        assert found[0] == found[1]
+        answers.append(found[1])
+        if found[1]:
+            break
+    assert any(answers) == (q > 2)
+
+
 def test_budget_flags_incomplete():
     sp = build_polar_space("qminus", 2, 2)
     res = S.min_blocking(sp, budget_nodes=10)
@@ -257,8 +288,8 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_run_engine", counting)
-    expected = {2: (72, None, None), 3: (140, 6, (0, 1, 3, 4, 5, 7)),
-                4: (799, 7, (0, 1, 2, 5, 8, 17, 20))}
+    expected = {2: (4, None, None), 3: (14, 6, (0, 1, 3, 4, 5, 7)),
+                4: (46, 7, (0, 1, 2, 5, 8, 17, 20))}
     for q, want in expected.items():
         total[0] = 0
         r = S.smallest_nontrivial_pg2(q)
@@ -266,8 +297,9 @@ def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
 
 
 def test_pg2_oracle_budget_spans_restarts(monkeypatch):
-    # q = 4 takes 784 nodes at target 6 and 15 at target 7: a budget of
-    # 790 nodes fits each search alone, but not the two together
+    # q = 4 takes 19 nodes through the triangle at target 6, 12 at target
+    # 7, then 15 unpinned for the witness: a budget of 45 nodes fits each
+    # search alone, but not the three together
     engine = S._run_engine
     total = [0]
 
@@ -277,12 +309,12 @@ def test_pg2_oracle_budget_spans_restarts(monkeypatch):
         return out
 
     monkeypatch.setattr(S, "_run_engine", counting)
-    r = S.smallest_nontrivial_pg2(4, budget_nodes=790)
+    r = S.smallest_nontrivial_pg2(4, budget_nodes=45)
     assert (r.complete, r.exists, r.witness) == (False, None, None)
-    assert total[0] <= 790 + 1
+    assert total[0] <= 45 + 1
     total[0] = 0
-    r = S.smallest_nontrivial_pg2(4, budget_nodes=799)
-    assert (r.complete, r.size, total[0]) == (True, 7, 799)
+    r = S.smallest_nontrivial_pg2(4, budget_nodes=46)
+    assert (r.complete, r.size, total[0]) == (True, 7, 46)
 
 
 def test_engine_h44_full_run_pinned():
@@ -316,7 +348,7 @@ def test_min_blocking_large_pinned(args, want):
 
 
 def _brute_hitting_sets(rows, ncands, max_size, conflicts=None,
-                        forbid_rows=False, start=None):
+                        forbid_rows=False, start=()):
     """Every hitting set of size <= max_size, by combination scan."""
     out = []
     for k in range(max_size + 1):
@@ -324,7 +356,7 @@ def _brute_hitting_sets(rows, ncands, max_size, conflicts=None,
             m = sum(1 << c for c in combo)
             if any(not r & m for r in rows):
                 continue
-            if start is not None and start not in combo:
+            if not set(start) <= set(combo):
                 continue
             if forbid_rows and any(not r & ~m for r in rows):
                 continue
@@ -350,7 +382,7 @@ def test_engine_vs_bruteforce_random_relations(seed):
         conflicts[a] |= 1 << b
         conflicts[b] |= 1 << a
     max_size = int(rng.integers(1, ncands + 1))
-    start = int(rng.integers(ncands))
+    start = (int(rng.integers(ncands)),)
     for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
                {"start": start}, {"conflicts": conflicts, "start": start}):
         valid = _brute_hitting_sets(rows, ncands, max_size, **kw)
@@ -371,6 +403,55 @@ def test_engine_vs_bruteforce_random_relations(seed):
                                            first_only=True, **run)
             assert len(first) == min(len(valid), 1)
             assert set(first) <= vset
+
+
+def test_engine_start_admits_no_set():
+    # a start that covers every row still admits no set when it is larger
+    # than max_size, breaks a conflict or holds a whole row
+    rows = [0b011, 0b110]
+    cols = S._transpose(rows, 3)
+    for kw in ({"max_size": 3}, {"max_size": 1},
+               {"max_size": 3, "conflicts": [0b010, 0b001, 0]},
+               {"max_size": 3, "forbid_rows": True}):
+        want = _brute_hitting_sets(rows, 3, start=(0, 1), **kw)
+        for mode in ("min", "leaves"):
+            sols, complete, _, _ = S._run_engine(rows, cols, mode=mode,
+                                                 start=(0, 1), **kw)
+            assert (sols, complete) == (want[:1], True)
+    assert want == []
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_engine_start_pair_vs_bruteforce(seed):
+    rng = np.random.default_rng(500 + seed)
+    nrows, ncands = int(rng.integers(3, 13)), int(rng.integers(3, 12))
+    density = rng.uniform(0.2, 0.6)
+    rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
+            for _ in range(nrows)]
+    cols = S._transpose(rows, ncands)
+    conflicts = [0] * ncands
+    for a, b in combinations(range(ncands), 2):
+        if rng.random() < 0.2:
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+    max_size = int(rng.integers(1, ncands + 1))
+    start = tuple(int(c) for c in rng.choice(ncands, 2, replace=False))
+    for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
+               {"conflicts": conflicts, "forbid_rows": True}):
+        run = dict(kw, max_size=max_size, start=start)
+        valid = _brute_hitting_sets(rows, ncands, **run)
+        sols, complete, _, _ = S._run_engine(rows, cols, mode="min", **run)
+        assert complete
+        opt = min(map(len, valid), default=None)
+        assert min(map(len, sols), default=None) == opt
+        assert sorted(sols) == [w for w in valid if len(w) == opt]
+        # every minimal hitting set through the pair is a leaf
+        leaves, complete, _, _ = S._run_engine(rows, cols, mode="leaves", **run)
+        assert complete and set(leaves) <= set(valid)
+        vset = set(valid)
+        minimal = [w for w in valid
+                   if not any(w[:i] + w[i + 1:] in vset for i in range(len(w)))]
+        assert set(minimal) <= set(leaves)
 
 
 # The engine as it was before the parent-count bound, kept as the
@@ -479,7 +560,9 @@ def _reference_engine(rows, cols, *, max_size, mode, conflicts=None,
 
 
 def _assert_same_tree(rows, cols, **kw):
-    want = _reference_engine(rows, cols, **kw)
+    # the reference takes its one start candidate as an int
+    ref = dict(kw, start=kw["start"][0]) if "start" in kw else kw
+    want = _reference_engine(rows, cols, **ref)
     sols, complete, nodes, _ = S._run_engine(rows, cols, budget_secs=1e9, **kw)
     assert (sols, complete, nodes) == want
 
@@ -500,7 +583,7 @@ def test_engine_vs_reference_random_relations(seed):
             conflicts[a] |= 1 << b
             conflicts[b] |= 1 << a
     max_size = int(rng.integers(4, 7))
-    start = int(rng.integers(ncands))
+    start = (int(rng.integers(ncands)),)
     for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
                {"start": start}, {"conflicts": conflicts, "start": start},
                {"first_only": True}, {"forbid_rows": True, "first_only": True},
@@ -515,10 +598,11 @@ def test_engine_vs_reference_random_relations(seed):
 ], ids=lambda v: str(v))
 def test_engine_vs_reference_meets(key, mode, max_size):
     sp = build_polar_space(*_SYMMETRY_SPACES[key])
-    _assert_same_tree(sp.meets, sp.meets, max_size=max_size, mode=mode, start=0)
+    _assert_same_tree(sp.meets, sp.meets, max_size=max_size, mode=mode,
+                      start=(0,))
     if mode == "min":
         _assert_same_tree(sp.meets, sp.meets, max_size=max_size, mode=mode,
-                          start=0, conflicts=sp.meets)
+                          start=(0,), conflicts=sp.meets)
 
 
 _SYMMETRY_SPACES = {**_PIN_SPACES, "q62": ("q", 3, 2), "h44": ("h", 2, 2),
