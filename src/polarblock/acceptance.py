@@ -214,7 +214,7 @@ def criterion_6():
         dt = time.monotonic() - t0
         if dt > 120:
             return _fail(cid, title, f"{sp.name}: {dt:.0f}s over the 120s budget")
-        lines.append(f"{sp.name} ok ({dt:.0f}s)")
+        lines.append(f"{sp.name} ok")
     detail = "; ".join(lines)
     if skipped:
         detail += " | skipped(budget): " + "; ".join(skipped)

@@ -126,7 +126,8 @@ def essential_members(space: PolarSpace, members) -> tuple[int, ...]:
 
 
 def is_minimal(space: PolarSpace, members) -> bool:
-    members = validate_members(space, members)
+    # essential_members validates, and rejects duplicates
+    members = tuple(members)
     return len(essential_members(space, members)) == len(members)
 
 

@@ -6,6 +6,7 @@ Run `pytest -s tests/test_acceptance.py` for the live table, or
 `polarblock accept` for the standalone report.
 """
 
+import re
 import time
 
 import pytest
@@ -25,6 +26,8 @@ def test_criterion(func, limit):
     lim = f" (limit {limit:.0f}s)" if limit else ""
     print(f"[{res.status.upper()}] {res.cid}: {res.title} "
           f"[{secs:.1f}s{lim}] {res.detail}")
+    # the detail is the same on every run of the same code
+    assert not re.search(r"\(\d+s\)", res.detail), res.detail
     if res.status == "skip":
         pytest.skip(res.detail)
     assert res.status == "pass", res.detail
