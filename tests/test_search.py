@@ -406,19 +406,18 @@ def test_engine_vs_bruteforce_random_relations(seed):
 
 
 def test_engine_start_admits_no_set():
-    # a start that covers every row still admits no set when it is larger
-    # than max_size, breaks a conflict or holds a whole row
+    # the start (0, 1) covers every row, yet admits no set when it is
+    # larger than max_size, breaks a conflict or holds a whole row
     rows = [0b011, 0b110]
     cols = S._transpose(rows, 3)
-    for kw in ({"max_size": 3}, {"max_size": 1},
-               {"max_size": 3, "conflicts": [0b010, 0b001, 0]},
-               {"max_size": 3, "forbid_rows": True}):
-        want = _brute_hitting_sets(rows, 3, start=(0, 1), **kw)
+    for kw, want in (({"max_size": 3}, [(0, 1)]), ({"max_size": 1}, []),
+                     ({"max_size": 3, "conflicts": [0b010, 0b001, 0]}, []),
+                     ({"max_size": 3, "forbid_rows": True}, [])):
+        assert _brute_hitting_sets(rows, 3, start=(0, 1), **kw)[:1] == want
         for mode in ("min", "leaves"):
             sols, complete, _, _ = S._run_engine(rows, cols, mode=mode,
                                                  start=(0, 1), **kw)
-            assert (sols, complete) == (want[:1], True)
-    assert want == []
+            assert (sols, complete) == (want, True)
 
 
 @pytest.mark.parametrize("seed", range(24))
