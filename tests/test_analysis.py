@@ -296,6 +296,43 @@ def test_classify_output_pinned():
     assert _digest(out) == PINNED_CLASSIFY
 
 
+# sha256 of the compact JSON of [space, members, classify(...).to_json(),
+# verify_classification(...)] over every minimal set of
+# enumerate_minimal(Q(6,2), 3), enumerate_minimal(Q-(5,2), 5), the
+# min_blocking(Q(4,3)) witnesses and 50 greedy_then_minimize sets each on
+# Q(4,3), H(4,4), Q-(5,3) and Q-(7,2) (one generator, seed 1); recorded
+# before the sub-quadrangle verdicts, hyperplane sections and vertex
+# quotients were cached on the space.
+PINNED_CLASSIFY_VERIFY = \
+    "2bc38bec0511c838911cc4794b7e0e10797a9e36ebdd606c025914b54cc11db2"
+
+
+def test_classify_and_verify_pinned():
+    import numpy as np
+
+    import polarblock.search as S
+
+    cases = []
+    for key, find in ((("q", 3, 2), lambda sp: S.enumerate_minimal(sp, 3).sets),
+                      (("qminus", 2, 2), lambda sp: S.enumerate_minimal(sp, 5).sets),
+                      (("q", 2, 3), lambda sp: S.min_blocking(sp).witnesses)):
+        sp = build_polar_space(*key)
+        cases += [(key, sp, tuple(sorted(m))) for m in find(sp)]
+    rng = np.random.default_rng(1)
+    for key in (("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3), ("qminus", 3, 2)):
+        sp = build_polar_space(*key)
+        cases += [(key, sp, S.greedy_then_minimize(sp, rng)) for _ in range(50)]
+    out = []
+    for key, sp, m in cases:
+        if A.is_minimal(sp, m):
+            cls = A.classify(sp, m)
+            out.append([list(key), list(m), cls.to_json(),
+                        A.verify_classification(sp, m, cls)])
+    assert len(out) == 1575 + 243 + 130 + 185
+    assert all(verdict for *_, verdict in out)
+    assert _digest(out) == PINNED_CLASSIFY_VERIFY
+
+
 def test_projection_output_pinned():
     out = []
     for *key, row in CONE_ROWS:
@@ -404,17 +441,27 @@ def test_gq_axioms_match_numpy_version(key):
     assert "unique-collinear-pair axiom violated" in failures
 
 
+def _rejects_twice(space, members, cls):
+    """verify_classification rejects cls on a first call and again on a
+    second one, which finds every sub-structure the first one cached."""
+    return not any(A.verify_classification(space, members, cls)
+                   for _ in range(2))
+
+
 def test_verify_rejects_forged_subgq_spread():
     sp = build_polar_space("q", 2, 2)
     fam0, fam1 = C.grid_rulings(sp, C.hyperbolic_section(sp).gen_indices)
+    # a genuine spread first, so the forgeries meet warm caches
+    assert A.classify(sp, fam0).label == "SubGQSpread"
     forged = A.Classification("SubGQSpread", details={"order": (2, 1)})
     assert A.verify_classification(sp, fam0, forged)
-    assert not A.verify_classification(sp, pencil_through_point(sp, 0), forged)
+    assert _rejects_twice(sp, pencil_through_point(sp, 0), forged)
     # two members of one ruling and one of the other: not pairwise disjoint
-    assert not A.verify_classification(sp, fam0[:2] + fam1[:1], forged)
+    assert _rejects_twice(sp, fam0[:2] + fam1[:1], forged)
     s6 = build_polar_space("q", 3, 2)
     cone = C.cone_example(s6, "qplus3-spread")
-    assert not A.verify_classification(s6, cone.members, forged)
+    assert A.classify(s6, cone.members).label == "ConeOverQplus3Spread"
+    assert _rejects_twice(s6, cone.members, forged)
 
 
 def test_verify_rejects_forged_section_cover():
@@ -425,23 +472,22 @@ def test_verify_rejects_forged_section_cover():
     tangent = C.find_section(sp, "pt*Q-(3,2)").hyperplane
     forged = A.Classification("CoverOfSectionQ4",
                               details={"hyperplane": tangent.to_json()})
-    assert not A.verify_classification(sp, cov.members, forged)
+    assert _rejects_twice(sp, cov.members, forged)
     # the cover plus one line outside its section still covers the section
     sec = C.find_section(sp, "Q(4,2)")
     assert set(cov.members) <= set(sec.gen_indices)
     outside = next(g for g in range(sp.num_generators)
                    if g not in sec.gen_indices)
-    assert not A.verify_classification(sp, cov.members + (outside,), cls)
+    assert _rejects_twice(sp, cov.members + (outside,), cls)
     # a witness without a hyperplane, and one whose rows span a point
-    assert not A.verify_classification(
-        sp, cov.members, A.Classification("CoverOfSectionQ4"))
+    assert _rejects_twice(sp, cov.members, A.Classification("CoverOfSectionQ4"))
     point = A.Classification("CoverOfSectionQ4",
                              details={"hyperplane": [list(sp.points[0])]})
-    assert not A.verify_classification(sp, cov.members, point)
+    assert _rejects_twice(sp, cov.members, point)
     # rows of the wrong length, and an entry outside GF(2)
     for rows in ([[1, 0]], [[2, 0, 0, 0, 0, 0]]):
         bad = A.Classification("CoverOfSectionQ4", details={"hyperplane": rows})
-        assert not A.verify_classification(sp, cov.members, bad)
+        assert _rejects_twice(sp, cov.members, bad)
 
 
 def test_verify_rejects_forged_cone():
@@ -451,15 +497,22 @@ def test_verify_rejects_forged_cone():
     assert cls.label == "ConeOverQplus3Spread"
     assert A.verify_classification(sp, cone.members, cls)
     # a point of the first member other than the vertex lies on no other
-    # member
+    # member; the cone example with that point as vertex warms its quotient
     v = sp.point_index[cls.vertex.rows[0]]
     p = next(p for p in sp.gen_points[cone.members[0]] if p != v)
-    off = A.Classification(cls.label, vertex=canonicalize(
-        sp.field, sp.n, [sp.points[p]]), base=cls.base)
-    assert not A.verify_classification(sp, cone.members, off)
+    vp = canonicalize(sp.field, sp.n, [sp.points[p]])
+    assert A.classify(sp, C.cone_example(sp, "qplus3-spread", vp).members).label \
+        == "ConeOverQplus3Spread"
+    off = A.Classification(cls.label, vertex=vp, base=cls.base)
+    assert _rejects_twice(sp, cone.members, off)
     wrong_base = A.Classification(cls.label, vertex=cls.vertex,
                                   base=A.Classification("CoverOfSectionQ4"))
-    assert not A.verify_classification(sp, cone.members, wrong_base)
+    assert _rejects_twice(sp, cone.members, wrong_base)
+    # the right vertex and base label on a pencil through the vertex's
+    # generators: its image in the quotient is no sub-quadrangle spread
+    pencil = C.pencil(sp, canonicalize(
+        sp.field, sp.n, [sp.points[v], sp.points[p]])).members
+    assert _rejects_twice(sp, pencil, cls)
 
 
 def _disjointness_loop(space, members):
