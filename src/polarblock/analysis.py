@@ -8,6 +8,17 @@ rank-2 spaces, projection of a blocking set from a hole into the quotient
 geometry, the generalized-quadrangle axiom checker, partial-spread
 predicates, the catalogue classifier and the delta-thresholds under which
 the classification theorems apply.
+
+A census classifies many sets that share a few rank-2 bases, so three
+structures are kept on the space they belong to (PolarSpace.cached),
+each built on first use: the sub-quadrangle verdict on a covered point
+set, keyed by its point mask; the hyperplane section, keyed by the
+hyperplane's canonical RREF rows; and the quotient at a cone vertex,
+keyed by the vertex's rows.  Sharing them is sound because a PolarSpace
+is immutable and each key determines what is built from it;
+SectionStructure is frozen, and callers read these structures without
+changing them.  verify_classification still runs every test of a
+witness; only these per-space inputs are shared with classify.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .forms import is_totally_singular
 # meet and span stay importable here: perfbench/tracer.py wraps these names
 from .projective import Subspace, canonicalize, meet, span  # noqa: F401
 from .spaces import (
+    BudgetError,
     IteratedQuotient,
     PolarSpace,
     _iter_bits,
@@ -497,14 +509,19 @@ def _subgq_spread_lines(space: PolarSpace, members) -> int | None:
     so form a spread of it; None otherwise."""
     if space.rank != 2 or not is_partial_spread(space, members):
         return None
-    s, t = space.s, space.t
-    if t % s:
+    if space.t % space.s:
         return None
     cov = covered_mask(space, members)
+    return space.cached("subgq_lines", cov, _subgq_lines, space, cov)
+
+
+def _subgq_lines(space: PolarSpace, cov: int) -> int | None:
+    """Number of lines inside the point set cov when those points and lines
+    form a generalized quadrangle of order (s, t/s); None otherwise."""
     sub_lines = [space.gen_points[g] for g in range(space.num_generators)
                  if space.gen_point_mask[g] & ~cov == 0]
     res = check_gq_axioms(_iter_bits(cov), sub_lines)
-    if res.ok and res.order == (s, t // s):
+    if res.ok and res.order == (space.s, space.t // space.s):
         return len(sub_lines)
     return None
 
@@ -515,7 +532,8 @@ def _covers_q4_section(space: PolarSpace, members, h: Subspace):
     otherwise."""
     if h.dim != space.n - 1:
         return None
-    sec = hyperplane_section(space, h)
+    sec = space.cached("hyperplane_section", h.rows, hyperplane_section,
+                       space, h)
     if (sec.label == f"Q(4,{space.q})"
             and set(members) <= set(sec.gen_indices)
             and covered_mask(space, members) & sec.point_mask == sec.point_mask):
@@ -523,9 +541,15 @@ def _covers_q4_section(space: PolarSpace, members, h: Subspace):
     return None
 
 
+def vertex_quotient(space: PolarSpace, v: Subspace) -> IteratedQuotient:
+    """The quotient at the totally singular vertex v (built on first use,
+    then cached)."""
+    return space.cached("vertex_quotient", v.rows, IteratedQuotient, space, v)
+
+
 def _cone_base(space: PolarSpace, members, v: Subspace):
     """The quotient at the vertex v and the members' images in it."""
-    iq = IteratedQuotient(space, v)
+    iq = vertex_quotient(space, v)
     return iq.quotient, tuple(sorted({iq.gen_image(m) for m in members}))
 
 
@@ -688,6 +712,8 @@ def _resolve_epsilon(q: int, epsilon):
         from .search import smallest_nontrivial_pg2
 
         res = smallest_nontrivial_pg2(q)
+        if not res.complete:
+            raise BudgetError(f"PG(2,{q}) plane oracle {res.note}")
         return res.epsilon, res.exists, res.source
     if epsilon is None:
         return None, False, "caller"

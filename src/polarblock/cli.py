@@ -231,6 +231,10 @@ def cmd_search(args):
 def cmd_thresholds(args):
     q = args.q
     eps = search.smallest_nontrivial_pg2(q) if q <= 9 else None
+    if eps is not None and not eps.complete:
+        # a stopped oracle leaves epsilon unknown, not absent: no
+        # threshold follows from it
+        raise BudgetError(f"PG(2,{q}) plane oracle {eps.note}")
     # the oracle's answer feeds the threshold, so it runs once
     epsilon = "auto" if eps is None else (eps.epsilon if eps.exists else None)
     # "q" holds the parabolic kind's threshold, as "qminus" and "h" do theirs

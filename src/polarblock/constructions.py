@@ -16,7 +16,6 @@ from .projective import Subspace
 from .forms import is_totally_singular
 from .spaces import (
     BudgetError,
-    IteratedQuotient,
     PolarSpace,
     SectionStructure,
     enumerate_hyperplanes,
@@ -29,6 +28,7 @@ from .analysis import (
     is_blocking,
     is_minimal,
     is_partial_spread,
+    vertex_quotient,
 )
 from . import search
 
@@ -196,7 +196,7 @@ def cone_example(space: PolarSpace, row: str,
     if mode == "vertex":
         return pencil(space, vertex)
 
-    iq = IteratedQuotient(space, vertex)
+    iq = vertex_quotient(space, vertex)
     quot = iq.quotient
     if space.kind == "q":
         sec = hyperbolic_section(quot)

@@ -530,7 +530,7 @@ def smallest_nontrivial_pg2(q: int,
         if not complete:
             return EpsilonResult(q, None, None, None, None, "search",
                                  complete=False,
-                                 note=f"budget exceeded at target {target}")
+                                 note=f"stopped at target size {target}")
         if sols:
             size = len(sols[0])
             return EpsilonResult(q, True, size, size - (q + 1), sols[0],
@@ -547,8 +547,7 @@ def greedy_then_minimize(space: PolarSpace, rng) -> tuple[int, ...]:
     chosen: list[int] = []
     hit = 0
     while hit != space.all_gens_mask:
-        unhit = [g for g in range(space.num_generators)
-                 if not (hit >> g) & 1]
+        unhit = list(_iter_bits(space.all_gens_mask & ~hit))
         target = unhit[int(rng.integers(len(unhit)))]
         hitters = list(_iter_bits(space.meets[target]))
         pick = hitters[int(rng.integers(len(hitters)))]

@@ -184,7 +184,7 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectionStructure:
     """Restriction of a polar space to a hyperplane."""
 
@@ -230,6 +230,7 @@ class PolarSpace:
         self._hash = None
         self._gen_perms = None
         self._quotient_maps = {}
+        self._derived = {}
 
     @property
     def name(self) -> str:
@@ -286,6 +287,15 @@ class PolarSpace:
         if qm is None:
             qm = self._quotient_maps[point_idx] = QuotientMap(self, point_idx)
         return qm
+
+    def cached(self, table: str, key, build, *args):
+        """build(*args), kept under key in the named table: computed on
+        first use, then cached.  The key must determine the result on this
+        space, as a canonical RREF row tuple or a point mask does."""
+        entries = self._derived.setdefault(table, {})
+        if key not in entries:
+            entries[key] = build(*args)
+        return entries[key]
 
     def content_hash(self) -> str:
         if self._hash is None:

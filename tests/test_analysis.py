@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from polarblock.projective import canonicalize
-from polarblock.spaces import build_polar_space, quotient_at_point
+from polarblock.spaces import BudgetError, build_polar_space, quotient_at_point
 from polarblock import analysis as A
 from polarblock import constructions as C
 
@@ -229,6 +229,14 @@ def test_thresholds_known_values():
         A.theorem_threshold("w", 2)
 
 
+def test_threshold_of_stopped_oracle_raises(monkeypatch):
+    monkeypatch.setenv("POLARBLOCK_BUDGET_SECS", "0")
+    with pytest.raises(BudgetError, match="target size"):
+        A.theorem_threshold("q", 8)
+    # a caller's epsilon needs no oracle
+    assert A.theorem_threshold("q", 8, epsilon=4).max_delta == 3
+
+
 def test_spread_size_gate():
     assert A.spread_size_gate("q", 2) == 4
     assert A.spread_size_gate("qminus", 2) == 6
@@ -439,6 +447,42 @@ def test_gq_axioms_match_numpy_version(key):
         assert got == _gq_axioms_numpy(points, bad)
         failures.add(got.failure)
     assert "unique-collinear-pair axiom violated" in failures
+
+
+def test_census_builds_each_substructure_once(monkeypatch):
+    """Classifying the Q(6,2) and Q-(5,2) censuses checks the GQ axioms once
+    per (space, covered points), builds each hyperplane section once and
+    each vertex quotient once; a cache filled earlier in the session only
+    lowers the counts."""
+    import polarblock.search as S
+
+    seen = {"gq": [], "section": [], "quotient": []}
+    gq, section, quotient = A.check_gq_axioms, A.hyperplane_section, A.IteratedQuotient
+
+    def counting_gq(points, lines):
+        points, lines = tuple(points), [tuple(l) for l in lines]
+        seen["gq"].append((points, tuple(lines)))
+        return gq(points, lines)
+
+    def counting_section(space, h):
+        seen["section"].append((id(space), h.rows))
+        return section(space, h)
+
+    def counting_quotient(space, v):
+        seen["quotient"].append((id(space), v.rows))
+        return quotient(space, v)
+
+    monkeypatch.setattr(A, "check_gq_axioms", counting_gq)
+    monkeypatch.setattr(A, "hyperplane_section", counting_section)
+    monkeypatch.setattr(A, "IteratedQuotient", counting_quotient)
+    for key, bound in ((("q", 3, 2), 3), (("qminus", 2, 2), 5)):
+        sp = build_polar_space(*key)
+        for m in S.enumerate_minimal(sp, bound).sets:
+            A.classify(sp, m)
+    # without the caches: 2,520 GQ checks, 432 sections, 2,520 quotients
+    for name, most in (("gq", 10), ("section", 36), ("quotient", 63)):
+        keys = seen[name]
+        assert len(keys) == len(set(keys)) <= most, name
 
 
 def _rejects_twice(space, members, cls):

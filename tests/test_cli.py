@@ -167,6 +167,17 @@ def test_thresholds_runs_oracle_once(capsys, monkeypatch):
     assert calls == [4]
 
 
+def test_thresholds_oracle_budget_exits_3(capsys, monkeypatch):
+    # a deadline already past stops the PG(2,8) oracle at its first poll
+    monkeypatch.setenv("POLARBLOCK_BUDGET_SECS", "0")
+    code, out, err = run(capsys, "--format", "json", "thresholds", "--q", "8")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("budget exceeded: PG(2,8) plane oracle stopped at "
+                          "target size ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["space", "stats", "--kind", "nope", "--rank", "2", "--q", "2"])
