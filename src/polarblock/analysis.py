@@ -638,9 +638,9 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
     if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):
         expected = (LABEL_SUBGQ_SPREAD if label == LABEL_CONE_QPLUS3
                     else LABEL_COVER_Q4)
-        # a vertex on every member is totally singular, so the quotient at
-        # it exists
-        if (v is None or v.dim != space.rank - 3
+        # a vertex on every member of a non-empty set is totally singular,
+        # so the quotient at it exists
+        if (not members or v is None or v.dim != space.rank - 3
                 or cls.base is None or cls.base.label != expected
                 or not set(members) <= set(space.generators_through(v))):
             return False

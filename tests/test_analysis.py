@@ -557,6 +557,11 @@ def test_verify_rejects_forged_cone():
     pencil = C.pencil(sp, canonicalize(
         sp.field, sp.n, [sp.points[v], sp.points[p]])).members
     assert _rejects_twice(sp, pencil, cls)
+    # no member: a vertex that is not totally singular has no quotient
+    nonsingular = canonicalize(sp.field, sp.n, [(1,) + (0,) * sp.n])
+    assert nonsingular.rows[0] not in sp.point_index
+    assert _rejects_twice(sp, (), A.Classification(
+        cls.label, vertex=nonsingular, base=cls.base))
 
 
 def _disjointness_loop(space, members):
