@@ -5,12 +5,14 @@ indices), the generator list (canonical RREF bases, lex order), the
 point/generator incidence and the generator-meets-generator relation as
 bitmask rows.  Totally singular subspaces are enumerated level by level
 and every level is kept: a subspace U is extended by the singular points
-of perp(U) \\ U, and once a span W = <U, P> is found all of W's points
-leave U's candidates.  W's points are computed as a bitmask: below the
-generators they are P + x for the vectors x of U, added as integer codes,
-and a generator W = <U, P> has the points perp(U) & perp(P).  W is kept
-only when U holds its lowest points, so each subspace is found, and its
-RREF rows computed, exactly once.
+P of perp(U) whose leading column comes before U's first pivot, and once
+a span W = <U, P> is found all of W's points leave U's candidates.  U is
+then the hyperplane of W holding its lowest points, so each subspace is
+found once, from that hyperplane, and its RREF rows are P reduced
+against U's rows followed by U's rows.  W's points are computed as a
+bitmask: below the generators they are P + x for the vectors x of U,
+added as integer codes, and a generator W = <U, P> has the points
+perp(U) & perp(P).
 
 Every build, standard or quotient, is memoized by (kind, rank, q, form):
 a build is deterministic in its form, so the quotients at points with equal
@@ -45,7 +47,6 @@ from .projective import (
     enumerate_pg_points,
     nullspace,
     reduce_against,
-    rref_extend,
     theta,
 )
 # rref and subspace_points stay importable here: perfbench/tracer.py wraps
@@ -392,33 +393,37 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
     """Extend every totally singular subspace of one level by one point.
 
     level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
-    and the mask of its points.  Each W = <U, P> is computed as a point
-    mask.  Below the generators its points are U's points, P and P + x for
-    every nonzero vector x of U, looked up through the integer codes of
-    _point_codes; codes is None on the last level, where W is a generator
-    and its points are perp(U) & perp(P).
+    and the mask of its points, sorted by rows.  Each W = <U, P> is computed
+    as a point mask.  Below the generators its points are U's points, P and
+    P + x for every nonzero vector x of U, looked up through the integer
+    codes of _point_codes; codes is None on the last level, where W is a
+    generator and its points are perp(U) & perp(P).
 
-    Points are indexed in lex order, so the lowest points of W are those
-    with a zero in the pivot column of its first RREF row: they form a
-    hyperplane U0 of W, the only one below all of W's other points.  W is
-    kept only when it comes from U0, so every W is found once and has its
-    RREF rows computed once, by extending U0's rows with P (rref_extend).
-    P therefore runs over perp(U) & Q above U's highest point, from the
-    lowest bit, and all of W's points leave the candidates after each step.
-    RREF rows are singular points, so they are stored as the shared point
-    tuples.  Returns the new pairs sorted by rows.
+    Every W is reached once, from its lowest hyperplane: the points of W
+    with a zero in the pivot column of W's first RREF row.  That hyperplane
+    is U exactly when P's leading column comes before U's first pivot.
+    Points are normalised to a leading 1 and indexed in lex order, so the
+    points with leading column before c are the top index segment
+    [start[c], len(points)), and P runs over perp(U) & Q in that segment;
+    all of W's points leave the candidates after each step.  W's RREF rows
+    are then (w0,) + U's rows, where w0 is P reduced against U's rows: U's
+    rows are 0 in P's leading column, so no other row changes.  RREF rows
+    are singular points, so they are stored as the shared point tuples.
+    Returns the new pairs sorted by rows, which is the order of (w0's
+    index, U's index in level).
     """
     if codes is not None:
         add, multiples, bit_of = codes
+    # start[c]: the points with leading column >= c lie below it
+    start = [sum(p.index(1) >= c for p in points)
+             for c in range(len(points[0]))]
     out = []
-    for rows, umask in level:
+    for ui, (rows, umask) in enumerate(level):
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
-        top = umask.bit_length() - 1
-        below = (1 << top) - 1
-        u_below = umask & below
-        cand = full >> (top + 1) << (top + 1)
+        s = start[rows[0].index(1)]
+        cand = full >> s << s
         if codes is not None:
             ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
         while cand:
@@ -431,12 +436,11 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
                 wmask = umask | low
                 for c in ucodes:
                     wmask |= bit_of[add(pc, c)]
-            if wmask & below == u_below:  # U is W's lowest hyperplane
-                w = rref_extend(field, rows, points[p])
-                out.append((tuple(points[point_index[r]] for r in w), wmask))
+            i = point_index[reduce_against(field, rows, points[p])]
+            out.append((i, ui, (points[i],) + rows, wmask))
             cand &= ~wmask
     out.sort()
-    return out
+    return [(rows, wmask) for _, _, rows, wmask in out]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from polarblock.forms import is_totally_singular
 from polarblock.spaces import build_polar_space, pencil_size
 from polarblock.projective import canonicalize
 from polarblock import analysis as A
@@ -24,7 +27,13 @@ def test_pencil_rejects_bad_vertex():
     pt = canonicalize(sp.field, sp.n, [sp.points[0]])
     with pytest.raises(ValueError):
         C.pencil(sp, pt)  # needs a line, not a point
-    nonsing = canonicalize(sp.field, sp.n, [(1, 0, 0, 0, 0, 0, 0)])
+    # a secant line: two singular points that are not collinear
+    far = next(i for i in range(sp.num_points)
+               if not sp.collinear[0] >> i & 1)
+    secant = canonicalize(sp.field, sp.n, [sp.points[0], sp.points[far]])
+    assert secant.dim == 1
+    with pytest.raises(ValueError, match="totally singular"):
+        C.pencil(sp, secant)
     with pytest.raises(ValueError):
         C.pencil(build_polar_space("q", 2, 2),
                  canonicalize(sp.field, 4, [(1, 0, 0, 0, 0)]))
@@ -33,8 +42,18 @@ def test_pencil_rejects_bad_vertex():
 def test_pencil_deterministic_seed():
     sp = build_polar_space("qminus", 2, 2)
     assert C.pencil(sp).members == C.pencil(sp).members
-    assert C.lex_least_ts_subspace(sp, 0).rows == \
-        C.lex_least_ts_subspace(sp, 0).rows
+    assert C.lex_least_ts_subspace(sp, 0).rows == (sp.points[0],)
+    # on Q(6,2) the least line is the least of all collinear point pairs'
+    # spans, the pencil's vertex
+    sp = build_polar_space("q", 3, 2)
+    lines = set()
+    for a, b in combinations(sp.points, 2):
+        line = canonicalize(sp.field, sp.n, [a, b])
+        if is_totally_singular(sp.form, line):
+            lines.add(line.rows)
+    least = C.lex_least_ts_subspace(sp, 1)
+    assert least.rows == min(lines)
+    assert C.pencil(sp).members == tuple(sp.generators_through(least))
 
 
 def test_rulings_grid_structure():

@@ -1,4 +1,3 @@
-import random
 from itertools import combinations, product
 
 import pytest
@@ -12,7 +11,6 @@ from polarblock.projective import (
     nullspace,
     reduce_against,
     rref,
-    rref_extend,
     span,
     subspace_points,
     theta,
@@ -37,26 +35,6 @@ def test_canonicalize_known_cases():
     assert canonicalize(F3, 2, [(2, 0, 1)]).rows == ((1, 0, 2),)
     assert canonicalize(F4, 2, [(3, 1, 0)]).rows[0][0] == 1
     assert canonicalize(F2, 2, [(0, 0, 0)]).dim == -1
-
-
-@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-def test_rref_extend_matches_rref(p, h):
-    # random bases of PG(4,q) extended by random vectors outside their span,
-    # both raw and normalized
-    field = make_field(p, h)
-    rng = random.Random(p * 10 + h)
-    checked = 0
-    while checked < 300:
-        k = rng.randrange(0, 5)
-        rows = rref(field, [tuple(rng.randrange(field.q) for _ in range(5))
-                            for _ in range(k)])
-        v = tuple(rng.randrange(field.q) for _ in range(5))
-        full = rref(field, rows + (v,))
-        if len(full) == len(rows):
-            continue
-        assert rref_extend(field, rows, v) == full
-        assert rref_extend(field, rows, canonicalize(field, 4, [v]).rows[0]) == full
-        checked += 1
 
 
 def test_rref_idempotent_and_order_free():

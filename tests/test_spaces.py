@@ -12,6 +12,7 @@ from polarblock.projective import (
     Subspace,
     canonicalize,
     enumerate_pg_points,
+    reduce_against,
     rref,
     subspace_points,
     theta,
@@ -348,19 +349,73 @@ def test_lines_vs_bruteforce(key):
     assert [l.rows for l in sp.totally_singular_subspaces(1)] == sorted(brute)
 
 
-@pytest.mark.parametrize("key", [("q", 3, 2), ("q", 3, 3), ("qminus", 3, 2)])
+def _lowest_hyperplane_extend_level(field, points, point_index, collinear,
+                                    level, codes):
+    """Reference for spaces._extend_level: every singular point P of
+    perp(U) above U's highest point, keeping W = <U, P> only when U is W's
+    lowest hyperplane, and W's rows as rref(rows + (P,)) built by hand."""
+    add_f, mul_f, neg_f, inv_f = field.addl, field.mull, field.negl, field.invl
+    if codes is not None:
+        add, multiples, bit_of = codes
+    out = []
+    for rows, umask in level:
+        full = -1
+        for r in rows:
+            full &= collinear[point_index[r]]
+        top = umask.bit_length() - 1
+        below = (1 << top) - 1
+        u_below = umask & below
+        cand = full >> (top + 1) << (top + 1)
+        if codes is not None:
+            ucodes = [c for u in spaces._iter_bits(umask)
+                      for c in multiples[u]]
+        while cand:
+            low = cand & -cand
+            p = low.bit_length() - 1
+            if codes is None:
+                wmask = full & collinear[p]
+            else:
+                pc = multiples[p][0]
+                wmask = umask | low
+                for c in ucodes:
+                    wmask |= bit_of[add(pc, c)]
+            if wmask & below == u_below:  # U is W's lowest hyperplane
+                w = reduce_against(field, rows, points[p])
+                pc = next(i for i, x in enumerate(w) if x)
+                if w[pc] != 1:
+                    mc = mul_f[inv_f[w[pc]]]
+                    w = [mc[x] for x in w]
+                w_rows = [tuple(w)]
+                for r in rows:
+                    c = r[pc]
+                    if c:
+                        mc = mul_f[neg_f[c]]
+                        r = tuple([add_f[a][mc[b]] for a, b in zip(r, w)])
+                    w_rows.append(r)
+                w_rows.sort(reverse=True)
+                out.append((tuple(points[point_index[r]] for r in w_rows),
+                            wmask))
+            cand &= ~wmask
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("key", [("q", 3, 2), ("q", 3, 3), ("qminus", 3, 2),
+                                 ("h", 2, 2), ("q", 4, 2)])
 def test_extend_level_keys_are_point_masks(key):
-    # every level rebuilt from the points: each returned mask is the point
-    # set of its rows, the rows are their own RREF, and the levels match the
-    # kept ones
+    # every level rebuilt from the points, by the leading-column rule and
+    # by the reference: the same (rows, mask) pairs in the same order, each
+    # mask the point set of its rows and the rows their own RREF
     sp = build_polar_space(*key)
     field, points, index = sp.field, sp.points, sp.point_index
     codes = spaces._point_codes(field, points)
     level = [((p,), 1 << i) for i, p in enumerate(points)]
     for k in range(sp.rank - 1):
         last = k == sp.rank - 2
-        level = spaces._extend_level(field, points, index, sp.collinear,
-                                     level, None if last else codes)
+        args = (field, points, index, sp.collinear, level,
+                None if last else codes)
+        level = spaces._extend_level(*args)
+        assert level == _lowest_hyperplane_extend_level(*args)
         for rows, mask in level:
             assert rows == rref(field, rows)
             assert mask == sum(1 << index[p]
