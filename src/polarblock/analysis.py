@@ -234,24 +234,37 @@ class IdentityReport:
         return self.applicable and all(i.ok for i in self.items.values())
 
 
-def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
+def check_coverage_identities(space: PolarSpace, members,
+                              profile: CoverageProfile | None = None
+                              ) -> IdentityReport:
     """The identity/inequality battery for rank-2 blocking sets with
     delta < s-1: per-hole line histogram identity and perp bound, the
     meet bound delta+1 with its histogram consequences, the b~ vs b
     comparison, the global counting inequality, and the pencil bound at
-    points not fully surrounded by members."""
-    members = validate_members(space, members)
+    points not fully surrounded by members.
+
+    profile: the set's coverage_profile, when the caller has just made it;
+    the set is then neither validated nor profiled again, and a rank-2
+    profile's b_0 (the generators that meet no member) decides blocking.
+    A profile of other members raises ValueError."""
+    if profile is None:
+        members = validate_members(space, members)
+    elif tuple(sorted(members)) != profile.members:
+        raise ValueError("the coverage profile is of another set")
+    else:
+        members = profile.members
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces",
                               delta_of(space, len(members)))
-    if not is_blocking(space, members):
+    if (profile.b.get(0, 0) if profile is not None
+            else not is_blocking(space, members)):
         return IdentityReport(False, "set is not blocking", delta_of(space, len(members)))
     s, t = space.s, space.t
     delta = len(members) - (t + 1)
     if delta >= s - 1:
         return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable",
                               delta)
-    prof = coverage_profile(space, members)
+    prof = profile if profile is not None else coverage_profile(space, members)
     lmask = members_mask(members)
     items: dict[str, CheckItem] = {}
 

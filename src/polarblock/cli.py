@@ -149,7 +149,8 @@ def cmd_verify(args):
         "excess_W": prof.W,
         "holes": len(prof.holes),
     }
-    identities = analysis.check_coverage_identities(space, members)
+    identities = analysis.check_coverage_identities(space, members,
+                                                     profile=prof)
     report["identities"] = {
         "applicable": identities.applicable,
         "reason": identities.reason,

@@ -36,15 +36,24 @@ scan of the uncovered rows pick the branch row, stopping at an empty row
 time) make incompleteness explicit, never silent.
 
 The four searches over a polar space's generators (min_blocking,
-enumerate_minimal, min_cover_of_space, min_maximal_partial_spread) pin
-generator 0: the isometry group of a classical polar space is transitive
+enumerate_minimal, min_cover_of_space, min_maximal_partial_spread) pin two
+generators.  The isometry group of a classical polar space is transitive
 on generators (Witt's theorem), so every answer is the image of one that
-contains generator 0.  The engine starts with generator 0 chosen, and a
-complete run's sets are expanded to their orbits under the generator
-permutations of PolarSpace.generator_permutations (reflections in
-nonsingular points), then sorted; the lists equal those of the unpinned
-search.  A budget stop returns the pinned sets found so far, unexpanded.
-min_cover on arbitrary lines assumes no symmetry and is not pinned.
+contains generator 0, and the stabilizer of generator 0 is transitive on
+the generators that share t points with it, its type, for each t.  The
+engine runs once per type, smallest t first, with generator 0 and the
+least generator of the type chosen at the root and every earlier type
+banned by the root allowed mask, so each set through generator 0 is found
+in the run of its least type.  The runs share one node budget and one
+deadline, and in mode 'min' each is capped by the best size so far.  A
+complete search's sets are carried through the stabilizer permutations of
+PolarSpace.stabilizer_permutations, each set through generator 0 emitted
+once, from its least member of its least type (McKay, "Isomorph-free
+exhaustive generation", 1998), then expanded to their orbits under
+PolarSpace.generator_permutations (reflections in nonsingular points) and
+sorted; the lists equal those of the unpinned search.  A budget stop
+returns the sets of the runs so far, unexpanded.  min_cover on arbitrary
+lines assumes no symmetry and is not pinned.
 
 The plane oracle pins a triangle.  A blocking set of PG(2,q) that contains
 no line has three non-collinear points, and PGL(3,q) is transitive on
@@ -67,7 +76,7 @@ import numpy as np
 
 from .gf import field_of_order, is_prime
 from .projective import enumerate_pg_points, nullspace
-from .spaces import PolarSpace, _iter_bits
+from .spaces import PolarSpace, _iter_bits, meet_types
 from . import analysis
 
 DEFAULT_BUDGET_NODES = 10 ** 8
@@ -109,10 +118,10 @@ class _BudgetStop(Exception):
 
 def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 forbid_rows: bool = False, first_only: bool = False,
-                start: tuple[int, ...] = (),
+                start: tuple[int, ...] = (), allowed: int | None = None,
                 budget_nodes: int = DEFAULT_BUDGET_NODES,
                 budget_secs: float | None = None):
-    """Core exact search over every candidate.
+    """Core exact search over the allowed candidates.
 
     rows[r]: bitmask of the candidates that hit row r.
     cols[c]: bitmask of the rows that candidate c hits (the transpose of
@@ -124,9 +133,12 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     forbid_rows: no chosen set may contain every candidate of a row
     (checked on each pick through the rows of cols[c]).
     start: candidates every chosen set contains; the root node has them
-    chosen already (the symmetry pins: generator 0 in the meets-based
-    searches, a triangle in the plane oracle).  A start larger than
+    chosen already (the symmetry pins: generator 0 and the least
+    generator of one type in the polar-space searches, a triangle in the
+    plane oracle).  A start larger than
     max_size, or one that breaks conflicts or forbid_rows, admits no set.
+    allowed: bitmask of the candidates a chosen set may contain (default
+    every candidate); a start outside it admits no set.
 
     Each node carries the chosen set, the allowed candidates and the
     uncovered rows as bitmasks.  Returns (sols, complete, nodes, seconds).
@@ -242,7 +254,8 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
                 return
 
     chosen = 0
-    allowed = (1 << len(cols)) - 1
+    if allowed is None:
+        allowed = (1 << len(cols)) - 1
     uncovered = (1 << len(rows)) - 1
     viable = len(start) <= max_size
     for c in start:
@@ -287,49 +300,120 @@ def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
     return tuple(sorted(thru))
 
 
-def _orbit_expand(space: PolarSpace, pinned) -> list[tuple[int, ...]]:
-    """Every image of the pinned sets (all sets of a family that contain
-    generator 0) under the space's generator permutations, sorted.
+def _orbit_images(perms, start: int, sets, n: int, of_type=None):
+    """The images of sets, which hold start, under perms, each emitted once.
 
-    A walk over the orbit of generator 0 yields, for every generator g, a
-    permutation tau with tau(0) = g.  A set S of the family whose least
-    member is g is then tau(P) for exactly one pinned P, so each set is
-    emitted once, from its least member, and no set of seen sets is kept.
+    A walk over the orbit of start yields, for every g in it, a product tau
+    of perms, as an index array, with tau(start) = g.  An image tau(P) is
+    kept only when g is its least member, or with of_type (a boolean mask
+    of a class of generators that perms keep, start among them) its least
+    member of that class.  When sets holds every set of a family that has
+    start as that member, a set of the family whose such member is g is
+    then tau(P) for exactly one P, so each is emitted once and no set of
+    seen sets is kept.  Unsorted.
     """
-    n = space.num_generators
-    perms = np.array(space.generator_permutations(), dtype=np.int32)
-    groups = [np.array([s for s in pinned if len(s) == k], dtype=np.int32)
-              for k in sorted({len(s) for s in pinned})]
+    groups = [np.array([s for s in sets if len(s) == k], dtype=np.int32)
+              for k in sorted({len(s) for s in sets})]
     out = []
     reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    stack = [np.arange(n, dtype=np.int32)]
+    reached[start] = True
+    stack = [np.arange(n, dtype=np.int32)] if groups else []
     while stack:
         tau = stack.pop()
-        g = int(tau[0])
+        g = int(tau[start])
         for rows in groups:
             images = np.sort(tau[rows], axis=1)
-            out.extend(map(tuple, images[images[:, 0] == g].tolist()))
+            least = (images[:, 0] if of_type is None
+                     else np.where(of_type[images], images, n).min(axis=1))
+            out.extend(map(tuple, images[least == g].tolist()))
         for perm in perms:
             h = perm[g]
             if not reached[h]:
                 reached[h] = True
                 stack.append(perm[tau])
-    out.sort()
+    return out
+
+
+def _orbit_expand(space: PolarSpace, pinned) -> list[tuple[int, ...]]:
+    """Every image of the pinned sets (all sets of a family that contain
+    generator 0) under the space's generator permutations, sorted: the
+    orbit of generator 0 is every generator, and each set is emitted from
+    its least member."""
+    perms = np.array(space.generator_permutations(), dtype=np.int32)
+    return sorted(_orbit_images(perms, 0, pinned, space.num_generators))
+
+
+def _type_runs(space: PolarSpace, rows, cols, keep=None, *, max_size: int,
+               mode: str, budget_nodes: int = DEFAULT_BUDGET_NODES,
+               budget_secs: float | None = None, **kw):
+    """The engine once per type of generator (meet_types: the number of
+    points it shares with generator 0), smallest first.  Every set of the
+    families searched here has a member besides generator 0, as some
+    generator is disjoint from it.  The run of type t has generator 0 and
+    g_t, the least generator of type t, chosen at the root, and the
+    generators of every earlier type banned, so it finds the sets through
+    generator 0 whose least type is t and that contain g_t.  The runs share
+    one node budget and one deadline; in mode 'min' each is capped by the
+    best size so far, and only the sets of the final best size are kept.
+    Sets failing keep are dropped.  Returns ([(type members, sets)],
+    complete, nodes); the runs stop at the first that is incomplete."""
+    if budget_secs is None:
+        budget_secs = default_budget_secs()
+    deadline = time.monotonic() + budget_secs
+    types = meet_types(space)
+    allowed = (1 << len(cols)) - 1
+    runs, nodes, complete = [], 0, True
+    for t in sorted(set(types[1:].tolist())):
+        members = np.flatnonzero(types == t)
+        sols, complete, k, _ = _run_engine(
+            rows, cols, max_size=max_size, mode=mode,
+            start=(0, int(members[0])), allowed=allowed,
+            budget_nodes=budget_nodes - nodes,
+            budget_secs=deadline - time.monotonic(), **kw)
+        nodes += k
+        if keep is not None:
+            sols = [w for w in sols if keep(space, w)]
+        if mode == "min" and sols:
+            if len(sols[0]) < max_size:
+                runs = [(m, []) for m, _ in runs]
+            max_size = len(sols[0])
+        runs.append((members, sols))
+        allowed &= ~analysis.members_mask(members.tolist())
+        if not complete:
+            break
+    return runs, complete, nodes
+
+
+def _stabilizer_expand(space: PolarSpace, runs) -> list[tuple[int, ...]]:
+    """Every set through generator 0, from _type_runs' sets.
+
+    The stabilizer permutations of generator 0 keep each type and have it
+    as one orbit, so the sets through generator 0 whose least type is t are
+    the images of the run of type t, each emitted from its least member of
+    type t.
+    """
+    n = space.num_generators
+    perms = np.array(space.stabilizer_permutations(), dtype=np.int32)
+    out = []
+    for members, sets in runs:
+        of_type = np.zeros(n, dtype=bool)
+        of_type[members] = True
+        out += _orbit_images(perms, int(members[0]), sets, n, of_type)
     return out
 
 
 def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
-    """The engine with generator 0 chosen at the root.  The isometry group
-    is transitive on generators, so every answer is an image of one through
-    generator 0: a complete run's sets (those passing keep, if given) are
-    expanded to their orbits.  A budget stop returns them unexpanded."""
+    """The sets of a family through generator 0, found by _type_runs and
+    carried through the stabilizer of generator 0, then expanded to their
+    orbits: the isometry group is transitive on generators, so every set is
+    an image of one through generator 0.  Sets failing keep (a property
+    kept by isometries) are dropped before any expansion.  A budget stop
+    returns the sets of the runs so far, unexpanded."""
     t0 = time.monotonic()
-    sols, complete, nodes, _ = _run_engine(rows, cols, start=(0,), **kw)
-    if keep is not None:
-        sols = [w for w in sols if keep(space, w)]
+    runs, complete, nodes = _type_runs(space, rows, cols, keep, **kw)
+    sols = sorted(w for _, sets in runs for w in sets)
     if complete and sols:
-        sols = _orbit_expand(space, sols)
+        sols = _orbit_expand(space, _stabilizer_expand(space, runs))
     return sols, complete, nodes, time.monotonic() - t0
 
 

@@ -35,7 +35,7 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -230,6 +230,7 @@ class PolarSpace:
             self.s = self.t = None
         self._hash = None
         self._gen_perms = None
+        self._stab_perms = None
         self._quotient_maps = {}
         self._derived = {}
 
@@ -276,6 +277,14 @@ class PolarSpace:
         if self._gen_perms is None:
             self._gen_perms = _reflection_permutations(self)
         return self._gen_perms
+
+    def stabilizer_permutations(self) -> list[tuple[int, ...]]:
+        """Generator permutations induced by isometries that fix generator
+        0, under which the generators sharing t points with it are one
+        orbit, for each t (computed on first use, then cached)."""
+        if self._stab_perms is None:
+            self._stab_perms = _stabilizer_permutations(self)
+        return self._stab_perms
 
     def quotient_map(self, point_idx: int) -> "QuotientMap":
         """The projection onto the quotient at a point (built on first use,
@@ -531,21 +540,20 @@ def space_from_form(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
 # -- symmetry -----------------------------------------------------------------
 
 
-def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
-    """Generator permutations of reflections in nonsingular points.
+def _reflections(space: PolarSpace):
+    """The reflections in nonsingular points, as maps of the generators.
 
     For each nonsingular v, in enumerate_pg_points order, the isometry is
     x -> x - (B(x,v)/Q(v)) v on a quadric and x -> x + (zeta-1) h(x,v)/h(v,v) v
-    on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  A reflection is
-    kept only when it enlarges the orbit of generator 0, and the scan stops
-    once that orbit is every generator.  The maps are array lookups: points
-    by their base-q codes, generators by a weighted sum over their point
-    rows (fixed pseudo-random 64-bit weights, so the key ignores row order)
-    looked up among the generators' keys.  Each reflection must permute the
-    points and send the point set of every generator of the orbit exactly
-    onto a generator's; the orbit's image decides whether it is kept, and a
-    kept map must also be a bijection of all the generators.  Such a pair of
-    bijections preserves incidence, hence meets.
+    on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  Yields (v, images):
+    images(gens) gives the indices of the images of the generators gens (an
+    index array or boolean mask), and images() the whole map.  The maps are
+    array lookups: points by their base-q codes, generators by a weighted sum
+    over their point rows (fixed pseudo-random 64-bit weights, so the key
+    ignores row order) looked up among the generators' keys.  Each reflection
+    must permute the points and send the point set of every mapped generator
+    exactly onto a generator's, and a whole map must be a bijection of the
+    generators.  Such a pair of bijections preserves incidence, hence meets.
     """
     form, field = space.form, space.field
     add, mul = field.add_table, field.mul_table
@@ -574,22 +582,19 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     if len(gen_of_key) != n_gens:
         raise AssertionError(f"{space.name}: two generators share a key")
 
-    def gen_images(pmap, v, gens):
-        image = pmap[gen_rows[gens]]
+    def gen_images(pmap, v, gens=None):
+        image = pmap[gen_rows if gens is None else gen_rows[gens]]
         gmap = np.array([gen_of_key.get(k, -1)
                          for k in weight[image].sum(axis=1).tolist()])
         if ((gmap < 0).any()
-                or (np.sort(image, axis=1) != gen_rows[gmap]).any()):
+                or (np.sort(image, axis=1) != gen_rows[gmap]).any()
+                or gens is None
+                and np.bincount(gmap, minlength=n_gens).max() != 1):
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the generators")
         return gmap
 
-    maps = []
-    in_orbit = np.zeros(n_gens, dtype=bool)
-    in_orbit[0] = True
     for v in enumerate_pg_points(form.n, field):
-        if in_orbit.all():
-            break
         norm = form.eval(v)
         if not norm:
             continue
@@ -605,13 +610,23 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
         if (pmap < 0).any() or np.bincount(pmap, minlength=n_pts).max() != 1:
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the points")
-        if in_orbit[gen_images(pmap, v, in_orbit)].all():
+        yield v, partial(gen_images, pmap, v)
+
+
+def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
+    """Generator permutations of reflections: one is kept only when it
+    enlarges the orbit of generator 0 under those kept before, and the scan
+    stops once that orbit is every generator.  The orbit's image decides
+    whether a reflection is kept, so the whole map is built only for the
+    kept ones."""
+    n_gens = space.num_generators
+    maps = []
+    in_orbit = np.zeros(n_gens, dtype=bool)
+    in_orbit[0] = True
+    for _, images in _reflections(space):
+        if in_orbit[images(in_orbit)].all():
             continue
-        gmap = gen_images(pmap, v, slice(None))
-        if np.bincount(gmap, minlength=n_gens).max() != 1:
-            raise AssertionError(f"{space.name}: reflection in {v} does not "
-                                 "permute the generators")
-        maps.append(gmap)
+        maps.append(images())
         while True:  # close the orbit under the kept maps
             grown = in_orbit.copy()
             for m in maps:
@@ -619,10 +634,140 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
             if (grown == in_orbit).all():
                 break
             in_orbit = grown
+        if in_orbit.all():
+            break
     if not in_orbit.all():
         raise AssertionError(f"{space.name}: reflections move generator 0 to "
                              f"{int(in_orbit.sum())} of {n_gens} generators")
     return [tuple(m.tolist()) for m in maps]
+
+
+def meet_types(space: PolarSpace) -> np.ndarray:
+    """For each generator, the number of points it shares with generator 0:
+    its type.  An isometry fixing generator 0 keeps every type."""
+    g0 = space.gen_point_mask[0]
+    return np.array([(g0 & m).bit_count() for m in space.gen_point_mask])
+
+
+# Schreier generators of one map tried in a row without joining two orbits
+# before _stabilizer_permutations moves on to the next map.
+_SCHREIER_PATIENCE = 16
+
+
+def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
+    """Generator permutations that fix generator 0, under which each type
+    (see meet_types) is one orbit.
+
+    Schreier's lemma (Seress, Permutation Group Algorithms, 2003): if the
+    maps S generate a group G and u_g in G sends generator 0 to g, for each
+    g, then the Schreier generators u_{s(g)}^-1 s u_g, for s in S and every
+    g, generate the stabilizer of generator 0 in G.  The u_g are products
+    along the tree of a breadth-first walk from generator 0 under the
+    reflections kept by generator_permutations, each made on first use.  S
+    is those reflections, then every other reflection in scan order: on
+    Q(6,2) and Q(4,5) the kept ones generate too small a group.  A Schreier
+    generator is kept when it joins two orbits of those kept before, and the
+    scan stops once the orbits are as few as the types, which they refine.
+    The Schreier generators of a map are tried in walk order until
+    _SCHREIER_PATIENCE in a row join nothing.  If the maps run out first,
+    the scan is made again with all of them before AssertionError reports a
+    type that stays intransitive.  The u_g take 8 bytes per generator each;
+    BudgetError is raised when n of them would pass MAX_BUILD_BYTES.
+    """
+    n = space.num_generators
+    if 8 * n * n > MAX_BUILD_BYTES:
+        raise BudgetError(
+            f"{space.name}: the stabilizer of generator 0 needs up to "
+            f"{8 * n * n / 2 ** 30:.1f} GiB of transversal, over the guard "
+            f"of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
+    types = len(set(meet_types(space).tolist()))
+    kept = [np.array(p) for p in space.generator_permutations()]
+    identity = np.arange(n)
+    # the walk's tree: g = kept[via[g]][parent[g]]
+    parent = np.full(n, -1)
+    via = np.zeros(n, dtype=np.int64)
+    parent[0] = 0
+    order = [0]
+    for g in order:
+        for i, s in enumerate(kept):
+            h = s[g]
+            if parent[h] < 0:
+                parent[h], via[h] = g, i
+                order.append(h)
+    u = {0: identity}
+
+    def transversal(g):
+        path = []
+        while g not in u:
+            path.append(g)
+            g = int(parent[g])
+        for h in reversed(path):
+            u[h] = kept[via[h]][u[g]]
+            g = h
+        return u[g]
+
+    orbit = identity.copy()  # the least generator of each one's orbit
+    orbits = n
+
+    def join(x):
+        # merge the orbits that x joins; True if it joins any
+        nonlocal orbit, orbits
+        a, b = orbit, orbit[x]
+        moved = a != b
+        if not moved.any():
+            return False
+        root = {}
+
+        def find(k):
+            while k in root:
+                k = root[k]
+            return k
+
+        for p, q in set(zip(a[moved].tolist(), b[moved].tolist())):
+            p, q = find(p), find(q)
+            if p != q:
+                root[max(p, q)] = min(p, q)
+                orbits -= 1
+        relabel = identity.copy()
+        for k in root:
+            relabel[k] = find(k)
+        orbit = relabel[orbit]
+        return True
+
+    def maps():
+        yield from kept
+        seen = {s.tobytes() for s in kept}
+        for _, images in _reflections(space):
+            s = images()
+            if s.tobytes() not in seen:
+                yield s
+
+    inverse = np.empty_like(identity)
+    found = []
+
+    def scan(patience):
+        for s in maps():
+            idle = 0
+            for g in order:
+                y = s[transversal(g)]
+                inverse[transversal(int(y[0]))] = identity
+                x = inverse[y]
+                if join(x):
+                    found.append(x)
+                    if orbits == types:
+                        return True
+                    idle = 0
+                else:
+                    idle += 1
+                    if idle == patience:
+                        break
+        return False
+
+    if orbits > types and not (scan(_SCHREIER_PATIENCE) or scan(None)):
+        raise AssertionError(f"{space.name}: the stabilizer of generator 0 "
+                             f"has {orbits} orbits on the generators, not "
+                             f"{types}")
+    return [tuple(x.tolist()) for x in found]
 
 
 # -- quotient geometry --------------------------------------------------------

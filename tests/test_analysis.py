@@ -118,6 +118,39 @@ def test_identities_not_applicable_gate():
     assert not rep3.applicable  # rank-2 notion only
 
 
+def test_identities_take_the_callers_profile():
+    # a pencil, a section cover, a spread past the gate, a non-blocking set,
+    # a greedy minimal set, and a rank-3 pencil, each with members unsorted
+    import numpy as np
+    import polarblock.search as S
+
+    rng = np.random.default_rng(5)
+    cases = []
+    for kind, q in [("q", 2), ("q", 3), ("qminus", 2), ("h", 2)]:
+        sp = build_polar_space(kind, 2, q)
+        members = C.pencil(sp).members
+        cases += [(sp, members), (sp, members[1:]),
+                  (sp, S.greedy_then_minimize(sp, rng))]
+    sp = build_polar_space("qminus", 2, 2)
+    cases.append((sp, C.section_cover(sp).members))
+    sp = build_polar_space("q", 2, 2)
+    cases.append((sp, S.min_cover_of_space(sp).witnesses[0]))
+    sp = build_polar_space("q", 3, 2)
+    cases.append((sp, C.pencil(sp).members))
+    for sp, members in cases:
+        members = list(members)[::-1]
+        prof = A.coverage_profile(sp, members)
+        assert (A.check_coverage_identities(sp, members, profile=prof)
+                == A.check_coverage_identities(sp, members))
+    sp = build_polar_space("q", 2, 3)
+    members = C.pencil(sp).members
+    prof = A.coverage_profile(sp, members)
+    for other in (members[1:], members[:-1] + (members[-1] + 1,),
+                  members + members[:1]):
+        with pytest.raises(ValueError):
+            A.check_coverage_identities(sp, other, profile=prof)
+
+
 def test_gq_axioms_pass_and_fail():
     sp = build_polar_space("q", 2, 2)
     res = A.check_gq_axioms(range(sp.num_points), sp.gen_points)

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from polarblock.projective import Subspace
-from polarblock.spaces import _iter_bits, build_polar_space
+from polarblock.spaces import _iter_bits, build_polar_space, meet_types
+from polarblock import spaces
 from polarblock import analysis as A
 from polarblock import search as S
 
@@ -246,9 +248,9 @@ def test_h44_budgeted_certifies_pencils():
     pencils = sorted(tuple(sp.generators_through(Subspace(sp.field, sp.n, (p,))))
                      for p in sp.points)
     assert res.witnesses == pencils and len(pencils) == 165
-    # no blocking set of size 8: one node, generator 0 pinned
+    # no blocking set of size 8: one node for each of the two types
     below = S.min_blocking(sp, upper_bound=8)
-    assert (below.complete, below.optimum, below.nodes) == (True, None, 1)
+    assert (below.complete, below.optimum, below.nodes) == (True, None, 2)
 
 
 # Node counts and witness lists of the engine, pinned so that a rewrite of
@@ -257,20 +259,20 @@ def test_h44_budgeted_certifies_pencils():
 _PIN_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
                "q43": ("q", 2, 3), "qm52": ("qminus", 2, 2)}
 _ENGINE_PINS = [
-    ("min_blocking", "q42", 8, 35, "78ad4ff03e30abf9"),
-    ("min_blocking", "qplus3-2", 1, 9, "ce3cd0650317ed23"),
-    ("min_blocking", "q43", 144, 130, "9d55a89f9f007f14"),
-    ("min_blocking", "qm52", 753, 243, "3171abcb5f74fc2e"),
-    ("min_cover_of_space", "q42", 44, 6, "a89a66b1182e85fe"),
-    ("min_cover_of_space", "qplus3-2", 3, 2, "d1bc02012b076eff"),
-    ("min_cover_of_space", "q43", 3019, 360, "78a0743e7181f0b7"),
-    ("min_cover_of_space", "qm52", 813, 200, "457de0e2125b0e28"),
-    ("min_maximal_partial_spread", "q42", 5, 20, "6bad077db44d9e21"),
-    ("min_maximal_partial_spread", "qplus3-2", 2, 2, "d1bc02012b076eff"),
-    ("min_maximal_partial_spread", "q43", 50, 90, "fee361675f931630"),
-    ("min_maximal_partial_spread", "qm52", 145, 216, "584fe69cc0412768"),
-    ("enumerate_minimal", "q42", 43, 35, "78ad4ff03e30abf9"),
-    ("enumerate_minimal", "qm52", 753, 243, "3171abcb5f74fc2e"),
+    ("min_blocking", "q42", 2, 35, "78ad4ff03e30abf9"),
+    ("min_blocking", "qplus3-2", 2, 9, "ce3cd0650317ed23"),
+    ("min_blocking", "q43", 19, 130, "9d55a89f9f007f14"),
+    ("min_blocking", "qm52", 50, 243, "3171abcb5f74fc2e"),
+    ("min_cover_of_space", "q42", 26, 6, "a89a66b1182e85fe"),
+    ("min_cover_of_space", "qplus3-2", 2, 2, "d1bc02012b076eff"),
+    ("min_cover_of_space", "q43", 1918, 360, "78a0743e7181f0b7"),
+    ("min_cover_of_space", "qm52", 246, 200, "457de0e2125b0e28"),
+    ("min_maximal_partial_spread", "q42", 1, 20, "6bad077db44d9e21"),
+    ("min_maximal_partial_spread", "qplus3-2", 1, 2, "d1bc02012b076eff"),
+    ("min_maximal_partial_spread", "q43", 7, 90, "fee361675f931630"),
+    ("min_maximal_partial_spread", "qm52", 23, 216, "584fe69cc0412768"),
+    ("enumerate_minimal", "q42", 12, 35, "78ad4ff03e30abf9"),
+    ("enumerate_minimal", "qm52", 50, 243, "3171abcb5f74fc2e"),
 ]
 _ENUM_BOUND = {"q42": 4, "qm52": 5}
 
@@ -294,6 +296,50 @@ def test_engine_search_tree_pinned(fn, key, nodes, count, digest):
     assert res.complete
     assert (res.nodes, len(found)) == (nodes, count)
     assert _witness_digest(found) == digest
+
+
+# The nine polar-space problems of the search_exact benchmark workload.
+_DOUBLE_COUNT_PROBLEMS = {
+    "minb-q43": ("min_blocking", ("q", 2, 3), {}),
+    "minb-qm52": ("min_blocking", ("qminus", 2, 2), {}),
+    "minb-q62": ("min_blocking", ("q", 3, 2), {}),
+    "enum-q43-6": ("enumerate_minimal", ("q", 2, 3), {"max_size": 6}),
+    "enum-qm52-6": ("enumerate_minimal", ("qminus", 2, 2), {"max_size": 6}),
+    "cover-q43": ("min_cover_of_space", ("q", 2, 3), {}),
+    "cover-qm52": ("min_cover_of_space", ("qminus", 2, 2), {}),
+    "mmps-q62": ("min_maximal_partial_spread", ("q", 3, 2), {}),
+    "minb-h44-2M": ("min_blocking", ("h", 2, 2), {"budget_nodes": 2_000_000}),
+}
+
+
+@pytest.mark.parametrize("name", list(_DOUBLE_COUNT_PROBLEMS))
+def test_type_runs_double_count(name, monkeypatch):
+    # a set S through generator 0 whose least type is t has m_t(S) members
+    # of type t, and the stabilizer of generator 0 carries a run's set onto
+    # |type t| sets, each found from m_t of the runs' sets: summed over the
+    # runs, |type t| / m_t(S) counts every set through generator 0 once
+    type_runs = S._type_runs
+    recorded = []
+
+    def recording(*args, **kwargs):
+        out = type_runs(*args, **kwargs)
+        recorded.append(out)
+        return out
+
+    monkeypatch.setattr(S, "_type_runs", recording)
+    fn, key, kw = _DOUBLE_COUNT_PROBLEMS[name]
+    res = getattr(S, fn)(build_polar_space(*key), **kw)
+    sets = res.sets if fn == "enumerate_minimal" else res.witnesses
+    [(runs, complete, _)] = recorded
+    assert complete and res.complete
+    total = Fraction(0)
+    for members, found in runs:
+        of_type = set(members.tolist())
+        for w in found:
+            total += Fraction(len(of_type), len(of_type.intersection(w)))
+    through_0 = {w for w in sets if 0 in w}
+    assert len(set(sets)) == len(sets)
+    assert through_0 and total == len(through_0)
 
 
 def test_engine_pg2_oracle_nodes_pinned(monkeypatch):
@@ -337,7 +383,7 @@ def test_pg2_oracle_budget_spans_restarts(monkeypatch):
 
 def test_engine_h44_full_run_pinned():
     res = S.min_blocking(build_polar_space("h", 2, 2))
-    assert (res.complete, res.optimum, res.nodes) == (True, 9, 6_987)
+    assert (res.complete, res.optimum, res.nodes) == (True, 9, 379)
     assert len(res.witnesses) == 165
     assert _witness_digest(res.witnesses) == "63971d82bfb6a109"
 
@@ -345,10 +391,9 @@ def test_engine_h44_full_run_pinned():
 def test_engine_h44_budget_stop_pinned():
     # a budget stop returns the pinned witnesses found so far, unexpanded
     sp = build_polar_space("h", 2, 2)
-    res = S.min_blocking(sp, budget_nodes=2_000, budget_secs=1e9)
-    assert (res.nodes, res.complete, res.optimum) == (2_001, False, 9)
-    assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210),
-                             (0, 3, 6, 27, 36, 45, 276, 285, 294)]
+    res = S.min_blocking(sp, budget_nodes=300, budget_secs=1e9)
+    assert (res.nodes, res.complete, res.optimum) == (301, False, 9)
+    assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210)]
 
 
 # min_blocking on spaces too large for the pins above, recorded before the
@@ -366,11 +411,13 @@ def test_min_blocking_large_pinned(args, want):
 
 
 def _brute_hitting_sets(rows, ncands, max_size, conflicts=None,
-                        forbid_rows=False, start=()):
-    """Every hitting set of size <= max_size, by combination scan."""
+                        forbid_rows=False, start=(), allowed=None):
+    """Every hitting set of size <= max_size, by combination scan (over the
+    candidates in the allowed mask, if given)."""
+    cands = [c for c in range(ncands) if allowed is None or allowed >> c & 1]
     out = []
     for k in range(max_size + 1):
-        for combo in combinations(range(ncands), k):
+        for combo in combinations(cands, k):
             m = sum(1 << c for c in combo)
             if any(not r & m for r in rows):
                 continue
@@ -466,6 +513,47 @@ def test_engine_start_pair_vs_bruteforce(seed):
         leaves, complete, _, _ = S._run_engine(rows, cols, mode="leaves", **run)
         assert complete and set(leaves) <= set(valid)
         vset = set(valid)
+        minimal = [w for w in valid
+                   if not any(w[:i] + w[i + 1:] in vset for i in range(len(w)))]
+        assert set(minimal) <= set(leaves)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_engine_allowed_mask_vs_bruteforce(seed):
+    # the relations of test_engine_vs_reference_random_relations, searched
+    # over a random subset of the candidates
+    rng = np.random.default_rng(1000 + seed)
+    nrows, ncands = int(rng.integers(20, 41)), int(rng.integers(20, 41))
+    density = rng.uniform(0.25, 0.5)
+    rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
+            for _ in range(nrows)]
+    cols = S._transpose(rows, ncands)
+    conflicts = [0] * ncands
+    for a, b in combinations(range(ncands), 2):
+        if rng.random() < 0.1:
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+    max_size = int(rng.integers(4, 7))
+    inside = [c for c in range(ncands) if rng.random() < 0.45]
+    allowed = sum(1 << c for c in inside)
+    outside = next(c for c in range(ncands) if not allowed >> c & 1)
+    pair = tuple(int(c) for c in rng.choice(inside, 2, replace=False))
+    for kw in ({}, {"conflicts": conflicts}, {"forbid_rows": True},
+               {"start": pair[:1]}, {"start": pair},
+               {"conflicts": conflicts, "start": pair},
+               {"start": (pair[0], outside)}):
+        run = dict(kw, max_size=max_size, allowed=allowed)
+        valid = _brute_hitting_sets(rows, ncands, **run)
+        if "start" in kw and outside in kw["start"]:
+            assert valid == []
+        sols, complete, _, _ = S._run_engine(rows, cols, mode="min", **run)
+        assert complete
+        opt = min(map(len, valid), default=None)
+        assert sols == [w for w in valid if len(w) == opt]
+        leaves, complete, _, _ = S._run_engine(rows, cols, mode="leaves", **run)
+        vset = set(valid)
+        assert complete and len(set(leaves)) == len(leaves) <= len(vset)
+        assert set(leaves) <= vset
         minimal = [w for w in valid
                    if not any(w[:i] + w[i + 1:] in vset for i in range(len(w)))]
         assert set(minimal) <= set(leaves)
@@ -675,6 +763,52 @@ def test_generator_permutations_pinned(key):
     perms = build_polar_space(*_SYMMETRY_SPACES[key]).generator_permutations()
     digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
     assert (len(perms), digest) == _PERM_PINS[key]
+
+
+_STABILIZER_SPACES = {"q43": ("q", 2, 3), "qm52": ("qminus", 2, 2),
+                      "q62": ("q", 3, 2), "h44": ("h", 2, 2),
+                      "qm72": ("qminus", 3, 2), "q45": ("q", 2, 5)}
+
+
+@pytest.mark.parametrize("key", sorted(_STABILIZER_SPACES))
+def test_stabilizer_permutations(key):
+    sp = build_polar_space(*_STABILIZER_SPACES[key])
+    perms = sp.stabilizer_permutations()
+    assert perms is sp.stabilizer_permutations()  # cached on the space
+    meets = _meets_matrix(sp)
+    for perm in perms:
+        assert sorted(perm) == list(range(sp.num_generators))
+        p = np.array(perm)
+        assert p[0] == 0
+        assert (meets[np.ix_(p, p)] == meets).all()
+    # each type (points shared with generator 0) is one orbit
+    types = meet_types(sp)
+    for t in set(types.tolist()):
+        members = np.flatnonzero(types == t).tolist()
+        orbit = {members[0]}
+        todo = [members[0]]
+        while todo:
+            g = todo.pop()
+            for perm in perms:
+                if perm[g] not in orbit:
+                    orbit.add(perm[g])
+                    todo.append(perm[g])
+        assert sorted(orbit) == members
+
+
+def test_stabilizer_permutations_guards(monkeypatch):
+    # the reflections kept for generator 0's orbit generate too small a
+    # group on Q(6,2): without the others, a type stays intransitive
+    sp = build_polar_space("q", 3, 2)
+    sp.generator_permutations()
+    monkeypatch.setattr(spaces, "_reflections", lambda space: iter(()))
+    with pytest.raises(AssertionError, match="orbits"):
+        spaces._stabilizer_permutations(sp)
+    monkeypatch.undo()
+    n = sp.num_generators
+    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", 8 * n * n - 1)
+    with pytest.raises(spaces.BudgetError):
+        spaces._stabilizer_permutations(sp)
 
 
 @pytest.mark.parametrize("key", ["q42", "qplus3-2"])
