@@ -680,7 +680,7 @@ def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
             f"{space.name}: the stabilizer of generator 0 needs up to "
             f"{8 * n * n / 2 ** 30:.1f} GiB of transversal, over the guard "
             f"of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
-    types = len(set(meet_types(space).tolist()))
+    n_types = len(set(meet_types(space).tolist()))
     kept = [np.array(p) for p in space.generator_permutations()]
     identity = np.arange(n)
     # the walk's tree: g = kept[via[g]][parent[g]]
@@ -754,7 +754,7 @@ def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
                 x = inverse[y]
                 if join(x):
                     found.append(x)
-                    if orbits == types:
+                    if orbits == n_types:
                         return True
                     idle = 0
                 else:
@@ -763,10 +763,10 @@ def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
                         break
         return False
 
-    if orbits > types and not (scan(_SCHREIER_PATIENCE) or scan(None)):
+    if orbits > n_types and not (scan(_SCHREIER_PATIENCE) or scan(None)):
         raise AssertionError(f"{space.name}: the stabilizer of generator 0 "
                              f"has {orbits} orbits on the generators, not "
-                             f"{types}")
+                             f"{n_types}")
     return [tuple(x.tolist()) for x in found]
 
 
