@@ -41,8 +41,8 @@ print(f"two runs on {sp.name}: identical witnesses: "
 
 print("\n== explicit budgets ==")
 sp = build_polar_space("h", 2, 2)
-res = min_blocking(sp, budget_nodes=2_000)
-print(f"H(4,4) with a 2k-node budget: complete={res.complete}, upper bound "
+res = min_blocking(sp, budget_nodes=300)
+print(f"H(4,4) with a 300-node budget: complete={res.complete}, upper bound "
       f"{res.optimum} from the {len(res.witnesses)} witnesses through "
       f"generator 0 found in {res.nodes} nodes")
 res = min_blocking(sp)
