@@ -46,14 +46,17 @@ least generator of the type chosen at the root and every earlier type
 banned by the root allowed mask, so each set through generator 0 is found
 in the run of its least type.  The runs share one node budget and one
 deadline, and in mode 'min' each is capped by the best size so far.  A
-complete search's sets are carried through the stabilizer permutations of
-PolarSpace.stabilizer_permutations, each set through generator 0 emitted
-once, from its least member of its least type (McKay, "Isomorph-free
-exhaustive generation", 1998), then expanded to their orbits under
-PolarSpace.generator_permutations (reflections in nonsingular points) and
-sorted; the lists equal those of the unpinned search.  A budget stop
-returns the sets of the runs so far, unexpanded.  min_cover on arbitrary
-lines assumes no symmetry and is not pinned.
+complete search's sets are then expanded twice by one breadth-first orbit
+walk, _orbit_images.  First each run's sets go through the permutations
+of PolarSpace.stabilizer_permutations, each set through generator 0
+emitted once, from its least member of its least type (McKay,
+"Isomorph-free exhaustive generation", 1998).  Then those sets go through
+PolarSpace.generator_permutations (reflections in nonsingular points),
+each set emitted from its least member, and the result is sorted; the
+lists equal those of the unpinned search.  Both permutation sets are int32
+arrays, one row per permutation, built on first use and cached on the
+space.  A budget stop returns the sets of the runs so far, unexpanded.
+min_cover on arbitrary lines assumes no symmetry and is not pinned.
 
 The plane oracle pins a triangle.  A blocking set of PG(2,q) that contains
 no line has three non-collinear points, and PGL(3,q) is transitive on
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappushpop
 from itertools import combinations
@@ -303,23 +307,26 @@ def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
 def _orbit_images(perms, start: int, sets, n: int, of_type=None):
     """The images of sets, which hold start, under perms, each emitted once.
 
-    A walk over the orbit of start yields, for every g in it, a product tau
-    of perms, as an index array, with tau(start) = g.  An image tau(P) is
-    kept only when g is its least member, or with of_type (a boolean mask
-    of a class of generators that perms keep, start among them) its least
-    member of that class.  When sets holds every set of a family that has
-    start as that member, a set of the family whose such member is g is
-    then tau(P) for exactly one P, so each is emitted once and no set of
-    seen sets is kept.  Unsorted.
+    A breadth-first walk over the orbit of start (from generator 0 under
+    the generator permutations, the tree of _stabilizer_permutations'
+    transversal) yields for every g in it a product tau of perms (rows of
+    an index array) with tau(start) = g.
+    An image tau(P) is kept only when g is its least member, or with
+    of_type (a boolean mask of a class of generators that perms keep, start
+    among them) its least member of that class.  When sets holds every set
+    of a family that has start as that member, a set of the family whose
+    such member is g is then tau(P) for exactly one P, so each is emitted
+    once and no set of seen sets is kept.  Breadth first, the queue holds
+    about one level of the tree.  Unsorted.
     """
     groups = [np.array([s for s in sets if len(s) == k], dtype=np.int32)
               for k in sorted({len(s) for s in sets})]
     out = []
     reached = np.zeros(n, dtype=bool)
     reached[start] = True
-    stack = [np.arange(n, dtype=np.int32)] if groups else []
-    while stack:
-        tau = stack.pop()
+    queue = deque([np.arange(n, dtype=np.int32)] if groups else [])
+    while queue:
+        tau = queue.popleft()
         g = int(tau[start])
         for rows in groups:
             images = np.sort(tau[rows], axis=1)
@@ -330,17 +337,8 @@ def _orbit_images(perms, start: int, sets, n: int, of_type=None):
             h = perm[g]
             if not reached[h]:
                 reached[h] = True
-                stack.append(perm[tau])
+                queue.append(perm[tau])
     return out
-
-
-def _orbit_expand(space: PolarSpace, pinned) -> list[tuple[int, ...]]:
-    """Every image of the pinned sets (all sets of a family that contain
-    generator 0) under the space's generator permutations, sorted: the
-    orbit of generator 0 is every generator, and each set is emitted from
-    its least member."""
-    perms = np.array(space.generator_permutations(), dtype=np.int32)
-    return sorted(_orbit_images(perms, 0, pinned, space.num_generators))
 
 
 def _type_runs(space: PolarSpace, rows, cols, keep=None, *, max_size: int,
@@ -384,36 +382,30 @@ def _type_runs(space: PolarSpace, rows, cols, keep=None, *, max_size: int,
     return runs, complete, nodes
 
 
-def _stabilizer_expand(space: PolarSpace, runs) -> list[tuple[int, ...]]:
-    """Every set through generator 0, from _type_runs' sets.
+def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
+    """The sets of a family, from _type_runs' sets.  Sets failing keep (a
+    property kept by isometries) are dropped before any expansion.
 
     The stabilizer permutations of generator 0 keep each type and have it
     as one orbit, so the sets through generator 0 whose least type is t are
     the images of the run of type t, each emitted from its least member of
-    type t.
-    """
-    n = space.num_generators
-    perms = np.array(space.stabilizer_permutations(), dtype=np.int32)
-    out = []
-    for members, sets in runs:
-        of_type = np.zeros(n, dtype=bool)
-        of_type[members] = True
-        out += _orbit_images(perms, int(members[0]), sets, n, of_type)
-    return out
-
-
-def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
-    """The sets of a family through generator 0, found by _type_runs and
-    carried through the stabilizer of generator 0, then expanded to their
-    orbits: the isometry group is transitive on generators, so every set is
-    an image of one through generator 0.  Sets failing keep (a property
-    kept by isometries) are dropped before any expansion.  A budget stop
-    returns the sets of the runs so far, unexpanded."""
+    type t.  The isometry group is transitive on generators, so every set
+    is an image of one through generator 0 under the generator
+    permutations, emitted from its least member; the result is sorted.  A
+    budget stop returns the sets of the runs so far, unexpanded."""
     t0 = time.monotonic()
     runs, complete, nodes = _type_runs(space, rows, cols, keep, **kw)
     sols = sorted(w for _, sets in runs for w in sets)
     if complete and sols:
-        sols = _orbit_expand(space, _stabilizer_expand(space, runs))
+        n = space.num_generators
+        through0 = []
+        for members, sets in runs:
+            of_type = np.zeros(n, dtype=bool)
+            of_type[members] = True
+            through0 += _orbit_images(space.stabilizer_permutations(),
+                                      int(members[0]), sets, n, of_type)
+        sols = sorted(_orbit_images(space.generator_permutations(), 0,
+                                    through0, n))
     return sols, complete, nodes, time.monotonic() - t0
 
 

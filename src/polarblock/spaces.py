@@ -228,10 +228,6 @@ class PolarSpace:
             self.s, self.t = st_params(kind, q)
         else:
             self.s = self.t = None
-        self._hash = None
-        self._gen_perms = None
-        self._stab_perms = None
-        self._quotient_maps = {}
         self._derived = {}
 
     @property
@@ -270,21 +266,20 @@ class PolarSpace:
             common &= self.point_gen_mask[i]
         return list(_iter_bits(common))
 
-    def generator_permutations(self) -> list[tuple[int, ...]]:
+    def generator_permutations(self) -> np.ndarray:
         """Generator permutations induced by isometries, under which
-        generator 0 has every generator in its orbit (computed on first
-        use, then cached)."""
-        if self._gen_perms is None:
-            self._gen_perms = _reflection_permutations(self)
-        return self._gen_perms
+        generator 0 has every generator in its orbit, as the rows of an
+        int32 array (computed on first use, then cached)."""
+        return self.cached("generator_permutations", None,
+                           _reflection_permutations, self)
 
-    def stabilizer_permutations(self) -> list[tuple[int, ...]]:
+    def stabilizer_permutations(self) -> np.ndarray:
         """Generator permutations induced by isometries that fix generator
         0, under which the generators sharing t points with it are one
-        orbit, for each t (computed on first use, then cached)."""
-        if self._stab_perms is None:
-            self._stab_perms = _stabilizer_permutations(self)
-        return self._stab_perms
+        orbit, for each t, as the rows of an int32 array (computed on first
+        use, then cached)."""
+        return self.cached("stabilizer_permutations", None,
+                           _stabilizer_permutations, self)
 
     def quotient_map(self, point_idx: int) -> "QuotientMap":
         """The projection onto the quotient at a point (built on first use,
@@ -293,32 +288,21 @@ class PolarSpace:
             raise BuildError("quotient needs rank >= 2")
         if not 0 <= point_idx < self.num_points:
             raise BuildError(f"no point with index {point_idx}")
-        qm = self._quotient_maps.get(point_idx)
-        if qm is None:
-            qm = self._quotient_maps[point_idx] = QuotientMap(self, point_idx)
-        return qm
+        return self.cached("quotient_map", point_idx, QuotientMap, self,
+                           point_idx)
 
     def cached(self, table: str, key, build, *args):
         """build(*args), kept under key in the named table: computed on
         first use, then cached.  The key must determine the result on this
-        space, as a canonical RREF row tuple or a point mask does."""
+        space, as a canonical RREF row tuple or a point mask does (None in
+        a table of one entry)."""
         entries = self._derived.setdefault(table, {})
         if key not in entries:
             entries[key] = build(*args)
         return entries[key]
 
     def content_hash(self) -> str:
-        if self._hash is None:
-            payload = {
-                "kind": self.kind,
-                "rank": self.rank,
-                "q": self.q,
-                "points": [list(p) for p in self.points],
-                "generators": [[list(r) for r in g.rows] for g in self.generators],
-            }
-            blob = json.dumps(payload, separators=(",", ":")).encode()
-            self._hash = hashlib.sha256(blob).hexdigest()
-        return self._hash
+        return self.cached("content_hash", None, _content_hash, self)
 
     def stats(self) -> dict:
         per_point = self.point_gen_mask[0].bit_count() if self.num_points else 0
@@ -337,6 +321,18 @@ class PolarSpace:
             "points_per_generator": self.points_per_generator(),
             "hash": self.content_hash(),
         }
+
+
+def _content_hash(space: PolarSpace) -> str:
+    payload = {
+        "kind": space.kind,
+        "rank": space.rank,
+        "q": space.q,
+        "points": [list(p) for p in space.points],
+        "generators": [[list(r) for r in g.rows] for g in space.generators],
+    }
+    blob = json.dumps(payload, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _singular_points(form: Form) -> list[Vector]:
@@ -585,7 +581,8 @@ def _reflections(space: PolarSpace):
     def gen_images(pmap, v, gens=None):
         image = pmap[gen_rows if gens is None else gen_rows[gens]]
         gmap = np.array([gen_of_key.get(k, -1)
-                         for k in weight[image].sum(axis=1).tolist()])
+                         for k in weight[image].sum(axis=1).tolist()],
+                        dtype=np.int32)
         if ((gmap < 0).any()
                 or (np.sort(image, axis=1) != gen_rows[gmap]).any()
                 or gens is None
@@ -613,7 +610,20 @@ def _reflections(space: PolarSpace):
         yield v, partial(gen_images, pmap, v)
 
 
-def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
+def _close(maps, marked: np.ndarray) -> np.ndarray:
+    """The union of the orbits of the marked generators (a boolean mask)
+    under the maps (index arrays), as a new mask."""
+    new = marked
+    while new.any():
+        grown = marked.copy()
+        for m in maps:
+            grown[m[new]] = True
+        new = grown & ~marked
+        marked = grown
+    return marked
+
+
+def _reflection_permutations(space: PolarSpace) -> np.ndarray:
     """Generator permutations of reflections: one is kept only when it
     enlarges the orbit of generator 0 under those kept before, and the scan
     stops once that orbit is every generator.  The orbit's image decides
@@ -627,19 +637,13 @@ def _reflection_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
         if in_orbit[images(in_orbit)].all():
             continue
         maps.append(images())
-        while True:  # close the orbit under the kept maps
-            grown = in_orbit.copy()
-            for m in maps:
-                grown[m[in_orbit]] = True
-            if (grown == in_orbit).all():
-                break
-            in_orbit = grown
+        in_orbit = _close(maps, in_orbit)
         if in_orbit.all():
             break
     if not in_orbit.all():
         raise AssertionError(f"{space.name}: reflections move generator 0 to "
                              f"{int(in_orbit.sum())} of {n_gens} generators")
-    return [tuple(m.tolist()) for m in maps]
+    return np.array(maps, dtype=np.int32).reshape(-1, n_gens)
 
 
 def meet_types(space: PolarSpace) -> np.ndarray:
@@ -649,14 +653,14 @@ def meet_types(space: PolarSpace) -> np.ndarray:
     return np.array([(g0 & m).bit_count() for m in space.gen_point_mask])
 
 
-# Schreier generators of one map tried in a row without joining two orbits
-# before _stabilizer_permutations moves on to the next map.
+# Schreier generators of one map tried in a row without one kept before
+# _stabilizer_permutations moves on to the next map.
 _SCHREIER_PATIENCE = 16
 
 
-def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
+def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
     """Generator permutations that fix generator 0, under which each type
-    (see meet_types) is one orbit.
+    (see meet_types) is one orbit, as the rows of an int32 array.
 
     Schreier's lemma (Seress, Permutation Group Algorithms, 2003): if the
     maps S generate a group G and u_g in G sends generator 0 to g, for each
@@ -665,33 +669,37 @@ def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
     along the tree of a breadth-first walk from generator 0 under the
     reflections kept by generator_permutations, each made on first use.  S
     is those reflections, then every other reflection in scan order: on
-    Q(6,2) and Q(4,5) the kept ones generate too small a group.  A Schreier
-    generator is kept when it joins two orbits of those kept before, and the
-    scan stops once the orbits are as few as the types, which they refine.
-    The Schreier generators of a map are tried in walk order until
-    _SCHREIER_PATIENCE in a row join nothing.  If the maps run out first,
-    the scan is made again with all of them before AssertionError reports a
-    type that stays intransitive.  The u_g take 8 bytes per generator each;
-    BudgetError is raised when n of them would pass MAX_BUILD_BYTES.
+    Q(4,2), Q+(3,2), Q(6,2), Q(4,5) and Q(8,2) the kept ones generate too
+    small a group.  The least generator of each type is marked, and a
+    Schreier generator is kept when it moves a marked generator to an
+    unmarked one; the marked set is then closed under those kept (_close).
+    The orbits refine the types, so once every generator is marked each
+    type is one orbit, and the scan stops.  The Schreier generators of a
+    map are tried in walk order until _SCHREIER_PATIENCE in a row are not
+    kept.  If the maps run out first, the scan is made again with all of
+    them, as long as it keeps one, before AssertionError reports the
+    orbits that stay unmarked.  Each u_g and each kept Schreier generator
+    is a row of 4 bytes per generator, and there are at most n of each
+    (each kept one marks a generator more); BudgetError is raised when
+    those 8 n^2 bytes would pass MAX_BUILD_BYTES.
     """
     n = space.num_generators
     if 8 * n * n > MAX_BUILD_BYTES:
         raise BudgetError(
             f"{space.name}: the stabilizer of generator 0 needs up to "
-            f"{8 * n * n / 2 ** 30:.1f} GiB of transversal, over the guard "
+            f"{8 * n * n / 2 ** 30:.1f} GiB of transversal and Schreier "
+            f"generators, over the guard "
             f"of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
-    n_types = len(set(meet_types(space).tolist()))
-    kept = [np.array(p) for p in space.generator_permutations()]
+    marked = np.zeros(n, dtype=bool)
+    marked[np.unique(meet_types(space), return_index=True)[1]] = True
+    kept = space.generator_permutations()
     identity = np.arange(n)
     # the walk's tree: g = kept[via[g]][parent[g]]
-    parent = np.full(n, -1)
-    via = np.zeros(n, dtype=np.int64)
-    parent[0] = 0
+    parent, via = {0: 0}, {}
     order = [0]
     for g in order:
-        for i, s in enumerate(kept):
-            h = s[g]
-            if parent[h] < 0:
+        for i, h in enumerate(kept[:, g].tolist()):
+            if h not in parent:
                 parent[h], via[h] = g, i
                 order.append(h)
     u = {0: identity}
@@ -700,74 +708,55 @@ def _stabilizer_permutations(space: PolarSpace) -> list[tuple[int, ...]]:
         path = []
         while g not in u:
             path.append(g)
-            g = int(parent[g])
+            g = parent[g]
         for h in reversed(path):
             u[h] = kept[via[h]][u[g]]
             g = h
         return u[g]
 
-    orbit = identity.copy()  # the least generator of each one's orbit
-    orbits = n
-
-    def join(x):
-        # merge the orbits that x joins; True if it joins any
-        nonlocal orbit, orbits
-        a, b = orbit, orbit[x]
-        moved = a != b
-        if not moved.any():
-            return False
-        root = {}
-
-        def find(k):
-            while k in root:
-                k = root[k]
-            return k
-
-        for p, q in set(zip(a[moved].tolist(), b[moved].tolist())):
-            p, q = find(p), find(q)
-            if p != q:
-                root[max(p, q)] = min(p, q)
-                orbits -= 1
-        relabel = identity.copy()
-        for k in root:
-            relabel[k] = find(k)
-        orbit = relabel[orbit]
-        return True
-
     def maps():
-        yield from kept
+        # as intp arrays: numpy casts an int32 index array on every use
+        yield from kept.astype(np.intp)
         seen = {s.tobytes() for s in kept}
         for _, images in _reflections(space):
             s = images()
             if s.tobytes() not in seen:
-                yield s
+                yield s.astype(np.intp)
 
-    inverse = np.empty_like(identity)
+    inverse = np.empty(n, dtype=np.intp)
     found = []
 
     def scan(patience):
+        # one scan of the maps; True if it keeps a Schreier generator
+        nonlocal marked
+        before = len(found)
         for s in maps():
             idle = 0
             for g in order:
                 y = s[transversal(g)]
-                inverse[transversal(int(y[0]))] = identity
+                inverse[transversal(y[0])] = identity
                 x = inverse[y]
-                if join(x):
-                    found.append(x)
-                    if orbits == n_types:
-                        return True
-                    idle = 0
-                else:
+                if marked[x[marked]].all():
                     idle += 1
                     if idle == patience:
                         break
-        return False
+                    continue
+                found.append(x.astype(np.int32))
+                marked = _close(found, marked)
+                if marked.all():
+                    return True
+                idle = 0
+        return len(found) > before
 
-    if orbits > n_types and not (scan(_SCHREIER_PATIENCE) or scan(None)):
-        raise AssertionError(f"{space.name}: the stabilizer of generator 0 "
-                             f"has {orbits} orbits on the generators, not "
-                             f"{n_types}")
-    return [tuple(x.tolist()) for x in found]
+    patience = _SCHREIER_PATIENCE
+    while not marked.all():
+        if not scan(patience) and patience is None:
+            raise AssertionError(
+                f"{space.name}: the orbits of the stabilizer of generator 0 "
+                f"reach {int(marked.sum())} of {n} generators from the least "
+                "of each type")
+        patience = None
+    return np.array(found, dtype=np.int32).reshape(-1, n)
 
 
 # -- quotient geometry --------------------------------------------------------

@@ -728,6 +728,8 @@ def test_generator_permutations_preserve_meets(key):
     sp = build_polar_space(*_SYMMETRY_SPACES[key])
     perms = sp.generator_permutations()
     assert perms is sp.generator_permutations()  # cached on the space
+    assert perms.dtype == np.int32 and perms.shape == (len(perms),
+                                                       sp.num_generators)
     meets = _meets_matrix(sp)
     for perm in perms:
         assert sorted(perm) == list(range(sp.num_generators))
@@ -761,13 +763,17 @@ _PERM_PINS = {
 @pytest.mark.parametrize("key", sorted(_PERM_PINS))
 def test_generator_permutations_pinned(key):
     perms = build_polar_space(*_SYMMETRY_SPACES[key]).generator_permutations()
-    digest = hashlib.sha256(json.dumps(perms).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(perms.tolist()).encode()).hexdigest()
     assert (len(perms), digest) == _PERM_PINS[key]
 
 
-_STABILIZER_SPACES = {"q43": ("q", 2, 3), "qm52": ("qminus", 2, 2),
+# on q42, qplus3-2, q62, q45 and q82 the kept reflections generate too
+# small a group, and further reflections are scanned
+_STABILIZER_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
+                      "q43": ("q", 2, 3), "qm52": ("qminus", 2, 2),
                       "q62": ("q", 3, 2), "h44": ("h", 2, 2),
-                      "qm72": ("qminus", 3, 2), "q45": ("q", 2, 5)}
+                      "qm72": ("qminus", 3, 2), "q45": ("q", 2, 5),
+                      "q82": ("q", 4, 2)}
 
 
 @pytest.mark.parametrize("key", sorted(_STABILIZER_SPACES))
@@ -775,6 +781,8 @@ def test_stabilizer_permutations(key):
     sp = build_polar_space(*_STABILIZER_SPACES[key])
     perms = sp.stabilizer_permutations()
     assert perms is sp.stabilizer_permutations()  # cached on the space
+    assert perms.dtype == np.int32 and perms.shape == (len(perms),
+                                                       sp.num_generators)
     meets = _meets_matrix(sp)
     for perm in perms:
         assert sorted(perm) == list(range(sp.num_generators))
