@@ -141,6 +141,9 @@ PINNED_THRESHOLDS = {
     4: "1eef05b76ad82cfff0716b5cc0a8e9dd3dc1d2a0432eec499ed0e431cb5a8dc3",
     5: "1fce9449c4cae29e0533296127104a5290aa297d49d02b8fb3bf86e534e6e369",
     7: "89c3d630ccf6e70fdea95c0487bb8350b4b3469b404c15d62c0af570da4eaa8b",
+    # beyond the oracle range: the prime formula, and no "size" key
+    11: "51717a3cea3bc1a45a51465ab1edb97ad35dfec5d4a32ff8186849b2f5fdcc62",
+    13: "a3ce885777b796e9d7c9d3e52a2fa09d9d3f651bd5fedf7f0fb6198a6ee06efd",
 }
 
 
@@ -149,6 +152,34 @@ def test_thresholds_json_pinned(capsys, q):
     code, out, _ = run(capsys, "--format", "json", "thresholds", "--q", str(q))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_THRESHOLDS[q]
+
+
+@pytest.mark.parametrize("q,text", [
+    (3, "q = 3\n"
+        "qminus: delta <= (3q - sqrt(5q^2+2q+1))/2; admissible delta up to 0\n"
+        "h: delta < q-3; admissible delta up to -1\n"
+        "q: delta < min((q-1)/2, eps); admissible delta up to 0\n"
+        "epsilon: {'exists': True, 'size': 6, 'epsilon': 2, "
+        "'source': 'search'}\n"),
+    (11, "q = 11\n"
+         "qminus: delta <= (3q - sqrt(5q^2+2q+1))/2; admissible delta up to 3\n"
+         "h: delta < q-3; admissible delta up to 7\n"
+         "q: delta < min((q-1)/2, eps); admissible delta up to 4\n"
+         "epsilon: {'exists': True, 'epsilon': 6, 'source': 'prime-formula'}\n"),
+])
+def test_thresholds_text_pinned(capsys, q, text):
+    code, out, _ = run(capsys, "thresholds", "--q", str(q))
+    assert code == 0
+    assert out == text
+
+
+def test_thresholds_without_epsilon_exits_1(capsys):
+    # 16 is past the oracle range and not prime: no epsilon, no "q" threshold
+    code, out, err = run(capsys, "--format", "json", "thresholds", "--q", "16")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: q = 16 outside the oracle range and not prime: "
+                   "no epsilon\n")
 
 
 def test_thresholds_runs_oracle_once(capsys, monkeypatch):
