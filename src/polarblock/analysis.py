@@ -97,15 +97,6 @@ class BlockingSet:
     def delta(self) -> int:
         return delta_of(self.space, self.size)
 
-    def mask(self) -> int:
-        return members_mask(self.members)
-
-    def is_blocking(self) -> bool:
-        return is_blocking(self.space, self.members)
-
-    def is_minimal(self) -> bool:
-        return is_minimal(self.space, self.members)
-
     def to_json(self) -> dict:
         sp = self.space
         return {
@@ -234,37 +225,24 @@ class IdentityReport:
         return self.applicable and all(i.ok for i in self.items.values())
 
 
-def check_coverage_identities(space: PolarSpace, members,
-                              profile: CoverageProfile | None = None
-                              ) -> IdentityReport:
+def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     """The identity/inequality battery for rank-2 blocking sets with
     delta < s-1: per-hole line histogram identity and perp bound, the
     meet bound delta+1 with its histogram consequences, the b~ vs b
     comparison, the global counting inequality, and the pencil bound at
-    points not fully surrounded by members.
-
-    profile: the set's coverage_profile, when the caller has just made it;
-    the set is then neither validated nor profiled again, and a rank-2
-    profile's b_0 (the generators that meet no member) decides blocking.
-    A profile of other members raises ValueError."""
-    if profile is None:
-        members = validate_members(space, members)
-    elif tuple(sorted(members)) != profile.members:
-        raise ValueError("the coverage profile is of another set")
-    else:
-        members = profile.members
+    points not fully surrounded by members."""
+    members = validate_members(space, members)
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces",
                               delta_of(space, len(members)))
-    if (profile.b.get(0, 0) if profile is not None
-            else not is_blocking(space, members)):
+    if not is_blocking(space, members):
         return IdentityReport(False, "set is not blocking", delta_of(space, len(members)))
     s, t = space.s, space.t
     delta = len(members) - (t + 1)
     if delta >= s - 1:
         return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable",
                               delta)
-    prof = profile if profile is not None else coverage_profile(space, members)
+    prof = coverage_profile(space, members)
     lmask = members_mask(members)
     items: dict[str, CheckItem] = {}
 
@@ -728,14 +706,12 @@ def _resolve_epsilon(q: int, epsilon):
         if not res.complete:
             raise BudgetError(f"PG(2,{q}) plane oracle {res.note}")
         return res.epsilon, res.exists, res.source
-    if epsilon is None:
-        return None, False, "caller"
     return int(epsilon), True, "caller"
 
 
-def spread_size_gate(kind: str, q: int, rank: int = 3, epsilon="auto") -> int:
+def spread_size_gate(kind: str, q: int) -> int:
     """Integer lower bound on maximal partial spread sizes implied by the
     rank >= 3 classification: pencil/cone examples are never partial
     spreads, so sizes at admissible delta are excluded."""
-    th = theorem_threshold(kind, q, rank, epsilon)
+    th = theorem_threshold(kind, q)
     return pencil_size(kind, q) + th.max_delta + 1

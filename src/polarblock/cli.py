@@ -149,8 +149,7 @@ def cmd_verify(args):
         "excess_W": prof.W,
         "holes": len(prof.holes),
     }
-    identities = analysis.check_coverage_identities(space, members,
-                                                     profile=prof)
+    identities = analysis.check_coverage_identities(space, members)
     report["identities"] = {
         "applicable": identities.applicable,
         "reason": identities.reason,
@@ -231,36 +230,26 @@ def cmd_search(args):
 
 def cmd_thresholds(args):
     q = args.q
-    eps = search.smallest_nontrivial_pg2(q) if q <= 9 else None
-    if eps is not None and not eps.complete:
-        # a stopped oracle leaves epsilon unknown, not absent: no
-        # threshold follows from it
-        raise BudgetError(f"PG(2,{q}) plane oracle {eps.note}")
-    # the oracle's answer feeds the threshold, so it runs once
-    epsilon = "auto" if eps is None else (eps.epsilon if eps.exists else None)
     # "q" holds the parabolic kind's threshold, as "qminus" and "h" do theirs
     payload = {"base_q": q}
     for kind in ("qminus", "h", "q"):
-        th = analysis.theorem_threshold(kind, q, epsilon=epsilon)
+        th = analysis.theorem_threshold(kind, q)
         payload[kind] = {
             "description": th.description,
             "max_delta": th.max_delta,
             "value": th.value,
         }
-    if eps is not None:
-        payload["epsilon"] = {
-            "exists": eps.exists, "size": eps.size, "epsilon": eps.epsilon,
-            "source": eps.source,
-        }
-    else:  # th is the "q" threshold, with the prime-formula epsilon
-        payload["epsilon"] = {"exists": th.epsilon_exists, "epsilon": th.epsilon,
-                              "source": th.epsilon_source}
+    # th is the "q" threshold; only a searched epsilon has a witness size
+    e = {"exists": th.epsilon_exists}
+    if th.epsilon_source == "search":
+        e["size"] = q + 1 + th.epsilon if th.epsilon_exists else None
+    e.update(epsilon=th.epsilon, source=th.epsilon_source)
+    payload["epsilon"] = e
     text = [f"q = {q}"]
     for kind in ("qminus", "h", "q"):
         d = payload[kind]
         text.append(f"{kind}: {d['description']}; admissible delta up to "
                     f"{d['max_delta']}")
-    e = payload["epsilon"]
     text.append(f"epsilon: {e}")
     _emit(args, payload, "\n".join(text))
     return EXIT_OK

@@ -134,24 +134,17 @@ def hyperbolic_section(space: PolarSpace) -> SectionStructure:
     return find_section(space, f"Q+(3,{space.q})")
 
 
-def section_cover(space: PolarSpace, hyperplane: Subspace | None = None,
-                  budget_nodes: int = search.DEFAULT_BUDGET_NODES,
-                  budget_secs: float | None = None) -> BlockingSet:
-    """A minimum cover of a nondegenerate Q(4,q) hyperplane section of an
-    elliptic rank-2 space, as a blocking set of the ambient space.  For q
-    even the minimum cover is a spread of the section (size q^2+1)."""
+def section_cover(space: PolarSpace) -> BlockingSet:
+    """A minimum cover of the lex-least nondegenerate Q(4,q) hyperplane
+    section of an elliptic rank-2 space, as a blocking set of the ambient
+    space.  For q even the minimum cover is a spread of the section (size
+    q^2+1)."""
     if space.kind != "qminus" or space.rank != 2:
         raise ValueError("section covers live in Q-(5,q)")
-    if hyperplane is None:
-        sec = find_section(space, f"Q(4,{space.q})")
-    else:
-        sec = hyperplane_section(space, hyperplane)
-        if sec.label != f"Q(4,{space.q})":
-            raise ValueError(f"section is {sec.label}, not a nondegenerate "
-                             f"Q(4,{space.q})")
+    sec = find_section(space, f"Q(4,{space.q})")
     lines = [space.gen_points[g] for g in sec.gen_indices]
-    res = search.min_cover(sec.point_indices, lines,
-                           budget_nodes=budget_nodes, budget_secs=budget_secs)
+    # POLARBLOCK_BUDGET_SECS, the search's default deadline, can stop it
+    res = search.min_cover(sec.point_indices, lines)
     if not res.complete or res.optimum is None:
         raise BudgetError("section cover search did not complete within budget")
     members = tuple(sorted(sec.gen_indices[i] for i in res.witnesses[0]))

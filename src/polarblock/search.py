@@ -469,22 +469,20 @@ def _greedy_cover_size(line_masks, all_mask: int) -> int:
     return size
 
 
-def min_cover(points, lines, upper_bound: int | None = None,
-              budget_nodes: int = DEFAULT_BUDGET_NODES,
+def min_cover(points, lines, budget_nodes: int = DEFAULT_BUDGET_NODES,
               budget_secs: float | None = None) -> SearchResult:
     """Exact minimum set cover: every point in some chosen line.
 
     points: iterable of point ids; lines: list of point-id collections.
     Witnesses are index tuples into the lines list.  No symmetry is
-    assumed, so nothing is pinned.
+    assumed, so nothing is pinned; a greedy cover bounds the search.
     """
     pts = list(points)
     pidx = {p: i for i, p in enumerate(pts)}
     line_masks = [analysis.members_mask(pidx[p] for p in l) for l in lines]
-    if upper_bound is None:
-        upper_bound = _greedy_cover_size(line_masks, (1 << len(pts)) - 1)
     sols, complete, nodes, seconds = _run_engine(
-        _transpose(line_masks, len(pts)), line_masks, max_size=upper_bound,
+        _transpose(line_masks, len(pts)), line_masks,
+        max_size=_greedy_cover_size(line_masks, (1 << len(pts)) - 1),
         mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
     return SearchResult(optimum, sols, complete, nodes, seconds)
