@@ -239,7 +239,8 @@ def cmd_thresholds(args):
             "max_delta": th.max_delta,
             "value": th.value,
         }
-    # th is the "q" threshold; only a searched epsilon has a witness size
+    # th is the "q" threshold; where the oracle searched, the block also
+    # gives the size q+1+eps of the smallest non-trivial plane blocking set
     e = {"exists": th.epsilon_exists}
     if th.epsilon_source == "search":
         e["size"] = q + 1 + th.epsilon if th.epsilon_exists else None
