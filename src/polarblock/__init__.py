@@ -8,7 +8,7 @@ exact minimum searches (blocking sets, covers, maximal partial spreads)
 at small field order.
 """
 
-from .gf import GF, arith, field_of_order, make_field
+from .gf import GF, field_of_order, make_field
 from .projective import (
     Subspace,
     canonicalize,

@@ -15,36 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, constructions, search
-from .analysis import (
-    LABEL_CONE_CONIC,
-    LABEL_CONE_ELLIPTIC,
-    LABEL_CONE_HERMITIAN,
-    LABEL_CONE_Q4COVER,
-    LABEL_CONE_QPLUS3,
-    LABEL_COVER_Q4,
-    LABEL_PENCIL,
-    LABEL_SUBGQ_SPREAD,
-)
+from .analysis import CONE_ROWS, theorem_labels
 from .projective import Subspace
 from .spaces import BudgetError, build_polar_space, st_params
 
 RNG_SEED = 20110811
-
-ROW_LABEL = {
-    "conic-pencil": LABEL_CONE_CONIC,
-    "qplus3-spread": LABEL_CONE_QPLUS3,
-    "elliptic-pencil": LABEL_CONE_ELLIPTIC,
-    "q4-cover": LABEL_CONE_Q4COVER,
-    "hermitian-pencil": LABEL_CONE_HERMITIAN,
-}
-
-ROW_BASE_NAME = {
-    "conic-pencil": "Q(2,2)",
-    "qplus3-spread": "Q+(3,2)",
-    "elliptic-pencil": "Q-(3,2)",
-    "q4-cover": "Q(4,2)",
-    "hermitian-pencil": "H(2,4)",
-}
 
 
 @dataclass
@@ -131,7 +106,7 @@ def criterion_3():
         if res.optimum != sp.t + 1:
             return _fail(cid, title, f"{sp.name}: optimum {res.optimum} != {sp.t + 1}")
         census = _census(sp, search.minimum_minimal_blocking_sets(sp, res))
-        bad = set(census) - {LABEL_PENCIL, LABEL_SUBGQ_SPREAD}
+        bad = set(census) - theorem_labels("q", 2)
         if bad:
             return _fail(cid, title, f"{sp.name}: unexpected labels {bad}")
         lines.append(f"{sp.name}: optimum {res.optimum}, census {census}")
@@ -152,7 +127,7 @@ def criterion_4():
     if short:
         return _fail(cid, title, f"minimal set of size {len(short[0])} below 5")
     census = _census(sp, er.sets)
-    bad = set(census) - {LABEL_PENCIL, LABEL_COVER_Q4}
+    bad = set(census) - theorem_labels("qminus", 2)
     if bad:
         return _fail(cid, title, f"unexpected labels {bad}")
     return _ok(cid, title, f"{len(er.sets)} minimal sets, census {census}")
@@ -169,18 +144,17 @@ def criterion_5():
     if not er.complete:
         return _fail(cid, title, "enumeration incomplete")
     census = _census(sp, er.sets)
-    bad = set(census) - {LABEL_CONE_CONIC, LABEL_CONE_QPLUS3}
+    bad = set(census) - theorem_labels("q", 3)
     if bad:
         return _fail(cid, title, f"unexpected labels {bad}")
     return _ok(cid, title, f"{len(er.sets)} minimal sets, census {census}")
 
 
+# the catalogue's rows of each kind at rank 3, and the parabolic ones at
+# rank 4, all at q = 2
 CONE_SPACES = [
-    ("q", 3, 2, ("conic-pencil", "qplus3-spread")),
-    ("qminus", 3, 2, ("elliptic-pencil", "q4-cover")),
-    ("h", 3, 2, ("hermitian-pencil",)),
-    ("q", 4, 2, ("conic-pencil", "qplus3-spread")),
-]
+    (kind, rank, 2, tuple(r for r, spec in CONE_ROWS.items() if spec.kind == kind))
+    for kind, rank in (("q", 3), ("qminus", 3), ("h", 3), ("q", 4))]
 
 
 def criterion_6():
@@ -197,7 +171,7 @@ def criterion_6():
             if not analysis.is_minimal(sp, bs.members):
                 return _fail(cid, title, f"{sp.name} {row}: not minimal")
             label = analysis.classify(sp, bs.members).label
-            if label != ROW_LABEL[row]:
+            if label != CONE_ROWS[row].label:
                 return _fail(cid, title,
                              f"{sp.name} {row}: classified {label}")
         dt = time.monotonic() - t0
@@ -263,23 +237,21 @@ def criterion_7():
 def criterion_8():
     """Hyperplane-avoidance counts of the five cone covers."""
     cid, title = 8, "Cone covers avoid every hyperplane of their span enough"
-    rows = [("q", 3, 2, "conic-pencil"), ("q", 3, 2, "qplus3-spread"),
-            ("qminus", 3, 2, "elliptic-pencil"), ("qminus", 3, 2, "q4-cover"),
-            ("h", 3, 2, "hermitian-pencil")]
+    q = 2
     lines = []
     skipped = []
-    for kind, rank, q, row in rows:
+    for row, spec in CONE_ROWS.items():
         try:
-            bs = _example(kind, rank, q, row)
+            bs = _example(spec.kind, 3, q, row)
         except BudgetError as e:
             skipped.append(f"{row}: {e}")
             continue
-        sp = build_polar_space(kind, rank, q)
+        sp = build_polar_space(spec.kind, 3, q)
         got, _ = constructions.min_generators_outside_hyperplanes(sp, bs.members)
-        bound = constructions.CONE_AVOIDANCE_BOUND[row](q)
+        bound = spec.avoidance(q)
         if got < bound:
             return _fail(cid, title,
-                         f"{sp.name} {row} (base {ROW_BASE_NAME[row]}): "
+                         f"{sp.name} {row} (base {spec.base_name}): "
                          f"min outside = {got} < {bound}")
         lines.append(f"{row}: {got} >= {bound}")
     detail = "; ".join(lines)

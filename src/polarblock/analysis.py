@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
+from typing import Callable, NamedTuple
 
 from .forms import is_totally_singular
 # meet and span stay importable here: perfbench/tracer.py wraps these names
@@ -42,18 +43,52 @@ from .spaces import (
 LABEL_PENCIL = "Pencil"
 LABEL_SUBGQ_SPREAD = "SubGQSpread"
 LABEL_COVER_Q4 = "CoverOfSectionQ4"
-LABEL_CONE_CONIC = "ConeOverConicPencil"
-LABEL_CONE_QPLUS3 = "ConeOverQplus3Spread"
-LABEL_CONE_ELLIPTIC = "ConeOverEllipticPencil"
-LABEL_CONE_Q4COVER = "ConeOverQ4Cover"
-LABEL_CONE_HERMITIAN = "ConeOverHermitianPencil"
 LABEL_UNKNOWN = "Unknown"
 
-_CONE_PENCIL_LABELS = {
-    "q": LABEL_CONE_CONIC,
-    "qminus": LABEL_CONE_ELLIPTIC,
-    "h": LABEL_CONE_HERMITIAN,
+
+class ConeRow(NamedTuple):
+    """One row of the catalogue of cones in rank >= 3: generators through
+    a vertex meeting a base structure of the rank-2 quotient at it."""
+    kind: str
+    label: str
+    base: str | None    # base label in the quotient; None for a pencil row,
+                        # whose vertex has dimension rank-2
+    base_name: str
+    avoidance: Callable[[int], int]   # least members off a hyperplane, in q
+
+
+# the paper's cone catalogue, keyed by the row names of `construct`
+CONE_ROWS = {
+    "conic-pencil": ConeRow("q", "ConeOverConicPencil", None, "Q(2,q)",
+                            lambda q: q - 1),
+    "qplus3-spread": ConeRow("q", "ConeOverQplus3Spread", LABEL_SUBGQ_SPREAD,
+                             "Q+(3,q)", lambda q: q - 1),
+    "elliptic-pencil": ConeRow("qminus", "ConeOverEllipticPencil", None,
+                               "Q-(3,q)", lambda q: q * q - q),
+    "q4-cover": ConeRow("qminus", "ConeOverQ4Cover", LABEL_COVER_Q4,
+                        "Q(4,q)", lambda q: q * q - q),
+    "hermitian-pencil": ConeRow("h", "ConeOverHermitianPencil", None,
+                                "H(2,q^2)", lambda q: q ** 3 - q),
 }
+
+
+def theorem_labels(kind: str, rank: int) -> frozenset[str]:
+    """The labels the classification theorems allow for small minimal
+    blocking sets of a space of this kind and rank >= 2: the pencil and
+    the cone bases at rank 2, the cones at rank >= 3."""
+    rows = [r for r in CONE_ROWS.values() if r.kind == kind]
+    if rank == 2:
+        return frozenset([LABEL_PENCIL] + [r.base for r in rows if r.base])
+    return frozenset(r.label for r in rows)
+
+
+def _cone_label(kind: str, base: str | None) -> str:
+    """Label of the catalogue row of this kind over this base label (None
+    for the pencil row), Unknown when there is none."""
+    for r in CONE_ROWS.values():
+        if r.kind == kind and r.base == base:
+            return r.label
+    return LABEL_UNKNOWN
 
 
 def members_mask(members) -> int:
@@ -484,7 +519,7 @@ class Classification:
 def _pencil_label(space: PolarSpace) -> str:
     if space.rank == 2:
         return LABEL_PENCIL
-    return _CONE_PENCIL_LABELS.get(space.kind, LABEL_UNKNOWN)
+    return _cone_label(space.kind, None)
 
 
 def _is_pencil(space: PolarSpace, members, v: Subspace) -> bool:
@@ -593,10 +628,9 @@ def classify(space: PolarSpace, members) -> Classification:
         if len(proj) == len(members) and is_blocking(qspace, proj) \
                 and is_minimal(qspace, proj):
             base = _classify_rank2(qspace, proj)
-            if base.label == LABEL_SUBGQ_SPREAD and space.kind == "q":
-                result = Classification(LABEL_CONE_QPLUS3, vertex=v, base=base)
-            elif base.label == LABEL_COVER_Q4 and space.kind == "qminus":
-                result = Classification(LABEL_CONE_Q4COVER, vertex=v, base=base)
+            label = _cone_label(space.kind, base.label)
+            if label != LABEL_UNKNOWN:
+                result = Classification(label, vertex=v, base=base)
 
     if result.label != LABEL_UNKNOWN:
         if not verify_classification(space, members, result):
@@ -612,7 +646,8 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
     v = cls.vertex
     if label == LABEL_UNKNOWN:
         return True
-    if label in (LABEL_PENCIL, *_CONE_PENCIL_LABELS.values()):
+    row = next((r for r in CONE_ROWS.values() if r.label == label), None)
+    if label == LABEL_PENCIL or (row is not None and row.base is None):
         return (label == _pencil_label(space)
                 and v is not None and v.dim == space.rank - 2
                 and is_totally_singular(space.form, v)
@@ -626,18 +661,16 @@ def verify_classification(space: PolarSpace, members, cls: Classification) -> bo
             return False
         h = canonicalize(space.field, space.n, rows)
         return _covers_q4_section(space, members, h) is not None
-    if label in (LABEL_CONE_QPLUS3, LABEL_CONE_Q4COVER):
-        expected = (LABEL_SUBGQ_SPREAD if label == LABEL_CONE_QPLUS3
-                    else LABEL_COVER_Q4)
+    if row is not None:
         # a vertex on every member of a non-empty set is totally singular,
         # so the quotient at it exists
         if (not members or v is None or v.dim != space.rank - 3
-                or cls.base is None or cls.base.label != expected
+                or cls.base is None or cls.base.label != row.base
                 or not set(members) <= set(space.generators_through(v))):
             return False
         qspace, proj = _cone_base(space, members, v)
         return (len(proj) == len(members)
-                and _classify_rank2(qspace, proj).label == expected)
+                and _classify_rank2(qspace, proj).label == row.base)
     return False
 
 

@@ -28,7 +28,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-CONE_EXAMPLES = {f"cone:{row}" for _, row in constructions.CONE_ROWS}
+CONE_EXAMPLES = {f"cone:{row}" for row in analysis.CONE_ROWS}
 EXAMPLES = {"pencil", "ruling", "section-cover"} | CONE_EXAMPLES
 
 
@@ -43,7 +43,7 @@ def _add_space_args(p):
 
 
 def _emit(args, payload, text):
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -258,11 +258,7 @@ def cmd_thresholds(args):
 
 def cmd_accept(args):
     results = run_acceptance()
-    table = format_table(results)
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps([r.__dict__ for r in results], indent=2))
-    else:
-        print(table)
+    _emit(args, [r.__dict__ for r in results], format_table(results))
     if any(r.status == "fail" for r in results):
         return EXIT_CHECK_FAILED
     return EXIT_OK
@@ -315,8 +311,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     p.add_argument("--example", required=True,
                    help="pencil | ruling | section-cover | cone:<row> with row "
-                        "in conic-pencil, qplus3-spread, elliptic-pencil, "
-                        "q4-cover, hermitian-pencil")
+                        "in " + ", ".join(analysis.CONE_ROWS))
     p.add_argument("--seed-vertex",
                    help="vertex rows, e.g. '0,0,1,0,0;0,0,0,1,0'")
     p.add_argument("--which", type=int, default=0, choices=[0, 1],

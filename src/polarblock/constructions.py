@@ -23,6 +23,8 @@ from .spaces import (
     pencil_size,
 )
 from .analysis import (
+    CONE_ROWS,
+    LABEL_SUBGQ_SPREAD,
     BlockingSet,
     covered_mask,
     is_blocking,
@@ -32,27 +34,14 @@ from .analysis import (
 )
 from . import search
 
-CONE_ROWS = {
-    ("q", "conic-pencil"): "vertex",        # pi_{n-2} over a conic base
-    ("q", "qplus3-spread"): "quotient",     # pi_{n-3} over a grid ruling
-    ("qminus", "elliptic-pencil"): "vertex",
-    ("qminus", "q4-cover"): "quotient",     # pi_{n-3} over a Q(4,q) cover
-    ("h", "hermitian-pencil"): "vertex",
-}
-
-CONE_AVOIDANCE_BOUND = {
-    "conic-pencil": lambda q: q - 1,
-    "qplus3-spread": lambda q: q - 1,
-    "elliptic-pencil": lambda q: q * q - q,
-    "q4-cover": lambda q: q * q - q,
-    "hermitian-pencil": lambda q: q ** 3 - q,
-}
-
 
 def lex_least_ts_subspace(space: PolarSpace, dim: int) -> Subspace:
     """Lexicographically least totally singular subspace of the given
-    projective dimension (first element of the canonical enumeration)."""
-    return space.totally_singular_subspaces(dim)[0]
+    projective dimension, below the generators (first of its level kept by
+    the build; the empty subspace for dimension -1)."""
+    if dim == -1:
+        return Subspace(space.field, space.n, ())
+    return Subspace(space.field, space.n, space.levels[dim][0])
 
 
 def pencil(space: PolarSpace, vertex: Subspace | None = None) -> BlockingSet:
@@ -162,22 +151,16 @@ def section_cover(space: PolarSpace) -> BlockingSet:
 def cone_example(space: PolarSpace, row: str,
                  vertex: Subspace | None = None) -> BlockingSet:
     """A Table-row cone example in rank >= 3: generators through a vertex
-    subspace meeting a rank-<=2 base blocking structure.
-
-    Rows: conic-pencil and qplus3-spread (parabolic spaces),
-    elliptic-pencil and q4-cover (elliptic spaces), hermitian-pencil
-    (hermitian spaces).
+    subspace meeting a rank-<=2 base blocking structure.  The rows are
+    those of analysis.CONE_ROWS of the space's kind.
     """
-    key = (space.kind, row)
-    if key not in CONE_ROWS:
+    spec = CONE_ROWS.get(row)
+    if spec is None or spec.kind != space.kind:
         raise ValueError(f"no cone row {row!r} for kind {space.kind!r}")
     if space.rank < 3:
         raise ValueError("cone examples need rank >= 3")
-    mode = CONE_ROWS[key]
-    if mode == "vertex":
-        want = space.rank - 2
-    else:
-        want = space.rank - 3
+    # a pencil row's vertex has dimension rank-2, a quotient row's rank-3
+    want = space.rank - 2 if spec.base is None else space.rank - 3
     if vertex is None:
         vertex = lex_least_ts_subspace(space, want)
     if vertex.dim != want:
@@ -186,12 +169,12 @@ def cone_example(space: PolarSpace, row: str,
     if not is_totally_singular(space.form, vertex):
         raise ValueError("cone vertex must be totally singular")
 
-    if mode == "vertex":
+    if spec.base is None:
         return pencil(space, vertex)
 
     iq = vertex_quotient(space, vertex)
     quot = iq.quotient
-    if space.kind == "q":
+    if spec.base == LABEL_SUBGQ_SPREAD:
         sec = hyperbolic_section(quot)
         base = ruling_spread(quot, 0, lines=sec.gen_indices)
     else:

@@ -258,23 +258,3 @@ def field_of_order(q: int) -> GF:
                 raise ValueError(f"{q} is not a prime power")
             return make_field(p, h)
     raise ValueError(f"{q} is not a prime power")
-
-
-_OPS = {
-    "add": lambda f, a, b: f.add(a, b),
-    "sub": lambda f, a, b: f.sub(a, b),
-    "mul": lambda f, a, b: f.mul(a, b),
-    "div": lambda f, a, b: f.div(a, b),
-    "pow": lambda f, a, b: f.pow(a, b),
-}
-
-
-def arith(field: GF, op: str, a: int, b: int) -> int:
-    """Dispatch one arithmetic operation; b is the exponent for 'pow'."""
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {sorted(_OPS)}")
-    if op != "pow":
-        for x in (a, b):
-            if not 0 <= x < field.q:
-                raise ValueError(f"{x} is not an element of {field!r}")
-    return _OPS[op](field, a, b)

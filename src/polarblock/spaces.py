@@ -242,18 +242,6 @@ class PolarSpace:
         qf = self.field.q
         return theta(self.rank - 1, qf)
 
-    def totally_singular_subspaces(self, dim: int) -> list[Subspace]:
-        """All totally singular subspaces of the given projective
-        dimension, canonically sorted (read from the levels kept by the
-        build)."""
-        if dim < -1 or dim > self.rank - 1:
-            raise ValueError(f"no totally singular subspaces of dimension {dim}")
-        if dim == -1:
-            return [Subspace(self.field, self.n, ())]
-        if dim == self.rank - 1:
-            return list(self.generators)
-        return [Subspace(self.field, self.n, rows) for rows in self.levels[dim]]
-
     def generators_through(self, sub: Subspace) -> list[int]:
         """Indices of all generators containing the given subspace: those
         through every row of its basis.  A row that is not a singular point

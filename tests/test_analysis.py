@@ -216,6 +216,25 @@ def test_classify_known_examples():
     assert A.verify_classification(s6, cone.members, cls6)
 
 
+PARABOLIC_CONES = {"ConeOverConicPencil", "ConeOverQplus3Spread"}
+ELLIPTIC_CONES = {"ConeOverEllipticPencil", "ConeOverQ4Cover"}
+
+
+@pytest.mark.parametrize("kind,rank,labels", [
+    ("q", 2, {"Pencil", "SubGQSpread"}),
+    ("q", 3, PARABOLIC_CONES),
+    ("q", 4, PARABOLIC_CONES),
+    ("qminus", 2, {"Pencil", "CoverOfSectionQ4"}),
+    ("qminus", 3, ELLIPTIC_CONES),
+    ("qminus", 4, ELLIPTIC_CONES),
+    ("h", 2, {"Pencil"}),
+    ("h", 3, {"ConeOverHermitianPencil"}),
+    ("h", 4, {"ConeOverHermitianPencil"}),
+])
+def test_theorem_labels(kind, rank, labels):
+    assert A.theorem_labels(kind, rank) == labels
+
+
 def test_verify_classification_rejects_wrong_witness():
     sp = build_polar_space("q", 2, 2)
     pen = pencil_through_point(sp, 0)

@@ -135,13 +135,24 @@ def test_cone_examples_roundtrip_rank3(kind, rank, row, label):
 
 def test_cone_rejects_bad_row_and_rank():
     sp = build_polar_space("q", 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^no cone row 'hermitian-pencil' for kind 'q'$"):
         C.cone_example(sp, "hermitian-pencil")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^no cone row 'conic-pencil' for kind 'qminus'$"):
+        C.cone_example(build_polar_space("qminus", 3, 2), "conic-pencil")
+    with pytest.raises(ValueError, match=r"^no cone row 'nosuch' for kind 'q'$"):
+        C.cone_example(sp, "nosuch")
+    with pytest.raises(ValueError, match=r"^cone examples need rank >= 3$"):
         C.cone_example(build_polar_space("q", 2, 2), "conic-pencil")
+    # wrong vertex dimension, for a pencil row and for a quotient row
     pt = canonicalize(sp.field, sp.n, [sp.points[0]])
-    with pytest.raises(ValueError):
-        C.cone_example(sp, "conic-pencil", pt)  # wrong vertex dimension
+    with pytest.raises(ValueError, match=r"^row 'conic-pencil' needs a vertex "
+                                         r"of dimension 1, got 0$"):
+        C.cone_example(sp, "conic-pencil", pt)
+    with pytest.raises(ValueError, match=r"^row 'qplus3-spread' needs a vertex "
+                                         r"of dimension 0, got 1$"):
+        C.cone_example(sp, "qplus3-spread", C.lex_least_ts_subspace(sp, 1))
 
 
 def test_cone_vertex_in_every_member():
@@ -162,7 +173,7 @@ def test_cone_avoidance_bounds_quadric_cones():
         sp = build_polar_space(kind, 3, 2)
         bs = C.cone_example(sp, row)
         got, _ = C.min_generators_outside_hyperplanes(sp, bs.members)
-        assert got >= C.CONE_AVOIDANCE_BOUND[row](2), (kind, row, got)
+        assert got >= A.CONE_ROWS[row].avoidance(2), (kind, row, got)
 
 
 # min_generators_outside_hyperplanes of the five cone rows of criterion 8:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarblock.gf import GF, arith, field_of_order, is_prime, make_field
+from polarblock.gf import GF, field_of_order, is_prime, make_field
 
 SMALL_ORDERS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
 BIG_ORDERS = [(2, 4), (5, 2), (3, 3), (2, 5)]
@@ -94,19 +94,6 @@ def test_conjugation():
     assert len(fixed) == 3
     with pytest.raises(ValueError):
         make_field(2, 3).conjugate(1)
-
-
-def test_arith_dispatch_and_errors():
-    f = make_field(2, 2)
-    assert arith(f, "add", 2, 3) == 1
-    assert arith(f, "sub", 2, 3) == 1
-    assert arith(f, "mul", 2, 3) == 1
-    assert arith(f, "div", 1, 3) == 2
-    assert arith(f, "pow", 3, 8) == f.pow(3, 8)
-    with pytest.raises(ValueError):
-        arith(f, "xor", 1, 1)
-    with pytest.raises(ValueError):
-        arith(f, "add", 4, 1)
 
 
 def test_make_field_errors():
