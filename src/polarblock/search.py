@@ -33,7 +33,7 @@ a cheap upper bound on the capacity.  Only if it does not prune is every
 candidate counted, so each prune is the exact test's.  Only then does a
 scan of the uncovered rows pick the branch row, stopping at an empty row
 (prune) or at one with a single hitter.  Budgets (node count and wall
-time) make incompleteness explicit, never silent.
+time, read at every node) make incompleteness explicit, never silent.
 
 The four searches over a polar space's generators (min_blocking,
 enumerate_minimal, min_cover_of_space, min_maximal_partial_spread) pin two
@@ -54,7 +54,8 @@ emitted once, from its least member of its least type (McKay,
 PolarSpace.generator_permutations (reflections in nonsingular points),
 each set emitted from its least member, and the result is sorted; the
 lists equal those of the unpinned search.  Both permutation sets are int32
-arrays, one row per permutation, built on first use and cached on the
+arrays, one row per permutation, built on first use by the one scan that
+keeps the maps joining orbits (spaces._join_orbits) and cached on the
 space.  A budget stop returns the sets of the runs so far, unexpanded.
 min_cover on arbitrary lines assumes no symmetry and is not pinned.
 
@@ -178,9 +179,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     def rec(chosen_mask, depth, allowed, uncovered, pcaps):
         nonlocal nodes
         nodes += 1
-        if nodes > budget_nodes:
-            raise _BudgetStop
-        if nodes % 2048 == 0 and time.monotonic() > deadline:
+        if nodes > budget_nodes or time.monotonic() > deadline:
             raise _BudgetStop
         if not uncovered:
             found(chosen_mask, depth)
@@ -308,9 +307,9 @@ def _orbit_images(perms, start: int, sets, n: int, of_type=None):
     """The images of sets, which hold start, under perms, each emitted once.
 
     A breadth-first walk over the orbit of start (from generator 0 under
-    the generator permutations, the tree of _stabilizer_permutations'
-    transversal) yields for every g in it a product tau of perms (rows of
-    an index array) with tau(start) = g.
+    the generator permutations, the same walk whose tree gives the
+    transversal of the stabilizer permutations) yields for every g in it a
+    product tau of perms (rows of an index array) with tau(start) = g.
     An image tau(P) is kept only when g is its least member, or with
     of_type (a boolean mask of a class of generators that perms keep, start
     among them) its least member of that class.  When sets holds every set

@@ -36,6 +36,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -611,27 +612,62 @@ def _close(maps, marked: np.ndarray) -> np.ndarray:
     return marked
 
 
+# Candidates of one group tried in a row without one kept before
+# _join_orbits moves on to the next group.  Scanning every Schreier
+# generator of every map instead is faster where the kept reflections
+# already suffice (H(4,9) ~37 against ~84 ms), but far slower where they
+# do not (Q(8,2) ~1.2 s against ~25 ms, Q(6,2) and Q(4,5) about 3x), so
+# the cut-off stays.
+_SCHREIER_PATIENCE = 16
+
+
+def _join_orbits(space: PolarSpace, marked: np.ndarray, groups,
+                 short: str) -> np.ndarray:
+    """The candidates that join orbits, as the rows of an int32 array.
+
+    groups() yields groups of candidates, each an images(gens=None) map as
+    _reflections yields them.  One is kept when it moves a marked generator
+    (marked is a boolean mask) to an unmarked one, tested on the marked
+    alone, so only a kept one is made whole; the marked set is then closed
+    under those kept (_close), and the scan stops once all are marked.  A
+    group is left after _SCHREIER_PATIENCE candidates in a row are not
+    kept.  If the groups run out first, the scan is made again without that
+    cut-off, as long as it keeps one, before AssertionError reports short
+    formatted with the marked count and the generator count.
+    """
+    n = space.num_generators
+    found = []
+    patience = _SCHREIER_PATIENCE
+    while not marked.all():
+        before = len(found)
+        for group in groups():
+            idle = 0
+            for images in group:
+                if marked[images(marked)].all():
+                    idle += 1
+                    if idle == patience:
+                        break
+                    continue
+                found.append(images().astype(np.int32, copy=False))
+                marked = _close(found, marked)
+                if marked.all():
+                    return np.array(found, dtype=np.int32)
+                idle = 0
+        if len(found) == before and patience is None:
+            raise AssertionError(f"{space.name}: "
+                                 + short.format(int(marked.sum()), n))
+        patience = None
+    return np.array(found, dtype=np.int32).reshape(-1, n)
+
+
 def _reflection_permutations(space: PolarSpace) -> np.ndarray:
-    """Generator permutations of reflections: one is kept only when it
-    enlarges the orbit of generator 0 under those kept before, and the scan
-    stops once that orbit is every generator.  The orbit's image decides
-    whether a reflection is kept, so the whole map is built only for the
-    kept ones."""
-    n_gens = space.num_generators
-    maps = []
-    in_orbit = np.zeros(n_gens, dtype=bool)
-    in_orbit[0] = True
-    for _, images in _reflections(space):
-        if in_orbit[images(in_orbit)].all():
-            continue
-        maps.append(images())
-        in_orbit = _close(maps, in_orbit)
-        if in_orbit.all():
-            break
-    if not in_orbit.all():
-        raise AssertionError(f"{space.name}: reflections move generator 0 to "
-                             f"{int(in_orbit.sum())} of {n_gens} generators")
-    return np.array(maps, dtype=np.int32).reshape(-1, n_gens)
+    """Generator permutations of reflections under which the orbit of
+    generator 0 is every generator: _join_orbits with generator 0 marked
+    and one group per reflection."""
+    return _join_orbits(
+        space, np.arange(space.num_generators) == 0,
+        lambda: ([images] for _, images in _reflections(space)),
+        "reflections move generator 0 to {} of {} generators")
 
 
 def meet_types(space: PolarSpace) -> np.ndarray:
@@ -639,15 +675,6 @@ def meet_types(space: PolarSpace) -> np.ndarray:
     its type.  An isometry fixing generator 0 keeps every type."""
     g0 = space.gen_point_mask[0]
     return np.array([(g0 & m).bit_count() for m in space.gen_point_mask])
-
-
-# Schreier generators of one map tried in a row without one kept before
-# _stabilizer_permutations moves on to the next map.  Scanning every
-# Schreier generator of every map instead is faster where the kept
-# reflections already suffice (H(4,9) ~37 against ~84 ms), but far slower
-# where they do not (Q(8,2) ~1.2 s against ~25 ms, Q(6,2) and Q(4,5)
-# about 3x), so the cut-off stays.
-_SCHREIER_PATIENCE = 16
 
 
 def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
@@ -662,18 +689,13 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
     reflections kept by generator_permutations, each made on first use.  S
     is those reflections, then every other reflection in scan order: on
     Q(4,2), Q+(3,2), Q(6,2), Q(4,5) and Q(8,2) the kept ones generate too
-    small a group.  The least generator of each type is marked, and a
-    Schreier generator is kept when it moves a marked generator to an
-    unmarked one; the marked set is then closed under those kept (_close).
-    The orbits refine the types, so once every generator is marked each
-    type is one orbit, and the scan stops.  The Schreier generators of a
-    map are tried in walk order until _SCHREIER_PATIENCE in a row are not
-    kept.  If the maps run out first, the scan is made again with all of
-    them, as long as it keeps one, before AssertionError reports the
-    orbits that stay unmarked.  Each u_g and each kept Schreier generator
-    is a row of 4 bytes per generator, and there are at most n of each
-    (each kept one marks a generator more); BudgetError is raised when
-    those 8 n^2 bytes would pass MAX_BUILD_BYTES.
+    small a group.  With the least generator of each type marked,
+    _join_orbits scans the Schreier generators of each map in walk order,
+    one group per map.  The orbits refine the types, so once every
+    generator is marked each type is one orbit.  Each u_g and each kept
+    Schreier generator is a row of 4 bytes per generator, and there are at
+    most n of each (each kept one marks a generator more); BudgetError is
+    raised when those 8 n^2 bytes would pass MAX_BUILD_BYTES.
     """
     n = space.num_generators
     if 8 * n * n > MAX_BUILD_BYTES:
@@ -706,49 +728,24 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
             g = h
         return u[g]
 
-    def maps():
+    def schreier(s, g):
+        # u_{s(g)}^-1 s u_g, as an images(gens=None) map
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[transversal(s[g])] = identity
+        ug = transversal(g)
+        return lambda gens=None: inverse[s[ug if gens is None else ug[gens]]]
+
+    def groups():
         # as intp arrays: numpy casts an int32 index array on every use
-        yield from kept.astype(np.intp)
         seen = {s.tobytes() for s in kept}
-        for _, images in _reflections(space):
-            s = images()
-            if s.tobytes() not in seen:
-                yield s.astype(np.intp)
+        others = (images() for _, images in _reflections(space))
+        for s in chain(kept, (s for s in others if s.tobytes() not in seen)):
+            yield map(partial(schreier, s.astype(np.intp)), order)
 
-    inverse = np.empty(n, dtype=np.intp)
-    found = []
-
-    def scan(patience):
-        # one scan of the maps; True if it keeps a Schreier generator
-        nonlocal marked
-        before = len(found)
-        for s in maps():
-            idle = 0
-            for g in order:
-                y = s[transversal(g)]
-                inverse[transversal(y[0])] = identity
-                x = inverse[y]
-                if marked[x[marked]].all():
-                    idle += 1
-                    if idle == patience:
-                        break
-                    continue
-                found.append(x.astype(np.int32))
-                marked = _close(found, marked)
-                if marked.all():
-                    return True
-                idle = 0
-        return len(found) > before
-
-    patience = _SCHREIER_PATIENCE
-    while not marked.all():
-        if not scan(patience) and patience is None:
-            raise AssertionError(
-                f"{space.name}: the orbits of the stabilizer of generator 0 "
-                f"reach {int(marked.sum())} of {n} generators from the least "
-                "of each type")
-        patience = None
-    return np.array(found, dtype=np.int32).reshape(-1, n)
+    return _join_orbits(
+        space, marked, groups,
+        "the orbits of the stabilizer of generator 0 reach {} of {} "
+        "generators from the least of each type")
 
 
 # -- quotient geometry --------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 import pytest
@@ -396,6 +396,17 @@ def test_engine_h44_budget_stop_pinned():
     assert res.witnesses == [(0, 1, 2, 57, 66, 75, 84, 147, 210)]
 
 
+def test_engine_deadline_read_at_every_node(monkeypatch):
+    # a clock that advances 1 s per read: a 10 s budget stops a search of
+    # 60,118 nodes within about 10 of them, however slow each node is
+    sp = build_polar_space("q", 2, 3)
+    clock = count()
+    monkeypatch.setattr(S.time, "monotonic", lambda: float(next(clock)))
+    _, complete, nodes, _ = S._run_engine(sp.meets, sp.meets, max_size=6,
+                                          mode="leaves", budget_secs=10)
+    assert not complete and nodes <= 10
+
+
 # min_blocking on spaces too large for the pins above, recorded before the
 # last pick moved into the parent node: (optimum, witness count, digest)
 @pytest.mark.slow
@@ -775,6 +786,28 @@ _STABILIZER_SPACES = {"q42": ("q", 2, 2), "qplus3-2": ("qplus3", 2, 2),
                       "qm72": ("qminus", 3, 2), "q45": ("q", 2, 5),
                       "q82": ("q", 4, 2)}
 
+# number of kept Schreier generators and the sha256 of the compact JSON of
+# the permutation list, recorded before both symmetry stages shared one scan
+_STAB_PINS = {
+    "h44": (5, "22159d790dc31e705f0811d4c13caeecf1b59d9ec5f7ee291f5934c5936140d4"),
+    "q42": (3, "e8d220ec431edcbf5eeec293ebd355dc4137191dbe4f53bdeb873206b3c3f653"),
+    "q43": (4, "a7c185881baa0d024879312a6083d32036f2f2cc13fa97d9c19f10dc15aa36fc"),
+    "q45": (4, "92eb76f69e80a2acea58a79c3bcd514cfb8db03a1077785277144b749fb3c0cb"),
+    "q62": (6, "ba2d0e518af092830af85f6f7efaea08da624e11d68bdb3c8301499ed79b7a9e"),
+    "q82": (7, "bdf98ac29a9b122457cdf2dce62b10e79afdc84fe7fa55bd8ee689882195c796"),
+    "qm52": (5, "8e731ebb9563f6efd57766f2706b0900df94d2e78ca350f72d5a352c75837e58"),
+    "qm72": (8, "952d37d7002e593d4538176c2af4ae4bf05a6bf5bf7df814601de93ab909cd9e"),
+    "qplus3-2": (2, "9514a3db7698bcce765ae369757f50d4b853a5b13f700dc78b3726d849c339f0"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_STAB_PINS))
+def test_stabilizer_permutations_pinned(key):
+    sp = build_polar_space(*_STABILIZER_SPACES[key])
+    perms = sp.stabilizer_permutations()
+    digest = hashlib.sha256(json.dumps(perms.tolist()).encode()).hexdigest()
+    assert (len(perms), digest) == _STAB_PINS[key]
+
 
 @pytest.mark.parametrize("key", sorted(_STABILIZER_SPACES))
 def test_stabilizer_permutations(key):
@@ -817,6 +850,15 @@ def test_stabilizer_permutations_guards(monkeypatch):
     monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", 8 * n * n - 1)
     with pytest.raises(spaces.BudgetError):
         spaces._stabilizer_permutations(sp)
+
+
+def test_reflection_permutations_guard(monkeypatch):
+    # with no reflections, generator 0's orbit stays itself
+    sp = build_polar_space("q", 2, 3)
+    monkeypatch.setattr(spaces, "_reflections", lambda space: iter(()))
+    with pytest.raises(AssertionError, match="reflections move generator 0 "
+                                             "to 1 of 40 generators"):
+        spaces._reflection_permutations(sp)
 
 
 @pytest.mark.parametrize("key", ["q42", "qplus3-2"])
