@@ -27,6 +27,8 @@ from dataclasses import dataclass, field as dc_field
 from math import isqrt
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .forms import is_totally_singular
 # meet and span stay importable here: perfbench/tracer.py wraps these names
 from .projective import Subspace, canonicalize, meet, span  # noqa: F401
@@ -99,7 +101,14 @@ def members_mask(members) -> int:
 
 
 def validate_members(space: PolarSpace, members) -> tuple[int, ...]:
-    raw = [int(m) for m in members]
+    """The members as sorted distinct generator indices.  Each must be an
+    integer (Python or numpy, not bool) and index a generator of the space;
+    floats and strings are refused, not truncated or parsed."""
+    raw = []
+    for m in members:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"generator index {m!r} is not an integer")
+        raw.append(int(m))
     out = tuple(sorted(set(raw)))
     if len(out) != len(raw):
         raise ValueError("duplicate generator indices in blocking set")

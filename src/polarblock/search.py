@@ -80,8 +80,8 @@ from itertools import combinations
 import numpy as np
 
 from .gf import field_of_order, is_prime
-from .projective import enumerate_pg_points, nullspace
-from .spaces import PolarSpace, _iter_bits, meet_types
+from .projective import canonicalize, enumerate_pg_points, nullspace
+from .spaces import PolarSpace, _iter_bits, _transpose, meet_types
 from . import analysis
 
 DEFAULT_BUDGET_NODES = 10 ** 8
@@ -281,28 +281,6 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     return sols, complete, nodes, seconds
 
 
-def _transpose(masks, width: int) -> list[int]:
-    """out[i] has bit j set iff masks[j] has bit i set, for i < width."""
-    out = [0] * width
-    for j, m in enumerate(masks):
-        for i in _iter_bits(m):
-            out[i] |= 1 << j
-    return out
-
-
-def _lex_pencil(space: PolarSpace) -> tuple[int, ...]:
-    """The pencil through the (r-2)-subspace spanned by the first r-1 rows
-    of the lexicographically least generator; a guaranteed blocking set."""
-    from .projective import canonicalize
-
-    g0 = space.generators[0]
-    if space.rank == 1:
-        return tuple(range(space.num_generators))
-    v = canonicalize(space.field, space.n, g0.rows[: space.rank - 1])
-    thru = space.generators_through(v)
-    return tuple(sorted(thru))
-
-
 def _orbit_images(perms, start: int, sets, n: int, of_type=None):
     """The images of sets, which hold start, under perms, each emitted once.
 
@@ -415,9 +393,12 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
     minimum-size set, certified by exhausted branch-and-bound."""
     seed = None
     if upper_bound is None:
-        seed = _lex_pencil(space)
-        if not analysis.is_blocking(space, seed):
-            raise AssertionError("pencil seed is not blocking")
+        # constructions imports this module
+        from .constructions import pencil
+
+        seed = pencil(space, canonicalize(
+            space.field, space.n,
+            space.generators[0].rows[:space.rank - 1])).members
         upper_bound = len(seed)
     sols, complete, nodes, seconds = _pinned(
         space, space.meets, space.meets, max_size=upper_bound, mode="min",
@@ -478,9 +459,10 @@ def min_cover(points, lines, budget_nodes: int = DEFAULT_BUDGET_NODES,
     """
     pts = list(points)
     pidx = {p: i for i, p in enumerate(pts)}
-    line_masks = [analysis.members_mask(pidx[p] for p in l) for l in lines]
+    line_pts = [[pidx[p] for p in l] for l in lines]
+    line_masks = [analysis.members_mask(l) for l in line_pts]
     sols, complete, nodes, seconds = _run_engine(
-        _transpose(line_masks, len(pts)), line_masks,
+        _transpose(line_pts, len(pts)), line_masks,
         max_size=_greedy_cover_size(line_masks, (1 << len(pts)) - 1),
         mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs)
     optimum = len(sols[0]) if sols else None
@@ -579,7 +561,7 @@ def smallest_nontrivial_pg2(q: int,
     npts = len(pts)
     line_masks = [analysis.members_mask(l) for l in lines]
     # rows are lines, and the hitting candidates of a line are its points
-    lines_through = _transpose(line_masks, npts)
+    lines_through = _transpose(lines, npts)
     line01 = line_masks[(lines_through[0] & lines_through[1]).bit_length() - 1]
     triangle = (0, 1, next(p for p in range(npts) if not line01 >> p & 1))
     if budget_secs is None:

@@ -186,6 +186,17 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _transpose(index_lists, width: int) -> list[int]:
+    """out[i] has bit j set iff index_lists[j] holds i, for i < width: the
+    incidence masks of the other side."""
+    out = [0] * width
+    for j, indices in enumerate(index_lists):
+        bit = 1 << j
+        for i in indices:
+            out[i] |= bit
+    return out
+
+
 @dataclass(frozen=True)
 class SectionStructure:
     """Restriction of a polar space to a hyperplane."""
@@ -481,11 +492,7 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     if any(mask.bit_count() != ppg for mask in gen_point_mask):
         raise BuildError("non-maximal generator enumerated")
 
-    point_gen_mask = [0] * len(points)
-    for gi, pts in enumerate(gen_points):
-        bit = 1 << gi
-        for p in pts:
-            point_gen_mask[p] |= bit
+    point_gen_mask = _transpose(gen_points, len(points))
     meets = []
     for pts in gen_points:
         m = 0
@@ -533,12 +540,13 @@ def _reflections(space: PolarSpace):
     on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  Yields (v, images):
     images(gens) gives the indices of the images of the generators gens (an
     index array or boolean mask), and images() the whole map.  The maps are
-    array lookups: points by their base-q codes, generators by a weighted sum
-    over their point rows (fixed pseudo-random 64-bit weights, so the key
-    ignores row order) looked up among the generators' keys.  Each reflection
-    must permute the points and send the point set of every mapped generator
-    exactly onto a generator's, and a whole map must be a bijection of the
-    generators.  Such a pair of bijections preserves incidence, hence meets.
+    array lookups: points by their base-q codes, generators by their
+    ascending point-index rows as bytes, the exact key of a generator's
+    point set, so a reflected generator is looked up by its sorted image
+    row.  Each reflection must permute the points and send the point set of
+    every mapped generator onto a generator's, and a whole map must be a
+    bijection of the generators.  Such a pair of bijections preserves
+    incidence, hence meets.
     """
     form, field = space.form, space.field
     add, mul = field.add_table, field.mul_table
@@ -556,25 +564,17 @@ def _reflections(space: PolarSpace):
     point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int32)
     point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
     gen_rows = np.array(space.gen_points, dtype=np.int32)
-    # splitmix64 of the point index: fixed, well-mixed weights without
-    # loading numpy.random (several MB of resident memory)
-    z = np.arange(1, n_pts + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-    weight = z ^ (z >> np.uint64(31))
+    key = np.dtype((np.void, 4 * gen_rows.shape[1]))
     gen_of_key = {k: g for g, k in
-                  enumerate(weight[gen_rows].sum(axis=1).tolist())}
-    if len(gen_of_key) != n_gens:
-        raise AssertionError(f"{space.name}: two generators share a key")
+                  enumerate(gen_rows.view(key).ravel().tolist())}
 
     def gen_images(pmap, v, gens=None):
-        image = pmap[gen_rows if gens is None else gen_rows[gens]]
+        image = np.sort(pmap[gen_rows if gens is None else gen_rows[gens]],
+                        axis=1)
         gmap = np.array([gen_of_key.get(k, -1)
-                         for k in weight[image].sum(axis=1).tolist()],
+                         for k in image.view(key).ravel().tolist()],
                         dtype=np.int32)
-        if ((gmap < 0).any()
-                or (np.sort(image, axis=1) != gen_rows[gmap]).any()
-                or gens is None
+        if ((gmap < 0).any() or gens is None
                 and np.bincount(gmap, minlength=n_gens).max() != 1):
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the generators")
@@ -692,18 +692,13 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
     small a group.  With the least generator of each type marked,
     _join_orbits scans the Schreier generators of each map in walk order,
     one group per map.  The orbits refine the types, so once every
-    generator is marked each type is one orbit.  Each u_g and each kept
-    Schreier generator is a row of 4 bytes per generator, and there are at
-    most n of each (each kept one marks a generator more); BudgetError is
-    raised when those 8 n^2 bytes would pass MAX_BUILD_BYTES.
+    generator is marked each type is one orbit.  Each u_g is kept once made,
+    as a row of 4 bytes per generator; BudgetError is raised before a row
+    is stored that would take the kept rows past MAX_BUILD_BYTES.  The scan
+    makes few of them: 195 rows (28.5 MiB) for H(6,4)'s 38,313 generators,
+    where a row for every generator would need 5.5 GiB.
     """
     n = space.num_generators
-    if 8 * n * n > MAX_BUILD_BYTES:
-        raise BudgetError(
-            f"{space.name}: the stabilizer of generator 0 needs up to "
-            f"{8 * n * n / 2 ** 30:.1f} GiB of transversal and Schreier "
-            f"generators, over the guard "
-            f"of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
     marked = np.zeros(n, dtype=bool)
     marked[np.unique(meet_types(space), return_index=True)[1]] = True
     kept = space.generator_permutations()
@@ -723,6 +718,11 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
         while g not in u:
             path.append(g)
             g = parent[g]
+        if (len(u) + len(path)) * 4 * n > MAX_BUILD_BYTES:
+            raise BudgetError(
+                f"{space.name}: the stabilizer of generator 0 needs at "
+                f"least {len(u) + len(path)} transversal rows of {4 * n} "
+                f"bytes, over the guard of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
         for h in reversed(path):
             u[h] = kept[via[h]][u[g]]
             g = h

@@ -3,6 +3,7 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from polarblock.projective import canonicalize
@@ -54,6 +55,22 @@ def test_validate_members_errors():
         A.validate_members(sp, [1, 1])
     with pytest.raises(ValueError):
         A.validate_members(sp, [99])
+
+
+@pytest.mark.parametrize("members", [[1.5, 2.9, "4"], [1.0], ["4"],
+                                     [True, 5], [np.bool_(True)]])
+def test_validate_members_refuses_non_integers(members):
+    # a float is not truncated, a string not parsed, a bool not read as 0/1
+    sp = build_polar_space("q", 2, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        A.validate_members(sp, members)
+
+
+def test_validate_members_accepts_numpy_integers():
+    sp = build_polar_space("q", 2, 2)
+    members = [np.int64(4), np.int32(1), np.uint8(2)]
+    assert A.validate_members(sp, members) == (1, 2, 4)
+    assert A.validate_members(sp, np.array([4, 1, 2])) == (1, 2, 4)
 
 
 def test_coverage_profile_pencil_q52():

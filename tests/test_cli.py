@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from polarblock import acceptance
+from polarblock.acceptance import CriterionResult
 from polarblock.cli import main
+from polarblock.spaces import BudgetError
 
 
 def run(capsys, *argv):
@@ -314,3 +317,40 @@ def test_malformed_set_file_exits_1(capsys, tmp_path, data):
     assert code == 1
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _stub_criterion(cid, status):
+    def criterion():
+        if status == "budget":
+            raise BudgetError(f"criterion {cid} over its guard")
+        return CriterionResult(cid, f"stub {cid}", status, f"{status} detail")
+    criterion.__name__ = f"criterion_{cid}"
+    return criterion
+
+
+@pytest.mark.parametrize("statuses, code, summary", [
+    (("pass", "pass"), 0, "2 pass, 0 fail, 0 skip"),
+    (("pass", "fail", "pass"), 1, "2 pass, 1 fail, 0 skip"),
+    (("pass", "budget"), 0, "1 pass, 0 fail, 1 skip"),
+], ids=["all-pass", "one-fail", "budget-skip"])
+def test_accept_exit_codes(capsys, monkeypatch, statuses, code, summary):
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (_stub_criterion(cid, status), None)
+        for cid, status in enumerate(statuses, 1)])
+    got, out, err = run(capsys, "accept")
+    assert (got, err) == (code, "")
+    assert out.splitlines()[-1] == f"summary: {summary}"
+
+
+def test_accept_json_lists_each_criterion(capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (_stub_criterion(1, "pass"), 60.0), (_stub_criterion(2, "fail"), None),
+        (_stub_criterion(3, "budget"), None)])
+    code, out, _ = run(capsys, "--format", "json", "accept")
+    assert code == 1
+    rows = json.loads(out)
+    assert [(r["cid"], r["status"], r["detail"]) for r in rows] == [
+        (1, "pass", "pass detail"), (2, "fail", "fail detail"),
+        (0, "skip", "criterion 3 over its guard")]
+    assert [r["limit"] for r in rows] == [60.0, None, None]
+    assert all(r["seconds"] >= 0 for r in rows)

@@ -181,7 +181,7 @@ def test_pg2_triangle_pin_decides_each_size(q):
     line01 = next(l for l in lines if {0, 1} <= set(l))
     triangle = (0, 1, min(set(range(len(pts))) - set(line01)))
     rows = [A.members_mask(l) for l in lines]
-    cols = S._transpose(rows, len(pts))
+    cols = spaces._transpose(lines, len(pts))
     answers = []
     for target in range(q + 2, len(pts) + 1):
         found = [bool(S._run_engine(rows, cols, max_size=target, mode="min",
@@ -443,6 +443,11 @@ def _brute_hitting_sets(rows, ncands, max_size, conflicts=None,
     return out
 
 
+def _cols(rows, width: int) -> list[int]:
+    """The candidate masks of a relation given by its row masks."""
+    return spaces._transpose([list(_iter_bits(r)) for r in rows], width)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_engine_vs_bruteforce_random_relations(seed):
     rng = np.random.default_rng(seed)
@@ -450,7 +455,7 @@ def test_engine_vs_bruteforce_random_relations(seed):
     density = rng.uniform(0.2, 0.6)
     rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
             for _ in range(nrows)]
-    cols = S._transpose(rows, ncands)
+    cols = _cols(rows, ncands)
     pairs = [(a, b) for a, b in combinations(range(ncands), 2)
              if rng.random() < 0.3]
     conflicts = [0] * ncands
@@ -485,7 +490,7 @@ def test_engine_start_admits_no_set():
     # the start (0, 1) covers every row, yet admits no set when it is
     # larger than max_size, breaks a conflict or holds a whole row
     rows = [0b011, 0b110]
-    cols = S._transpose(rows, 3)
+    cols = _cols(rows, 3)
     for kw, want in (({"max_size": 3}, [(0, 1)]), ({"max_size": 1}, []),
                      ({"max_size": 3, "conflicts": [0b010, 0b001, 0]}, []),
                      ({"max_size": 3, "forbid_rows": True}, [])):
@@ -503,7 +508,7 @@ def test_engine_start_pair_vs_bruteforce(seed):
     density = rng.uniform(0.2, 0.6)
     rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
             for _ in range(nrows)]
-    cols = S._transpose(rows, ncands)
+    cols = _cols(rows, ncands)
     conflicts = [0] * ncands
     for a, b in combinations(range(ncands), 2):
         if rng.random() < 0.2:
@@ -538,7 +543,7 @@ def test_engine_allowed_mask_vs_bruteforce(seed):
     density = rng.uniform(0.25, 0.5)
     rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
             for _ in range(nrows)]
-    cols = S._transpose(rows, ncands)
+    cols = _cols(rows, ncands)
     conflicts = [0] * ncands
     for a, b in combinations(range(ncands), 2):
         if rng.random() < 0.1:
@@ -692,7 +697,7 @@ def test_engine_vs_reference_random_relations(seed):
     density = rng.uniform(0.25, 0.5)
     rows = [sum(1 << c for c in range(ncands) if rng.random() < density)
             for _ in range(nrows)]
-    cols = S._transpose(rows, ncands)
+    cols = _cols(rows, ncands)
     conflicts = [0] * ncands
     for a, b in combinations(range(ncands), 2):
         if rng.random() < 0.1:
@@ -846,10 +851,18 @@ def test_stabilizer_permutations_guards(monkeypatch):
     with pytest.raises(AssertionError, match="orbits"):
         spaces._stabilizer_permutations(sp)
     monkeypatch.undo()
+    # the guard counts the transversal rows the scan stores (4 bytes per
+    # generator each, the identity included): 55 on Q(6,2), far below a
+    # row for every generator
     n = sp.num_generators
-    monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", 8 * n * n - 1)
-    with pytest.raises(spaces.BudgetError):
-        spaces._stabilizer_permutations(sp)
+    perms = sp.stabilizer_permutations()
+    for cap in (8 * n * n - 1, 4 * n * 55):
+        monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", cap)
+        assert (spaces._stabilizer_permutations(sp) == perms).all()
+    for cap in (4 * n * 55 - 1, 4 * n):
+        monkeypatch.setattr(spaces, "MAX_BUILD_BYTES", cap)
+        with pytest.raises(spaces.BudgetError, match="transversal rows"):
+            spaces._stabilizer_permutations(sp)
 
 
 def test_reflection_permutations_guard(monkeypatch):
