@@ -31,10 +31,6 @@ class CriterionResult:
     seconds: float = 0.0
     limit: float | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
 
 def _example(kind, rank, q, row):
     sp = build_polar_space(kind, rank, q)

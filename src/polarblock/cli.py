@@ -29,7 +29,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CONE_EXAMPLES = {f"cone:{row}" for row in analysis.CONE_ROWS}
-EXAMPLES = {"pencil", "ruling", "section-cover"} | CONE_EXAMPLES
 
 
 def _add_space_args(p):

@@ -12,6 +12,8 @@ every constructor is reproducible across runs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .projective import Subspace
 from .forms import is_totally_singular
 from .spaces import (
@@ -208,30 +210,14 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     total = canonicalize(field, space.n,
                          [r for m in members for r in space.generators[m].rows])
     # every member row lies in the span: its coordinates are its entries
-    # at the pivots of the RREF rows
+    # at the pivots of the RREF rows.  A member lies outside the hyperplane
+    # c.x = 0 when one of its rows has c.x != 0.
     pivots = [r.index(1) for r in total.rows]
-    coords = []
+    functionals = enumerate_pg_points(total.dim, field)
+    cols = np.array(functionals, dtype=field.add_table.dtype).T
+    outside = np.zeros(len(functionals), dtype=np.int64)
     for m in members:
-        coords.append([tuple(r[c] for c in pivots)
-                       for r in space.generators[m].rows])
-    add, mul = field.addl, field.mull
-    best = None
-    arg = None
-    for c in enumerate_pg_points(total.dim, field):
-        outside = 0
-        for rs in coords:
-            inside = True
-            for r in rs:
-                acc = 0
-                for cj, rj in zip(c, r):
-                    if cj and rj:
-                        acc = add[acc][mul[cj][rj]]
-                if acc:
-                    inside = False
-                    break
-            if not inside:
-                outside += 1
-        if best is None or outside < best:
-            best = outside
-            arg = c
-    return best, arg
+        outside += np.any([field.combine([r[c] for c in pivots], cols) != 0
+                           for r in space.generators[m].rows], axis=0)
+    i = int(outside.argmin())  # the first minimum
+    return int(outside[i]), functionals[i]

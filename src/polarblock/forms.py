@@ -102,31 +102,19 @@ class Form:
     # -- vectorized scans ----------------------------------------------------
 
     def eval_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Form values on a matrix of row vectors (encodings)."""
+        """Form values on a matrix of row vectors (encodings): the sum over
+        i of x_i times coefficient row i applied to x (to the entries j >= i
+        of x on a quadratic form, to conj(x) on a hermitian one)."""
         f = self.field
-        ADD, MUL = f.add_table, f.mul_table
-        acc = np.zeros(len(pts), dtype=ADD.dtype)
-        if self.kind == "hermitian":
-            CONJ = f.conj_table
-            cpts = CONJ[pts]
-            for i in range(self.n + 1):
-                for j in range(self.n + 1):
-                    c = self.coeff[i][j]
-                    if c:
-                        term = MUL[pts[:, i], cpts[:, j]]
-                        if c != 1:
-                            term = MUL[c][term]
-                        acc = ADD[acc, term]
-        else:
-            for i in range(self.n + 1):
-                for j in range(i, self.n + 1):
-                    c = self.coeff[i][j]
-                    if c:
-                        term = MUL[pts[:, i], pts[:, j]]
-                        if c != 1:
-                            term = MUL[c][term]
-                        acc = ADD[acc, term]
-        return acc
+        xs, ys = pts.T, self._conjugated(pts).T
+        terms = []
+        for i, row in enumerate(self.coeff):
+            lo = 0 if self.kind == "hermitian" else i
+            if any(row[lo:]):
+                terms.append(f.mul_table[xs[i], f.combine(row[lo:], ys[lo:])])
+        if not terms:
+            return np.zeros(len(pts), dtype=f.add_table.dtype)
+        return f.combine([1] * len(terms), terms)
 
     def _polar_row(self, u) -> list[int]:
         """w = u G, so that B(u, x) = sum_j w_j x_j (with x_j conjugated on
@@ -141,29 +129,20 @@ class Form:
                         w[j] = add[w[j]][mu[g]]
         return w
 
-    def _polar_values(self, u, xs: np.ndarray) -> np.ndarray:
-        """B(u, x) over the rows x of xs, which a hermitian form takes
-        already conjugated."""
-        ADD, MUL = self.field.add_table, self.field.mul_table
-        acc = np.zeros(len(xs), dtype=ADD.dtype)
-        for j, wj in enumerate(self._polar_row(u)):
-            if wj:
-                acc = ADD[acc, MUL[wj][xs[:, j]]]
-        return acc
-
     def _conjugated(self, pts: np.ndarray) -> np.ndarray:
         return self.field.conj_table[pts] if self.kind == "hermitian" else pts
 
     def polarize_batch(self, u, pts: np.ndarray) -> np.ndarray:
         """B(u, x) (or H(u, x)) for one u against a matrix of points."""
-        return self._polar_values(u, self._conjugated(pts))
+        return self.field.combine(self._polar_row(u), self._conjugated(pts).T)
 
     def polar_rows(self, pts: np.ndarray) -> np.ndarray:
         """Rows C with B(u, x) (or H(u, x)) = sum_i u_i C[i, x] over a
         matrix of points x, so that each u then costs one table pass per
-        nonzero coordinate.  Row i is B(e_i, x)."""
-        xs = self._conjugated(pts)
-        return np.array([self._polar_values(e, xs) for e in _unit_rows(self.n)])
+        nonzero coordinate.  Row i is B(e_i, x), row i of the Gram matrix
+        applied to x."""
+        xs = self._conjugated(pts).T
+        return np.array([self.field.combine(g, xs) for g in self.gram])
 
     # -- structure -----------------------------------------------------------
 

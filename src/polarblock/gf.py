@@ -7,6 +7,10 @@ order of coordinate vectors downstream is the numeric order of encodings.
 
 Fields of square order q0^2 expose the conjugation a -> a^q0 needed by
 hermitian forms.
+
+GF.combine is the one vectorized linear combination: every batched form
+value, polarization, hyperplane test and incidence scan of the package is
+a sum of c*x over arrays of encodings, read off the add and mul tables.
 """
 
 from __future__ import annotations
@@ -237,6 +241,25 @@ class GF:
         if self.conj_table is None:
             raise ValueError(f"order {self.q} is not a square; no conjugation")
         return int(self.conj_table[a])
+
+    # -- vectorized operations ---------------------------------------------
+
+    def combine(self, coeffs, rows) -> np.ndarray:
+        """sum_i coeffs[i] * rows[i], elementwise over arrays of encodings.
+
+        Zero coefficients are skipped, a row whose coefficient is 1 is used
+        as is, and the first nonzero term starts the sum, so the result may
+        be one of the rows themselves: callers only read it.  All-zero
+        coefficients give zeros of the row shape."""
+        ADD, MUL = self.add_table, self.mul_table
+        acc = None
+        for c, row in zip(coeffs, rows):
+            if c:
+                term = row if c == 1 else MUL[c][row]
+                acc = term if acc is None else ADD[acc, term]
+        if acc is None:
+            return np.zeros(np.shape(rows[0]), dtype=ADD.dtype)
+        return acc
 
 
 @lru_cache(maxsize=None)

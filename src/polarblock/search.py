@@ -80,7 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import field_of_order, is_prime
-from .projective import canonicalize, enumerate_pg_points, nullspace
+from .projective import canonicalize, enumerate_pg_points
 from .spaces import PolarSpace, _iter_bits, _transpose, meet_types
 from . import analysis
 
@@ -527,12 +527,10 @@ class EpsilonResult:
 def _pg2_incidence(q: int):
     field = field_of_order(q)
     pts = enumerate_pg_points(2, field)
-    lines = []
-    for c in enumerate_pg_points(2, field):
-        sub = nullspace(field, [c], 2)
-        line = tuple(i for i, p in enumerate(pts) if sub.contains_point(p))
-        lines.append(line)
-    return pts, lines
+    cols = np.array(pts, dtype=field.add_table.dtype).T
+    # the line with dual coordinates c holds the points x with c.x = 0
+    return pts, [tuple(np.flatnonzero(field.combine(c, cols) == 0).tolist())
+                 for c in pts]
 
 
 def smallest_nontrivial_pg2(q: int,

@@ -343,17 +343,8 @@ def _singular_points(form: Form) -> list[Vector]:
 
 
 def _collinearity_masks(form: Form, points, arr: np.ndarray) -> list[int]:
-    ADD, MUL = form.field.add_table, form.field.mul_table
     rows = form.polar_rows(arr)
-    masks = []
-    for p in points:
-        vals = None
-        for c, row in zip(p, rows):
-            if c:
-                term = row if c == 1 else MUL[c][row]
-                vals = term if vals is None else ADD[vals, term]
-        masks.append(_mask_from_bool(vals == 0))
-    return masks
+    return [_mask_from_bool(form.field.combine(p, rows) == 0) for p in points]
 
 
 def _point_codes(field: GF, points):
@@ -537,7 +528,7 @@ def _reflections(space: PolarSpace):
 
     For each nonsingular v, in enumerate_pg_points order, the isometry is
     x -> x - (B(x,v)/Q(v)) v on a quadric and x -> x + (zeta-1) h(x,v)/h(v,v) v
-    on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  Yields (v, images):
+    on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  Yields images:
     images(gens) gives the indices of the images of the generators gens (an
     index array or boolean mask), and images() the whole map.  The maps are
     array lookups: points by their base-q codes, generators by their
@@ -596,7 +587,7 @@ def _reflections(space: PolarSpace):
         if (pmap < 0).any() or np.bincount(pmap, minlength=n_pts).max() != 1:
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the points")
-        yield v, partial(gen_images, pmap, v)
+        yield partial(gen_images, pmap, v)
 
 
 def _close(maps, marked: np.ndarray) -> np.ndarray:
@@ -666,7 +657,7 @@ def _reflection_permutations(space: PolarSpace) -> np.ndarray:
     and one group per reflection."""
     return _join_orbits(
         space, np.arange(space.num_generators) == 0,
-        lambda: ([images] for _, images in _reflections(space)),
+        lambda: ([images] for images in _reflections(space)),
         "reflections move generator 0 to {} of {} generators")
 
 
@@ -738,7 +729,7 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
     def groups():
         # as intp arrays: numpy casts an int32 index array on every use
         seen = {s.tobytes() for s in kept}
-        others = (images() for _, images in _reflections(space))
+        others = (images() for images in _reflections(space))
         for s in chain(kept, (s for s in others if s.tobytes() not in seen)):
             yield map(partial(schreier, s.astype(np.intp)), order)
 
@@ -838,11 +829,6 @@ class IteratedQuotient:
             cur = qm.quotient
         self.quotient = cur
 
-    def to_quotient(self, sub: Subspace) -> Subspace:
-        for qm in self.maps:
-            sub = qm.to_quotient(sub)
-        return sub
-
     def gen_image(self, g: int) -> int | None:
         """Index of generator g's image in the quotient at V, or None when
         g does not contain V."""
@@ -908,13 +894,7 @@ def hyperplane_section(space: PolarSpace, h: Subspace) -> SectionStructure:
     dual = nullspace(field, h.rows, space.n)
     if len(dual.rows) != 1:
         raise ValueError("input is not a hyperplane")
-    c = dual.rows[0]
-    ADD, MUL = field.add_table, field.mul_table
-    acc = np.zeros(space.num_points, dtype=ADD.dtype)
-    for j, cj in enumerate(c):
-        if cj:
-            acc = ADD[acc, MUL[cj][space.pts_array[:, j]]]
-    inside = acc == 0
+    inside = field.combine(dual.rows[0], space.pts_array.T) == 0
     pmask = _mask_from_bool(inside)
     pidx = tuple(int(i) for i in np.nonzero(inside)[0])
     gidx = tuple(gi for gi in range(space.num_generators)

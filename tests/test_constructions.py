@@ -1,12 +1,14 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from polarblock.forms import is_totally_singular
 from polarblock.spaces import build_polar_space, pencil_size
-from polarblock.projective import canonicalize
+from polarblock.projective import canonicalize, enumerate_pg_points
 from polarblock import analysis as A
 from polarblock import constructions as C
+from polarblock import search as S
 
 
 def test_pencil_sizes_per_kind():
@@ -195,6 +197,58 @@ def test_cone_avoidance_pinned(kind, row):
     bs = C.cone_example(sp, row)
     got = C.min_generators_outside_hyperplanes(sp, bs.members)
     assert got == PINNED_AVOIDANCE[kind, row]
+
+
+def _min_outside_by_loops(sp, members):
+    """min_generators_outside_hyperplanes as a loop over functionals,
+    members, rows and coordinates with scalar add and mul."""
+    field = sp.field
+    total = canonicalize(field, sp.n,
+                         [r for m in members for r in sp.generators[m].rows])
+    pivots = [r.index(1) for r in total.rows]
+    coords = [[tuple(r[c] for c in pivots) for r in sp.generators[m].rows]
+              for m in members]
+    add, mul = field.addl, field.mull
+    best = arg = None
+    for c in enumerate_pg_points(total.dim, field):
+        outside = 0
+        for rs in coords:
+            for r in rs:
+                acc = 0
+                for cj, rj in zip(c, r):
+                    acc = add[acc][mul[cj][rj]]
+                if acc:
+                    outside += 1
+                    break
+        if best is None or outside < best:
+            best, arg = outside, c
+    return best, arg
+
+
+def _avoidance_sets():
+    for kind, row in PINNED_AVOIDANCE:
+        marks = [pytest.mark.slow] if kind == "h" else []
+        yield pytest.param(kind, 3, 2, row, marks=marks,
+                           id=f"{kind}-{row}")
+    for key in [("q", 2, 3), ("qminus", 2, 2), ("h", 2, 2), ("q", 3, 2)]:
+        name = "-".join(map(str, key))
+        for row in ("pencil", "greedy"):
+            yield pytest.param(*key, row, id=f"{name}-{row}")
+
+
+@pytest.mark.parametrize("kind,rank,q,row", _avoidance_sets())
+def test_min_outside_hyperplanes_vs_loops(kind, rank, q, row):
+    sp = build_polar_space(kind, rank, q)
+    if row == "pencil":
+        sets = [C.pencil(sp).members]
+    elif row == "greedy":
+        rng = np.random.default_rng(7)
+        sets = [S.greedy_then_minimize(sp, rng) for _ in range(5)]
+    else:
+        sets = [C.cone_example(sp, row).members]
+    for members in sets:
+        assert (C.min_generators_outside_hyperplanes(sp, members)
+                == _min_outside_by_loops(sp, members))
 
 
 def test_table1_sizes():

@@ -233,3 +233,33 @@ def test_nondegeneracy_radicals():
     assert nuc.dim == 0 and nuc.rows == ((1, 0, 0, 0, 0),)
     assert radical(elliptic_form(2, F2)).dim == -1
     assert radical(hermitian_form(4, 2)).dim == -1
+
+
+def _quotient_form():
+    # the quotient of H(4,4) at point 30 has a Gram matrix with entries
+    # other than 0 and 1
+    from polarblock.spaces import build_polar_space
+
+    return build_polar_space("h", 2, 2).quotient_map(30).quotient.form
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parabolic_form(2, F2), lambda: parabolic_form(2, F3),
+    lambda: parabolic_form(1, F4), lambda: elliptic_form(1, F2),
+    lambda: elliptic_form(1, F3), lambda: elliptic_form(1, F4),
+    lambda: hyperbolic_form(2, F2), lambda: hyperbolic_form(2, F3),
+    lambda: hyperbolic_form(2, F4), lambda: hermitian_form(3, 2),
+    _quotient_form,
+], ids=["q2", "q3", "q4", "qm2", "qm3", "qm4", "qp2", "qp3", "qp4", "h4",
+        "h4-quotient"])
+def test_batches_match_scalar_on_every_point(make):
+    form = make()
+    pts = enumerate_pg_points(form.n, form.field)
+    arr = np.array(pts, dtype=form.field.add_table.dtype)
+    assert form.eval_batch(arr).tolist() == [form.eval(p) for p in pts]
+    rows = form.polar_rows(arr)
+    for i, e in enumerate(np.eye(form.n + 1, dtype=int).tolist()):
+        assert rows[i].tolist() == [form.polarize(e, v) for v in pts]
+    for u in pts:
+        assert (form.polarize_batch(u, arr).tolist()
+                == [form.polarize(u, v) for v in pts])

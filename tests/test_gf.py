@@ -119,3 +119,35 @@ def test_deterministic_tables():
     assert np.array_equal(a.mul_table, b.mul_table)
     assert np.array_equal(a.add_table, b.add_table)
     assert a.modulus == b.modulus
+
+
+def _combine_by_scalars(f, coeffs, rows):
+    """sum_i coeffs[i] * rows[i] entry by entry with scalar add and mul."""
+    rows = [np.asarray(r) for r in rows]
+    out = np.zeros(rows[0].shape, dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        acc = 0
+        for c, r in zip(coeffs, rows):
+            acc = f.add(acc, f.mul(int(c), int(r[idx])))
+        out[idx] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_combine_matches_scalar(p, h):
+    f = make_field(p, h)
+    rng = np.random.default_rng(p * 10 + h)
+    dt = f.add_table.dtype
+    for shape in [(7,), (3, 5)]:
+        rows = rng.integers(0, f.q, size=(4,) + shape).astype(dt)
+        cases = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1),
+                 (0, f.q - 1, 0, 1), (f.q - 1, 0, 1, 0)]
+        cases += [tuple(int(c) for c in rng.integers(0, f.q, size=4))
+                  for _ in range(20)]
+        for coeffs in cases:
+            got = f.combine(coeffs, rows)
+            assert got.shape == shape and got.dtype == dt
+            assert (got == _combine_by_scalars(f, coeffs, rows)).all()
+            # a list of rows gives the same sum as a stacked array
+            assert (f.combine(coeffs, list(rows)) == got).all()

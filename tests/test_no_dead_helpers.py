@@ -1,7 +1,7 @@
-"""Every function, class and method of the package has a caller outside
-tests: its name is used in src, demos or perfbench outside its own
-definition.  A helper that only tests call is dead code kept alive by its
-tests.  Comments and docstrings do not count as uses, nor do the
+"""Every function, class, method and module-level name of the package has
+a user outside tests: its name is used in src, demos or perfbench outside
+its own definition.  A helper that only tests call is dead code kept alive
+by its tests.  Comments and docstrings do not count as uses, nor do the
 re-exports in the package's __init__.py; a method that overrides one of a
 base class is called through the base class."""
 
@@ -24,12 +24,22 @@ REFERENCES = {
 
 def _definitions(path):
     """(name, first line, last line) of each top-level function or class,
-    and of each method that is not a dunder and overrides nothing."""
+    of each name a top-level assignment binds that is not a dunder, and of
+    each method that is not a dunder and overrides nothing."""
     module = importlib.import_module(
         "polarblock" if path.stem == "__init__" else f"polarblock.{path.stem}")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and isinstance(name.ctx, ast.Store)
+                            and not name.id.startswith("__")):
+                        yield name.id, node.lineno, node.end_lineno
         if not isinstance(node, kinds):
             continue
         yield node.name, node.lineno, node.end_lineno

@@ -7,7 +7,8 @@ from itertools import combinations, count
 import numpy as np
 import pytest
 
-from polarblock.projective import Subspace
+from polarblock.gf import field_of_order
+from polarblock.projective import Subspace, enumerate_pg_points, nullspace
 from polarblock.spaces import _iter_bits, build_polar_space, meet_types
 from polarblock import spaces
 from polarblock import analysis as A
@@ -171,6 +172,18 @@ def test_pg2_oracle_q8_q9(q, size):
     assert (r.exists, r.size, r.epsilon, r.complete) == (
         True, size, size - q - 1, True)
     _assert_line_free_blocking(q, r.witness)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pg2_incidence_vs_nullspace(q):
+    field = field_of_order(q)
+    pts = enumerate_pg_points(2, field)
+    want = []
+    for c in pts:
+        sub = nullspace(field, [c], 2)
+        want.append(tuple(i for i, p in enumerate(pts)
+                          if sub.contains_point(p)))
+    assert S._pg2_incidence(q) == (pts, want)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
