@@ -8,9 +8,10 @@ order of coordinate vectors downstream is the numeric order of encodings.
 Fields of square order q0^2 expose the conjugation a -> a^q0 needed by
 hermitian forms.
 
-GF.combine is the one vectorized linear combination: every batched form
-value, polarization, hyperplane test and incidence scan of the package is
-a sum of c*x over arrays of encodings, read off the add and mul tables.
+GF.combine sums c*x over arrays of encodings for scalar coefficients c,
+by lookups in the add and mul tables.  The batched form values,
+polarizations, hyperplane tests and incidence scans of the package all go
+through it.
 """
 
 from __future__ import annotations

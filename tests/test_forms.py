@@ -19,6 +19,7 @@ from polarblock.forms import (
     is_totally_singular,
     parabolic_form,
 )
+from polarblock.spaces import build_polar_space
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -238,8 +239,6 @@ def test_nondegeneracy_radicals():
 def _quotient_form():
     # the quotient of H(4,4) at point 30 has a Gram matrix with entries
     # other than 0 and 1
-    from polarblock.spaces import build_polar_space
-
     return build_polar_space("h", 2, 2).quotient_map(30).quotient.form
 
 
