@@ -9,7 +9,8 @@ Fields of square order q0^2 expose the conjugation a -> a^q0 needed by
 hermitian forms.
 
 GF.combine sums c*x over arrays of encodings for scalar coefficients c,
-by lookups in the add and mul tables.  The batched form values,
+by lookups in the mul table, adding by the add table or, over
+characteristic 2, by XOR.  The batched form values,
 polarizations, hyperplane tests and incidence scans of the package all go
 through it.
 """
@@ -251,13 +252,18 @@ class GF:
         Zero coefficients are skipped, a row whose coefficient is 1 is used
         as is, and the first nonzero term starts the sum, so the result may
         be one of the rows themselves: callers only read it.  All-zero
-        coefficients give zeros of the row shape."""
+        coefficients give zeros of the row shape.  Over characteristic 2
+        an encoding is a bit vector of GF(2) digits, so a sum is an XOR."""
         ADD, MUL = self.add_table, self.mul_table
+        xor = self.p == 2
         acc = None
         for c, row in zip(coeffs, rows):
             if c:
                 term = row if c == 1 else MUL[c][row]
-                acc = term if acc is None else ADD[acc, term]
+                if acc is None:
+                    acc = term
+                else:
+                    acc = acc ^ term if xor else ADD[acc, term]
         if acc is None:
             return np.zeros(np.shape(rows[0]), dtype=ADD.dtype)
         return acc

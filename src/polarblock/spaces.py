@@ -8,11 +8,13 @@ and every level is kept: a subspace U is extended by the singular points
 P of perp(U) whose leading column comes before U's first pivot, and once
 a span W = <U, P> is found all of W's points leave U's candidates.  U is
 then the hyperplane of W holding its lowest points, so each subspace is
-found once, from that hyperplane, and its RREF rows are P reduced
-against U's rows followed by U's rows.  W's points are computed as a
-bitmask: below the generators they are P + x for the vectors x of U,
-added as integer codes, and a generator W = <U, P> has the points
-perp(U) & perp(P).
+found once, from that hyperplane.  W's points are computed as a bitmask:
+below the generators they are P + x for the vectors x of U, added as
+integer codes, and a generator W = <U, P> has the points
+perp(U) & perp(P).  W's RREF rows are the least point of W outside U,
+read off that mask, followed by U's rows, so nothing is row-reduced.
+numpy unpacks the generators' point lists from their masks, a bounded
+chunk at a time.
 
 Every build, standard or quotient, is memoized by (kind, rank, q, form):
 a build is deterministic in its form, so the quotients at points with equal
@@ -186,6 +188,29 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _bit_lists(masks, width: int, chunk: int = 1024) -> list[tuple[int, ...]]:
+    """tuple(_iter_bits(m)) for each mask m below 2**width, chunk masks at
+    a time: their bytes are laid end to end and only the nonzero ones are
+    unpacked, so the work and the memory per chunk stay bounded."""
+    row_bits = (width + 7) // 8 * 8
+    out = []
+    for i in range(0, len(masks), chunk):
+        part = masks[i:i + chunk]
+        buf = np.frombuffer(
+            b"".join(m.to_bytes(row_bits // 8, "little") for m in part),
+            dtype=np.uint8)
+        nz = np.flatnonzero(buf)
+        j = np.flatnonzero(np.unpackbits(buf[nz], bitorder="little"))
+        pos = nz[j >> 3] * 8 + (j & 7)  # bit positions, ascending
+        row = pos // row_bits
+        cols = (pos - row * row_bits).tolist()
+        start = 0
+        for end in np.cumsum(np.bincount(row, minlength=len(part))).tolist():
+            out.append(tuple(cols[start:end]))
+            start = end
+    return out
+
+
 def _transpose(index_lists, width: int) -> list[int]:
     """out[i] has bit j set iff index_lists[j] holds i, for i < width: the
     incidence masks of the other side."""
@@ -328,8 +353,9 @@ def _content_hash(space: PolarSpace) -> str:
         "kind": space.kind,
         "rank": space.rank,
         "q": space.q,
-        "points": [list(p) for p in space.points],
-        "generators": [[list(r) for r in g.rows] for g in space.generators],
+        # tuples dump as JSON arrays, so no list copies are made
+        "points": space.points,
+        "generators": [g.rows for g in space.generators],
     }
     blob = json.dumps(payload, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -385,7 +411,7 @@ def _point_codes(field: GF, points):
     return add, multiples, bit_of
 
 
-def _extend_level(field: GF, points, point_index, collinear, level, codes):
+def _extend_level(points, point_index, collinear, level, codes):
     """Extend every totally singular subspace of one level by one point.
 
     level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
@@ -401,10 +427,17 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
     Points are normalised to a leading 1 and indexed in lex order, so the
     points with leading column before c are the top index segment
     [start[c], len(points)), and P runs over perp(U) & Q in that segment;
-    all of W's points leave the candidates after each step.  W's RREF rows
-    are then (w0,) + U's rows, where w0 is P reduced against U's rows: U's
-    rows are 0 in P's leading column, so no other row changes.  RREF rows
-    are singular points, so they are stored as the shared point tuples.
+    all of W's points leave the candidates after each step.  A U whose
+    first pivot is column 0, or with no candidate, is skipped at once.
+
+    W's RREF rows are (w0,) + U's rows, and w0 is the point of W outside U
+    with the least index, read off the mask.  Every point of W outside U is
+    P + x for a unique x in U, normalised, with its leading 1 in P's
+    column.  w0 is one of them and is 0 at U's pivots, and for a nonzero y
+    in U, w0 + y agrees with w0 before y's leading column and is nonzero
+    there, at a pivot of U where w0 is 0.  So w0 is the lex-least point of
+    W outside U, and point indices follow lex order.  RREF rows are
+    singular points, so they are stored as the shared point tuples.
     Returns the new pairs sorted by rows, which is the order of (w0's
     index, U's index in level).
     """
@@ -413,13 +446,18 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
     # start[c]: the points with leading column >= c lie below it
     start = [sum(p.index(1) >= c for p in points)
              for c in range(len(points[0]))]
+    npts = len(points)
     out = []
     for ui, (rows, umask) in enumerate(level):
+        s = start[rows[0].index(1)]
+        if s == npts:
+            continue
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
-        s = start[rows[0].index(1)]
         cand = full >> s << s
+        if not cand:
+            continue
         if codes is not None:
             ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
         while cand:
@@ -432,7 +470,8 @@ def _extend_level(field: GF, points, point_index, collinear, level, codes):
                 wmask = umask | low
                 for c in ucodes:
                     wmask |= bit_of[add(pc, c)]
-            i = point_index[reduce_against(field, rows, points[p])]
+            new = wmask & ~umask
+            i = (new & -new).bit_length() - 1
             out.append((i, ui, (points[i],) + rows, wmask))
             cand &= ~wmask
     out.sort()
@@ -465,7 +504,7 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     codes = _point_codes(field, points) if rank > 2 else None
     for k in range(rank - 1):
         levels.append([rows for rows, _ in level])
-        level = _extend_level(field, points, point_index, collinear, level,
+        level = _extend_level(points, point_index, collinear, level,
                               codes if k < rank - 2 else None)
 
     if len(level) != exp_gens:
@@ -475,7 +514,7 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
 
     generators = [Subspace(field, form.n, rows) for rows, _ in level]
     gen_point_mask = [mask for _, mask in level]
-    gen_points = [tuple(_iter_bits(mask)) for mask in gen_point_mask]
+    gen_points = _bit_lists(gen_point_mask, len(points))
 
     # maximality: a generator's mask is perp(g) & Q, which contains g, so
     # holding exactly the points of a generator means it equals g

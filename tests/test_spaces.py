@@ -426,7 +426,7 @@ def test_extend_level_keys_are_point_masks(key):
         last = k == sp.rank - 2
         args = (field, points, index, sp.collinear, level,
                 None if last else codes)
-        level = spaces._extend_level(*args)
+        level = spaces._extend_level(*args[1:])
         assert level == _lowest_hyperplane_extend_level(*args)
         for rows, mask in level:
             assert rows == rref(field, rows)
@@ -454,6 +454,21 @@ def test_point_code_sums(p, h):
                 s = [add_t[x][mul_t[c][y]] for x, y in zip(a, b)]
                 got = bit_of[add(multiples[i][0], code)]
                 assert got == bit[canonicalize(field, 2, [s]).rows[0]]
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 2709])
+def test_bit_lists_match_iter_bits(width):
+    # random masks of every density, zero and full ones among them, in
+    # chunks of 7 so that several chunks and a short last one run
+    rng = random.Random(width)
+    masks = [0, (1 << width) - 1]
+    masks += [rng.getrandbits(width) & rng.getrandbits(width)
+              for _ in range(40)]
+    masks += [1 << rng.randrange(width) for _ in range(5)]
+    want = [tuple(spaces._iter_bits(m)) for m in masks]
+    assert spaces._bit_lists(masks, width, chunk=7) == want
+    assert spaces._bit_lists(masks, width) == want
+    assert spaces._bit_lists([], width) == []
 
 
 def test_unknown_kind_and_guard():
