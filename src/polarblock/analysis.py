@@ -9,16 +9,17 @@ geometry, the generalized-quadrangle axiom checker, partial-spread
 predicates, the catalogue classifier and the delta-thresholds under which
 the classification theorems apply.
 
-A census classifies many sets that share a few rank-2 bases, so three
+A census classifies many sets that share a few rank-2 bases, so two
 structures are kept on the space they belong to (PolarSpace.cached),
 each built on first use: the sub-quadrangle verdict on a covered point
-set, keyed by its point mask; the hyperplane section, keyed by the
-hyperplane's canonical RREF rows; and the quotient at a cone vertex,
-keyed by the vertex's rows.  Sharing them is sound because a PolarSpace
-is immutable and each key determines what is built from it;
-SectionStructure is frozen, and callers read these structures without
-changing them.  verify_classification still runs every test of a
-witness; only these per-space inputs are shared with classify.
+set, keyed by its point mask, and the hyperplane section, keyed by the
+hyperplane's canonical RREF rows.  The quotient at a cone vertex or a
+hole is the space's own cached map (PolarSpace.quotient).  Sharing them
+is sound because a PolarSpace is immutable and each key determines what
+is built from it; SectionStructure is frozen, and callers read these
+structures without changing them.  verify_classification still runs
+every test of a witness; only these per-space inputs are shared with
+classify.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .forms import is_totally_singular
 from .projective import Subspace, canonicalize, meet, span  # noqa: F401
 from .spaces import (
     BudgetError,
-    IteratedQuotient,
     PolarSpace,
     _iter_bits,
     hyperplane_section,
@@ -376,28 +376,19 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     """Project a blocking set from one of its holes into the quotient.
 
     Each member g maps to the span of the hole with g meet perp(hole),
-    taken in the quotient geometry; duplicates merge.  That span is the one
-    generator through the hole and through g's points collinear with it, so
-    it is found as the single bit of point_gen_mask[hole] AND-ed with
-    point_gen_mask[p] over those points p, and mapped to its quotient index
-    by the quotient map's generator table.  Returns (quotient space,
+    taken in the quotient geometry; duplicates merge.  That span is a
+    quotient generator, the one through the images of g's points collinear
+    with the hole (QuotientMap.gen_through).  Returns (quotient space,
     projected member indices, quotient map).
     """
     members = validate_members(space, members)
+    # checks the hole as a point index (BuildError is a ValueError)
+    qspace, qm = quotient_at_point(space, hole)
     if space.point_gen_mask[hole] & members_mask(members):
         raise ValueError(f"point {hole} is covered; not a hole")
-    qspace, qm = quotient_at_point(space, hole)
-    pgm = space.point_gen_mask
-    out = set()
-    for m in members:
-        lifted = pgm[hole]
-        for p in _iter_bits(space.gen_point_mask[m] & space.collinear[hole]):
-            lifted &= pgm[p]
-        if lifted.bit_count() != 1:
-            raise AssertionError(f"member {m} lifts to {lifted.bit_count()} "
-                                 "generators through the hole")
-        out.add(qm.gen_image(lifted.bit_length() - 1))
-    projected = tuple(sorted(out))
+    projected = tuple(sorted({
+        qm.gen_through(space.gen_point_mask[m] & space.collinear[hole])
+        for m in members}))
     if not is_blocking(qspace, projected):
         raise AssertionError("projection from a hole failed to block the quotient")
     return qspace, projected, qm
@@ -576,16 +567,10 @@ def _covers_q4_section(space: PolarSpace, members, h: Subspace):
     return None
 
 
-def vertex_quotient(space: PolarSpace, v: Subspace) -> IteratedQuotient:
-    """The quotient at the totally singular vertex v (built on first use,
-    then cached)."""
-    return space.cached("vertex_quotient", v.rows, IteratedQuotient, space, v)
-
-
 def _cone_base(space: PolarSpace, members, v: Subspace):
     """The quotient at the vertex v and the members' images in it."""
-    iq = vertex_quotient(space, v)
-    return iq.quotient, tuple(sorted({iq.gen_image(m) for m in members}))
+    qm = space.quotient(v)
+    return qm.quotient, tuple(sorted({qm.gen_image(m) for m in members}))
 
 
 def _classify_rank2(space: PolarSpace, members) -> Classification:

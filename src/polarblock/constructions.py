@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .projective import Subspace
+from .projective import Subspace, canonicalize, enumerate_pg_points
 from .forms import is_totally_singular
 from .spaces import (
     BudgetError,
@@ -32,7 +32,6 @@ from .analysis import (
     is_blocking,
     is_minimal,
     is_partial_spread,
-    vertex_quotient,
 )
 from . import search
 
@@ -103,7 +102,10 @@ def grid_rulings(space: PolarSpace, lines=None) -> tuple[list[int], list[int]]:
 
 def ruling_spread(space: PolarSpace, which: int = 0, lines=None) -> BlockingSet:
     """One ruling of a hyperbolic grid: q+1 pairwise disjoint lines
-    partitioning the grid's points."""
+    partitioning the grid's points.  which is 0 or 1."""
+    if (isinstance(which, bool) or not isinstance(which, (int, np.integer))
+            or which not in (0, 1)):
+        raise ValueError(f"ruling {which!r} is not 0 or 1")
     fam0, fam1 = grid_rulings(space, lines)
     members = tuple((fam0, fam1)[which])
     if lines is None and covered_mask(space, members) != space.all_points_mask:
@@ -174,8 +176,8 @@ def cone_example(space: PolarSpace, row: str,
     if spec.base is None:
         return pencil(space, vertex)
 
-    iq = vertex_quotient(space, vertex)
-    quot = iq.quotient
+    qm = space.quotient(vertex)
+    quot = qm.quotient
     if spec.base == LABEL_SUBGQ_SPREAD:
         sec = hyperbolic_section(quot)
         base = ruling_spread(quot, 0, lines=sec.gen_indices)
@@ -185,7 +187,7 @@ def cone_example(space: PolarSpace, row: str,
     # quotient's generators
     wanted = set(base.members)
     members = tuple(g for g in space.generators_through(vertex)
-                    if iq.gen_image(g) in wanted)
+                    if qm.gen_image(g) in wanted)
     if len(members) != len(wanted):
         raise AssertionError("base elements do not lift to generators")
     bs = BlockingSet(space, members)
@@ -204,8 +206,6 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     minimum is the worst case of the not-contained-in-T count, with an
     attaining dual functional in span coordinates.
     """
-    from .projective import canonicalize, enumerate_pg_points
-
     field = space.field
     total = canonicalize(field, space.n,
                          [r for m in members for r in space.generators[m].rows])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import GF, make_field
+from .gf import GF, field_of_order, make_field
 from .projective import Subspace, nullspace, subspace_points
 
 QUADRATIC_KINDS = ("parabolic", "elliptic", "hyperbolic")
@@ -291,7 +291,5 @@ def hermitian_form(n: int, base_q: int) -> Form:
 
 
 def _square_field(base_q: int) -> GF:
-    from .gf import field_of_order
-
     base = field_of_order(base_q)
     return make_field(base.p, 2 * base.h)

@@ -18,8 +18,13 @@ chunk at a time.
 
 Every build, standard or quotient, is memoized by (kind, rank, q, form):
 a build is deterministic in its form, so the quotients at points with equal
-restricted forms share one PolarSpace.  A build whose bitmasks would exceed
-MAX_BUILD_BYTES raises BudgetError before anything is enumerated.
+restricted forms share one PolarSpace.  A space keeps its projection onto
+perp(V)/V at each totally singular vertex V it is asked for
+(PolarSpace.quotient), keyed by V's RREF rows.  The projection sends
+points to quotient points, and a generator to the quotient generator
+through its points' images, an AND of the quotient's point-generator
+masks.  A build whose bitmasks would exceed MAX_BUILD_BYTES raises
+BudgetError before anything is enumerated.
 
 Supported kinds (q is the base parameter of the family; hermitian
 spaces live over GF(q^2)):
@@ -49,7 +54,6 @@ from .projective import (
     canonicalize,
     enumerate_pg_points,
     nullspace,
-    reduce_against,
     theta,
 )
 # rref and subspace_points stay importable here: perfbench/tracer.py wraps
@@ -252,7 +256,6 @@ class PolarSpace:
         self.collinear = collinear
         self.levels = levels  # RREF rows of the subspaces of dimension 0..rank-2
         self.generators = generators
-        self.gen_index = {g.rows: i for i, g in enumerate(generators)}
         self.gen_points = gen_points
         self.gen_point_mask = gen_point_mask
         self.point_gen_mask = point_gen_mask
@@ -307,14 +310,21 @@ class PolarSpace:
                            _stabilizer_permutations, self)
 
     def quotient_map(self, point_idx: int) -> "QuotientMap":
-        """The projection onto the quotient at a point (built on first use,
-        then cached)."""
-        if self.rank < 2:
-            raise BuildError("quotient needs rank >= 2")
-        if not 0 <= point_idx < self.num_points:
-            raise BuildError(f"no point with index {point_idx}")
-        return self.cached("quotient_map", point_idx, QuotientMap, self,
-                           point_idx)
+        """The projection onto the quotient at a point: quotient() at it.
+        The index must be an integer (Python or numpy, not bool)."""
+        if (isinstance(point_idx, bool)
+                or not isinstance(point_idx, (int, np.integer))
+                or not 0 <= point_idx < self.num_points):
+            raise BuildError(f"no point with index {point_idx!r}")
+        return self.quotient(Subspace(self.field, self.n,
+                                      (self.points[point_idx],)))
+
+    def quotient(self, vertex: Subspace) -> "QuotientMap":
+        """The projection onto perp(V)/V at a totally singular vertex V
+        below the generators (built on first use, then cached by V's
+        rows)."""
+        return self.cached("quotient_map", vertex.rows, QuotientMap, self,
+                           vertex.rows)
 
     def cached(self, table: str, key, build, *args):
         """build(*args), kept under key in the named table: computed on
@@ -782,100 +792,99 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
 
 
 class QuotientMap:
-    """Projection from a singular point P onto perp(P)/P.
+    """Projection from a totally singular vertex V onto perp(V)/V.
 
-    to_quotient maps a totally singular subspace U with P in U inside
-    perp(P) to its image, and gen_image maps generator indices.  The
-    quotient is a polar space of the same kind and rank-1.
+    The quotient is a polar space of the same kind and of rank
+    rank - dim V - 1.  point_image sends each singular point X outside V
+    and collinear with all of V to the index of the quotient point <V, X>/V,
+    and vertex_mask holds V's points.  At a point P, crows are the rows of
+    perp(P) that complete P to a basis of it, the quotient's coordinates.
+    A larger V is the quotient at its first RREF row P, then the quotient at
+    the image of V there; the two point images are composed.
     """
 
-    def __init__(self, space: PolarSpace, point_idx: int):
+    def __init__(self, space: PolarSpace, rows):
+        if not 0 < len(rows) < space.rank:
+            raise BuildError(f"{space.name} has no quotient at a vertex of "
+                             f"dimension {len(rows) - 1}")
+        point_idx = space.point_index.get(rows[0])
+        if point_idx is None:
+            raise BuildError("the vertex is not totally singular")
         self.space = space
-        self.point_idx = point_idx
-        self.point = space.points[point_idx]
-        field = space.field
-        psub = canonicalize(field, space.n, [self.point])
-        perp = space.form.perp(psub)
-        if not perp.contains_point(self.point):
-            raise BuildError("perp(P) does not contain P; P not singular?")
+        if len(rows) > 1:
+            head = space.quotient_map(point_idx)
+            image = [head.point_image.get(space.point_index.get(r))
+                     for r in rows[1:]]
+            if None in image:
+                raise BuildError("the vertex is not totally singular")
+            mid = head.quotient
+            tail = mid.quotient(canonicalize(mid.field, mid.n,
+                                             [mid.points[i] for i in image]))
+            self.quotient = tail.quotient
+            self.vertex_mask = head.vertex_mask
+            self.point_image = {}
+            for x, y in head.point_image.items():
+                if tail.vertex_mask >> y & 1:
+                    self.vertex_mask |= 1 << x
+                elif y in tail.point_image:
+                    self.point_image[x] = tail.point_image[y]
+            return
+        field, point = space.field, rows[0]
+        perp = space.form.perp(Subspace(field, space.n, rows))
+        if not perp.contains_point(point):
+            raise BuildError("perp(P) does not contain P")
         # P = sum of P[c] * row over the RREF rows of perp(P), c the row's
         # pivot column; the other rows, without the last one with P[c] != 0,
         # complete P to a basis of perp(P)
-        last = max(i for i, r in enumerate(perp.rows) if self.point[r.index(1)])
-        self._perp_rows = perp.rows
+        last = max(i for i, r in enumerate(perp.rows) if point[r.index(1)])
         self.crows = perp.rows[:last] + perp.rows[last + 1:]
-        self._drop = perp.rows[last].index(1)
-        self._pivots = [r.index(1) for r in self.crows]
-        qform = space.form.restrict(self.crows)
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
-                                        qform)
-        self._gen_image = {}
+                                        space.form.restrict(self.crows))
+        self.vertex_mask = 1 << point_idx
+        # X in perp(P) is (X[c] / P[c]) P plus a vector of the span of crows,
+        # whose crows coordinates are its entries at their pivots; its image
+        # is that vector scaled to a leading 1
+        add, mul = field.add_table, field.mul_table
+        c = perp.rows[last].index(1)
+        pivots = [r.index(1) for r in self.crows]
+        around = _bit_lists([space.collinear[point_idx] & ~self.vertex_mask],
+                            space.num_points)[0]
+        x = space.pts_array[list(around)]
+        coef = mul[x[:, c], field.neg(field.inv(point[c]))]
+        y = add[x[:, pivots], mul[coef[:, None], [point[j] for j in pivots]]]
+        lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
+        y = mul[field.inv_table[lead][:, None], y]
+        index = self.quotient.point_index
+        self.point_image = dict(zip(around, map(index.__getitem__,
+                                                map(tuple, y.tolist()))))
+
+    def gen_through(self, mask: int) -> int:
+        """Index of the quotient generator through the images of the points
+        of mask, each outside V and collinear with all of it; they must span
+        a generator modulo V."""
+        qmask = self.quotient.point_gen_mask
+        common = self.quotient.all_gens_mask
+        for x in _iter_bits(mask):
+            common &= qmask[self.point_image[x]]
+        if common.bit_count() != 1:
+            raise AssertionError(f"points lie on {common.bit_count()} "
+                                 "quotient generators")
+        return common.bit_length() - 1
 
     def gen_image(self, g: int) -> int | None:
-        """Index of generator g's image among the quotient's generators, or
-        None when g misses P (computed on first use, then cached)."""
-        if g not in self._gen_image:
-            img = None
-            if self.space.point_gen_mask[self.point_idx] >> g & 1:
-                rows = self.to_quotient(self.space.generators[g]).rows
-                img = self.quotient.gen_index.get(rows)
-                if img is None:
-                    raise AssertionError(
-                        f"image of generator {g} is not a quotient generator")
-            self._gen_image[g] = img
-        return self._gen_image[g]
-
-    def to_quotient(self, sub: Subspace) -> Subspace:
-        """The image of sub in perp(P)/P, in coordinates on crows.
-
-        x in perp(P) is (x[c] / P[c]) P plus a vector of the span of crows,
-        c the pivot of the dropped row; that vector's crows coordinates are
-        its entries at their pivots."""
-        field = self.space.field
-        add, mul, neg = field.addl, field.mull, field.negl
-        p, c = self.point, self._drop
-        ip = field.invl[p[c]]
-        rows = []
-        for x in sub.rows:
-            if reduce_against(field, self._perp_rows, x) is not None:
-                raise ValueError("subspace is not contained in perp(P)")
-            mt = mul[neg[mul[x[c]][ip]]]
-            rows.append(tuple(add[x[j]][mt[p[j]]] for j in self._pivots))
-        return canonicalize(field, len(self.crows) - 1, rows)
+        """Index of generator g's image among the quotient's generators: the
+        one through the images of g's points outside V, or None when g does
+        not contain V."""
+        pts = self.space.gen_point_mask[g]
+        if self.vertex_mask & ~pts:
+            return None
+        return self.gen_through(pts & ~self.vertex_mask)
 
 
 def quotient_at_point(space: PolarSpace, point_idx: int):
     """Quotient polar space at a singular point, with the projection map."""
     qm = space.quotient_map(point_idx)
     return qm.quotient, qm
-
-
-class IteratedQuotient:
-    """Composition of point quotients along a basis of a totally singular
-    vertex subspace V; maps subspaces and generators through V to the
-    quotient at V.  The point quotients are the spaces' cached maps."""
-
-    def __init__(self, space: PolarSpace, vertex: Subspace):
-        self.space = space
-        self.vertex = vertex
-        self.maps = []
-        cur = space
-        v = vertex
-        while v.dim >= 0:
-            qm = cur.quotient_map(cur.point_index[v.rows[0]])
-            self.maps.append(qm)
-            v = qm.to_quotient(v)
-            cur = qm.quotient
-        self.quotient = cur
-
-    def gen_image(self, g: int) -> int | None:
-        """Index of generator g's image in the quotient at V, or None when
-        g does not contain V."""
-        for qm in self.maps:
-            g = qm.gen_image(g)
-            if g is None:
-                return None
-        return g
 
 
 # -- hyperplane sections -------------------------------------------------------

@@ -274,6 +274,18 @@ def test_project_blocking_set_oracle():
         A.project_blocking_set(sp, cone.members, covered_point)
 
 
+def test_project_blocking_set_rejects_bad_hole():
+    sp = build_polar_space("q", 3, 2)
+    cone = C.cone_example(sp, "qplus3-spread")
+    hole = A.coverage_profile(sp, cone.members).holes[0]
+    want = A.project_blocking_set(sp, cone.members, hole)[1]
+    assert A.project_blocking_set(sp, cone.members, np.int64(hole))[1] == want
+    # out of range, a bool (True would be point 1) and a float
+    for bad in (sp.num_points, True, 2.0):
+        with pytest.raises(ValueError):
+            A.project_blocking_set(sp, cone.members, bad)
+
+
 def test_thresholds_known_values():
     th = A.theorem_threshold("qminus", 2)
     assert th.max_delta == 0 and abs(th.value - 0.5) < 1e-12
@@ -513,12 +525,13 @@ def test_gq_axioms_match_numpy_version(key):
 def test_census_builds_each_substructure_once(monkeypatch):
     """Classifying the Q(6,2) and Q-(5,2) censuses checks the GQ axioms once
     per (space, covered points), builds each hyperplane section once and
-    each vertex quotient once; a cache filled earlier in the session only
-    lowers the counts."""
+    each quotient map once per (space, vertex rows); a cache filled earlier
+    in the session only lowers the counts."""
     import polarblock.search as S
+    from polarblock import spaces
 
     seen = {"gq": [], "section": [], "quotient": []}
-    gq, section, quotient = A.check_gq_axioms, A.hyperplane_section, A.IteratedQuotient
+    gq, section, quotient = A.check_gq_axioms, A.hyperplane_section, spaces.QuotientMap
 
     def counting_gq(points, lines):
         points, lines = tuple(points), [tuple(l) for l in lines]
@@ -529,13 +542,13 @@ def test_census_builds_each_substructure_once(monkeypatch):
         seen["section"].append((id(space), h.rows))
         return section(space, h)
 
-    def counting_quotient(space, v):
-        seen["quotient"].append((id(space), v.rows))
-        return quotient(space, v)
+    def counting_quotient(space, rows):
+        seen["quotient"].append((id(space), rows))
+        return quotient(space, rows)
 
     monkeypatch.setattr(A, "check_gq_axioms", counting_gq)
     monkeypatch.setattr(A, "hyperplane_section", counting_section)
-    monkeypatch.setattr(A, "IteratedQuotient", counting_quotient)
+    monkeypatch.setattr(spaces, "QuotientMap", counting_quotient)
     for key, bound in ((("q", 3, 2), 3), (("qminus", 2, 2), 5)):
         sp = build_polar_space(*key)
         for m in S.enumerate_minimal(sp, bound).sets:

@@ -95,6 +95,14 @@ def test_ruling_rejects_non_grid():
         C.grid_rulings(sp)  # not a Q+(3,q) space
 
 
+def test_ruling_spread_rejects_bad_which():
+    sp = build_polar_space("qplus3", 2, 2)
+    # 2 would index past the two rulings; -1 and True would pick ruling 1
+    for bad in (2, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            C.ruling_spread(sp, bad)
+
+
 def test_section_cover_q2():
     sp = build_polar_space("qminus", 2, 2)
     cov = C.section_cover(sp)

@@ -1,9 +1,11 @@
 """Every function, class, method and module-level name of the package has
 a user outside tests: its name is used in src, demos or perfbench outside
 its own definition.  A helper that only tests call is dead code kept alive
-by its tests.  Comments and docstrings do not count as uses, nor do the
-re-exports in the package's __init__.py; a method that overrides one of a
-base class is called through the base class."""
+by its tests.  Likewise every instance attribute a method assigns
+(self.<name> = ...) is read outside that assignment.  Comments and
+docstrings do not count as uses, nor do the re-exports in the package's
+__init__.py; a method that overrides one of a base class is called through
+the base class."""
 
 import ast
 import importlib
@@ -69,7 +71,32 @@ def _uses(path):
                 yield value, tok.start[0]
 
 
-def test_every_helper_has_a_caller_outside_tests():
+def _instance_attributes(path):
+    """(name, first line, last line) of each self.<name> assignment in a
+    method of a top-level class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for attr in ast.walk(target):
+                    if (isinstance(attr, ast.Attribute)
+                            and isinstance(attr.ctx, ast.Store)
+                            and isinstance(attr.value, ast.Name)
+                            and attr.value.id == "self"):
+                        yield attr.attr, node.lineno, node.end_lineno
+
+
+def _unused(definitions):
+    """The definitions (path, name, first line, last line) whose name is
+    used nowhere in src, demos or perfbench outside their own lines."""
     uses = {}
     for root in USERS:
         for path in sorted(root.rglob("*.py")):
@@ -79,10 +106,24 @@ def test_every_helper_has_a_caller_outside_tests():
             for name, line in _uses(path):
                 uses.setdefault(name, []).append((path, line))
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(path):
-            outside = [u for u in uses.get(name, ())
-                       if not (u[0] == path and first <= u[1] <= last)]
-            if not outside and name not in REFERENCES:
-                dead.append(f"{path.name}:{first} {name}")
+    for path, name, first, last in definitions:
+        outside = [u for u in uses.get(name, ())
+                   if not (u[0] == path and first <= u[1] <= last)]
+        if not outside:
+            dead.append(f"{path.name}:{first} {name}")
+    return dead
+
+
+def test_every_helper_has_a_caller_outside_tests():
+    dead = _unused((path, name, first, last)
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for name, first, last in _definitions(path)
+                   if name not in REFERENCES)
+    assert not dead, dead
+
+
+def test_every_instance_attribute_is_read_outside_tests():
+    dead = _unused((path, name, first, last)
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for name, first, last in _instance_attributes(path))
     assert not dead, dead

@@ -136,18 +136,45 @@ def test_quotients_known_counts():
     assert (q3.num_points, q3.num_generators) == (27, 45)
 
 
+def _to_quotient(space, point_idx, sub):
+    """Reference image of a subspace sub of perp(P) in perp(P)/P, in
+    coordinates on the map's crows: x in perp(P) is (x[c] / P[c]) P plus a
+    vector of the span of crows, c the pivot of the row of perp(P) that is
+    not a crow, and that vector's coordinates are its entries at their
+    pivots.  ValueError when sub is not inside perp(P)."""
+    field = space.field
+    add, mul, neg = field.addl, field.mull, field.negl
+    crows = space.quotient_map(point_idx).crows
+    p = space.points[point_idx]
+    perp = space.form.perp(canonicalize(field, space.n, [p]))
+    c = next(r for r in perp.rows if r not in crows).index(1)
+    ip = field.invl[p[c]]
+    rows = []
+    for x in sub.rows:
+        if reduce_against(field, perp.rows, x) is not None:
+            raise ValueError("subspace is not contained in perp(P)")
+        mt = mul[neg[mul[x[c]][ip]]]
+        rows.append(tuple(add[x[j]][mt[p[j]]] for j in
+                          (r.index(1) for r in crows)))
+    return canonicalize(field, len(crows) - 1, rows)
+
+
+def _gen_index(space):
+    return {g.rows: i for i, g in enumerate(space.generators)}
+
+
 def test_quotient_coherence_bijection():
     sp = build_polar_space("q", 3, 2)
     for pi in (0, 7):
         qs, qm = quotient_at_point(sp, pi)
         p = sp.points[pi]
         thru = [gi for gi, g in enumerate(sp.generators) if g.contains_point(p)]
-        imgs = {qm.to_quotient(sp.generators[gi]).rows for gi in thru}
+        imgs = {_to_quotient(sp, pi, sp.generators[gi]).rows for gi in thru}
         assert imgs == {g.rows for g in qs.generators}
         assert sorted(qm.gen_image(gi) for gi in thru) == list(range(qs.num_generators))
         for gi in thru:
             img = qs.generators[qm.gen_image(gi)]
-            assert img.rows == qm.to_quotient(sp.generators[gi]).rows
+            assert img.rows == _to_quotient(sp, pi, sp.generators[gi]).rows
 
 
 # content_hash() of quotient_at_point(space, i)[0]; on H(4,4) the quotient
@@ -187,26 +214,42 @@ def test_quotient_map_memo_and_gen_image(key):
         qm = sp.quotient_map(pi)
         assert sp.quotient_map(pi) is qm
         assert quotient_at_point(sp, pi) == (qm.quotient, qm)
+        index = _gen_index(qm.quotient)
         for g, gen in enumerate(sp.generators):
             if gen.contains_point(sp.points[pi]):
-                want = qm.quotient.gen_index[qm.to_quotient(gen).rows]
+                want = index[_to_quotient(sp, pi, gen).rows]
             else:
                 want = None
             assert qm.gen_image(g) == want
 
 
 def test_iterated_quotient_gen_image():
+    # a line vertex: the quotient at its first point, then at the image of
+    # the line there, composed through the reference images
     sp = build_polar_space("q", 4, 2)
     line = canonicalize(sp.field, sp.n, sp.levels[1][0])
-    iq = spaces.IteratedQuotient(sp, line)
+    qm = sp.quotient(line)
+    assert sp.quotient(line) is qm
+    head = sp.point_index[line.rows[0]]
+    mid = sp.quotient_map(head).quotient
+    tail = mid.point_index[_to_quotient(sp, head, line).rows[0]]
+    assert qm.quotient is mid.quotient_map(tail).quotient
+
+    def image(sub):
+        return _to_quotient(mid, tail, _to_quotient(sp, head, sub))
+
+    index = _gen_index(qm.quotient)
     for g, gen in enumerate(sp.generators):
-        if gen.contains(line):
-            for qm in iq.maps:
-                gen = qm.to_quotient(gen)
-            want = iq.quotient.gen_index[gen.rows]
-        else:
-            want = None
-        assert iq.gen_image(g) == want
+        want = index[image(gen).rows] if gen.contains(line) else None
+        assert qm.gen_image(g) == want
+    on_line = {i for i, p in enumerate(sp.points) if line.contains_point(p)}
+    assert qm.vertex_mask == sum(1 << i for i in on_line)
+    around = [x for x in range(sp.num_points) if x not in on_line
+              and all(sp.collinear[i] >> x & 1 for i in on_line)]
+    assert sorted(qm.point_image) == around
+    for x in around:
+        pt = image(canonicalize(sp.field, sp.n, [sp.points[x]]))
+        assert qm.point_image[x] == qm.quotient.point_index[pt.rows[0]]
 
 
 def _coords_by_search(field, basis):
@@ -222,24 +265,39 @@ def _coords_by_search(field, basis):
     return out
 
 
+# points whose quotient form has Gram entries other than 0 and 1 (GF(4)'s
+# 2 and 3 at H(4,4)'s point 30), so images are scaled by such entries
+EXTRA_QUOTIENT_POINTS = {("h", 2, 2): {30}}
+
+
 @pytest.mark.parametrize("key", [("q", 2, 3), ("qminus", 2, 2), ("h", 2, 2),
                                  ("q", 3, 2)])
 def test_quotient_coordinates_vs_bruteforce(key):
-    # to_quotient is the span of the coordinates after P in the basis
-    # (P, crows), found here by trying every coefficient vector
+    # the image of X is its coordinates after P in the basis (P, crows),
+    # found here by trying every coefficient vector, scaled to a leading 1;
+    # the reference map agrees on generators
     sp = build_polar_space(*key)
     rng = random.Random(13)
-    for pi in sorted(rng.sample(range(sp.num_points), 5)):
+    chosen = set(rng.sample(range(sp.num_points), 5))
+    for pi in sorted(chosen | EXTRA_QUOTIENT_POINTS.get(key, set())):
         qm = sp.quotient_map(pi)
-        coords = _coords_by_search(sp.field, (qm.point,) + qm.crows)
+        qs = qm.quotient
+        coords = _coords_by_search(sp.field, (sp.points[pi],) + qm.crows)
+        around = [x for x in range(sp.num_points)
+                  if x != pi and sp.collinear[pi] >> x & 1]
+        assert sorted(qm.point_image) == around
+        for x in around:
+            want = canonicalize(sp.field, len(qm.crows) - 1,
+                                [coords[sp.points[x]][1:]])
+            assert qs.points[qm.point_image[x]] == want.rows[0]
         for g, gen in enumerate(sp.generators):
-            if gen.contains_point(qm.point):
+            if gen.contains_point(sp.points[pi]):
                 want = canonicalize(sp.field, len(qm.crows) - 1,
                                     [coords[r][1:] for r in gen.rows])
-                assert qm.to_quotient(gen) == want
+                assert _to_quotient(sp, pi, gen) == want
             else:
                 with pytest.raises(ValueError):
-                    qm.to_quotient(gen)
+                    _to_quotient(sp, pi, gen)
 
 
 def test_quotient_rejects_bad_input():
@@ -249,6 +307,15 @@ def test_quotient_rejects_bad_input():
     sp2 = build_polar_space("q", 2, 2)
     with pytest.raises(BuildError):
         quotient_at_point(sp2, 99)
+    for bad in (True, 2.0):
+        with pytest.raises(BuildError):
+            sp2.quotient_map(bad)
+    # a vertex that is not totally singular: two non-collinear points
+    sp3 = build_polar_space("q", 3, 2)
+    b = next(b for b in range(sp3.num_points) if not sp3.collinear[0] >> b & 1)
+    with pytest.raises(BuildError):
+        sp3.quotient(canonicalize(sp3.field, sp3.n,
+                                  [sp3.points[0], sp3.points[b]]))
 
 
 def test_hyperplane_sections_qminus52():
