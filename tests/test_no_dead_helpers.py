@@ -79,12 +79,10 @@ def _instance_attributes(path):
         if not isinstance(cls, ast.ClassDef):
             continue
         for node in ast.walk(cls):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            else:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                 continue
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
             for target in targets:
                 for attr in ast.walk(target):
                     if (isinstance(attr, ast.Attribute)
