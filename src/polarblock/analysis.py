@@ -184,16 +184,25 @@ def minimize_blocking_set(space: PolarSpace, members) -> tuple[int, ...]:
     The result is inclusion-minimal; when every survivor is essential it
     is minimal in the catalogue sense as well.
     """
-    cur = list(validate_members(space, members))
-    if not is_blocking(space, cur):
+    cur = validate_members(space, members)
+    meets, full = space.meets, space.all_gens_mask
+    # after[i]: the generators met by some member of cur[i:]
+    after = [0] * (len(cur) + 1)
+    for i in range(len(cur) - 1, -1, -1):
+        after[i] = after[i + 1] | meets[cur[i]]
+    if after[0] != full:
         raise ValueError("input set is not blocking")
-    # one pass suffices: a member that was needed stays needed once others
-    # are removed, since a subset of a non-blocking set does not block
-    kept = []
+    # One pass gives what stripping the lex-least removable member and
+    # rescanning from the start gives: a member found needed stays needed
+    # once later members are removed (a subset of a non-blocking set does
+    # not block), so each rescan would pass the kept members and stop at
+    # the member this pass removes next.  At member i the rest is the kept
+    # members and cur[i+1:], which block iff hit | after[i + 1] is full.
+    kept, hit = [], 0
     for i, m in enumerate(cur):
-        rest = kept + cur[i + 1:]
-        if not (rest and is_blocking(space, rest)):
+        if hit | after[i + 1] != full:
             kept.append(m)
+            hit |= meets[m]
     return tuple(kept)
 
 

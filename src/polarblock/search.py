@@ -595,15 +595,36 @@ def smallest_nontrivial_pg2(q: int,
 # -- random generation and brute-force oracles ---------------------------------
 
 
+def _select_bit(mask: int, k: int) -> int:
+    """Position of the k-th set bit of mask, counting from 0 at the lowest:
+    tuple(_iter_bits(mask))[k].  Requires 0 <= k < mask.bit_count().
+
+    Halves on the popcount of the bits below mid, so it takes O(log n)
+    big-int operations for an n-bit mask instead of listing its bits."""
+    # invariant: fewer than k + 1 set bits below lo, more than k below hi
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def greedy_then_minimize(space: PolarSpace, rng) -> tuple[int, ...]:
-    """A random blocking set minimized by lex-least removable stripping."""
+    """A random blocking set minimized by lex-least removable stripping.
+
+    Each step draws an unhit generator uniformly, then a generator meeting
+    it uniformly, by index into the set bits of the masks in ascending
+    order."""
     chosen: list[int] = []
     hit = 0
     while hit != space.all_gens_mask:
-        unhit = list(_iter_bits(space.all_gens_mask & ~hit))
-        target = unhit[int(rng.integers(len(unhit)))]
-        hitters = list(_iter_bits(space.meets[target]))
-        pick = hitters[int(rng.integers(len(hitters)))]
+        unhit = space.all_gens_mask & ~hit
+        target = _select_bit(unhit, int(rng.integers(unhit.bit_count())))
+        hitters = space.meets[target]
+        pick = _select_bit(hitters, int(rng.integers(hitters.bit_count())))
         if pick not in chosen:
             chosen.append(pick)
             hit |= space.meets[pick]

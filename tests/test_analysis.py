@@ -690,7 +690,8 @@ def _minimize_with_restarts(space, members):
 
 
 @pytest.mark.parametrize("key", [("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3),
-                                 ("q", 3, 2), ("qminus", 3, 2)])
+                                 ("q", 3, 2), ("qminus", 3, 2),
+                                 ("q", 4, 2)])
 def test_minimize_matches_restart_loop(key):
     sp = build_polar_space(*key)
     rng = random.Random(11)

@@ -232,7 +232,8 @@ def test_greedy_then_minimize():
 # sha256 of the compact JSON of [space, members] over 50
 # greedy_then_minimize sets each on Q(4,3), H(4,4), Q-(5,3) and Q-(7,2),
 # one generator with seed 1; recorded while each step rebuilt its list of
-# unhit generators by a shift per generator.
+# unhit generators by a shift per generator, and unchanged since each draw
+# became a rank-select on the masks and the minimizer one suffix-union pass.
 PINNED_GREEDY = "c7db64e892f0b0edfa0238e20199409b0d7c89a3c9c08b5dcb5c4fd9f6f89adf"
 
 
@@ -245,6 +246,51 @@ def test_greedy_then_minimize_pinned():
                 for _ in range(50)]
     blob = json.dumps(out, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_GREEDY
+
+
+def test_select_bit_matches_bit_list():
+    rng = np.random.default_rng(5)
+    widths = list(range(1, 70)) + [int(w) for w in rng.integers(70, 3001, 20)]
+    widths.append(3000)
+    for width in widths:
+        nbytes = (width + 7) // 8
+        top = 1 << (width - 1)
+        masks = [1, top, top | 1]
+        for _ in range(2):
+            m = int.from_bytes(rng.bytes(nbytes), "little") & ((top << 1) - 1)
+            masks += [m | top, m | top | 1]
+        for mask in masks:
+            bits = tuple(_iter_bits(mask))
+            assert [S._select_bit(mask, k) for k in range(len(bits))] == \
+                list(bits)
+
+
+def _greedy_by_bit_lists(space, rng):
+    # the draw loop as it was before rank-select, kept as the reference
+    chosen: list[int] = []
+    hit = 0
+    while hit != space.all_gens_mask:
+        unhit = list(_iter_bits(space.all_gens_mask & ~hit))
+        target = unhit[int(rng.integers(len(unhit)))]
+        hitters = list(_iter_bits(space.meets[target]))
+        pick = hitters[int(rng.integers(len(hitters)))]
+        if pick not in chosen:
+            chosen.append(pick)
+            hit |= space.meets[pick]
+    return A.minimize_blocking_set(space, chosen)
+
+
+def test_greedy_draws_match_bit_lists():
+    # Q(8,2) has 2,295 generators, the widest masks the census draws on
+    for key in (("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3),
+                ("qminus", 3, 2), ("q", 3, 2), ("q", 4, 2)):
+        sp = build_polar_space(*key)
+        for seed in range(1, 6):
+            new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert S.greedy_then_minimize(sp, new) == \
+                    _greedy_by_bit_lists(sp, ref)
+            assert new.integers(1 << 62) == ref.integers(1 << 62)
 
 
 def test_budget_env_override(monkeypatch):
