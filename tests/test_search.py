@@ -250,8 +250,7 @@ def test_greedy_then_minimize_pinned():
 
 def test_select_bit_matches_bit_list():
     rng = np.random.default_rng(5)
-    widths = list(range(1, 70)) + [int(w) for w in rng.integers(70, 3001, 20)]
-    widths.append(3000)
+    widths = [*range(1, 70), *rng.integers(70, 3001, 20).tolist(), 3000]
     for width in widths:
         nbytes = (width + 7) // 8
         top = 1 << (width - 1)
@@ -281,7 +280,7 @@ def _greedy_by_bit_lists(space, rng):
 
 
 def test_greedy_draws_match_bit_lists():
-    # Q(8,2) has 2,295 generators, the widest masks the census draws on
+    # Q(8,2)'s 2,295 generators give the widest masks
     for key in (("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3),
                 ("qminus", 3, 2), ("q", 3, 2), ("q", 4, 2)):
         sp = build_polar_space(*key)
