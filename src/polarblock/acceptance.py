@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -37,12 +38,20 @@ def _example(kind, rank, q, row):
     return sp.cached("cone_example", row, constructions.cone_example, sp, row)
 
 
-def _fail(cid, title, detail):
-    return CriterionResult(cid, title, "fail", detail)
-
-
-def _ok(cid, title, detail):
-    return CriterionResult(cid, title, "pass", detail)
+def _criterion(cid: int, title: str):
+    """Make a criterion of a body that returns (status, detail): calling it
+    gives the CriterionResult with this number and title, a skip when the
+    body raises BudgetError."""
+    def make(body):
+        @wraps(body)
+        def criterion() -> CriterionResult:
+            try:
+                status, detail = body()
+            except BudgetError as e:
+                status, detail = "skip", str(e)
+            return CriterionResult(cid, title, status, detail)
+        return criterion
+    return make
 
 
 def _census(sp, sets) -> dict[str, int]:
@@ -50,25 +59,25 @@ def _census(sp, sets) -> dict[str, int]:
     return dict(Counter(analysis.classify(sp, w).label for w in sets))
 
 
+@_criterion(1, "GQ counting identities at q in {2,3}")
 def criterion_1():
     """Counting identities |P| = (st+1)(s+1), |G| = (st+1)(t+1)."""
-    cid, title = 1, "GQ counting identities at q in {2,3}"
     checked = []
     for kind in ("q", "qminus", "h"):
         for q in (2, 3):
             sp = build_polar_space(kind, 2, q)
             s, t = st_params(kind, q)
             if sp.num_points != (s * t + 1) * (s + 1):
-                return _fail(cid, title, f"{sp.name}: {sp.num_points} points")
+                return "fail", f"{sp.name}: {sp.num_points} points"
             if sp.num_generators != (s * t + 1) * (t + 1):
-                return _fail(cid, title, f"{sp.name}: {sp.num_generators} generators")
+                return "fail", f"{sp.name}: {sp.num_generators} generators"
             checked.append(f"{sp.name}={sp.num_points}/{sp.num_generators}")
-    return _ok(cid, title, "; ".join(checked))
+    return "pass", "; ".join(checked)
 
 
+@_criterion(2, "GQ axioms and orders for the five rank-2 families")
 def criterion_2():
     """GQ axiom suite with the expected orders."""
-    cid, title = 2, "GQ axioms and orders for the five rank-2 families"
     expects = []
     for q in (2, 3):
         expects += [
@@ -83,67 +92,67 @@ def criterion_2():
         sp = build_polar_space(kind, rank, q)
         res = analysis.check_gq_axioms(range(sp.num_points), sp.gen_points)
         if not res.ok or res.order != want:
-            return _fail(cid, title,
-                         f"{sp.name}: got {res.order} ({res.failure}), want {want}")
+            return "fail", (f"{sp.name}: got {res.order} ({res.failure}), "
+                            f"want {want}")
         got.append(f"{sp.name}:{res.order}")
-    return _ok(cid, title, "; ".join(got))
+    return "pass", "; ".join(got)
 
 
+@_criterion(3, "Q(4,2)/Q(4,3): minimum = t+1, all minimal minima classified")
 def criterion_3():
     """Minimum blocking size is t+1 on Q(4,q) and every minimum minimal
     set is a pencil or a regulus, exhaustively for q = 2, 3."""
-    cid, title = 3, "Q(4,2)/Q(4,3): minimum = t+1, all minimal minima classified"
     lines = []
     for q in (2, 3):
         sp = build_polar_space("q", 2, q)
         res = search.min_blocking(sp)
         if not res.complete:
-            return _fail(cid, title, f"{sp.name}: search incomplete")
+            return "fail", f"{sp.name}: search incomplete"
         if res.optimum != sp.t + 1:
-            return _fail(cid, title, f"{sp.name}: optimum {res.optimum} != {sp.t + 1}")
+            return "fail", f"{sp.name}: optimum {res.optimum} != {sp.t + 1}"
         census = _census(sp, search.minimum_minimal_blocking_sets(sp, res))
         bad = set(census) - theorem_labels("q", 2)
         if bad:
-            return _fail(cid, title, f"{sp.name}: unexpected labels {bad}")
+            return "fail", f"{sp.name}: unexpected labels {bad}"
         lines.append(f"{sp.name}: optimum {res.optimum}, census {census}")
-    return _ok(cid, title, "; ".join(lines))
+    return "pass", "; ".join(lines)
 
 
+@_criterion(4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified")
 def criterion_4():
     """Exhaustive classification of size-(q^2+1) minimal sets on Q-(5,2)."""
-    cid, title = 4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified"
     sp = build_polar_space("qminus", 2, 2)
     th = analysis.theorem_threshold("qminus", 2)
     if th.max_delta != 0:
-        return _fail(cid, title, f"threshold admits delta up to {th.max_delta}")
+        return "fail", f"threshold admits delta up to {th.max_delta}"
     er = search.enumerate_minimal(sp, sp.t + 1 + th.max_delta)
     if not er.complete:
-        return _fail(cid, title, "enumeration incomplete")
+        return "fail", "enumeration incomplete"
     short = [w for w in er.sets if len(w) != 5]
     if short:
-        return _fail(cid, title, f"minimal set of size {len(short[0])} below 5")
+        return "fail", f"minimal set of size {len(short[0])} below 5"
     census = _census(sp, er.sets)
     bad = set(census) - theorem_labels("qminus", 2)
     if bad:
-        return _fail(cid, title, f"unexpected labels {bad}")
-    return _ok(cid, title, f"{len(er.sets)} minimal sets, census {census}")
+        return "fail", f"unexpected labels {bad}"
+    return "pass", f"{len(er.sets)} minimal sets, census {census}"
 
 
+@_criterion(5, "Q(6,2): all size-3 minimal sets are the two cone examples")
 def criterion_5():
     """Exhaustive classification of size-(q+1) minimal sets on Q(6,2)."""
-    cid, title = 5, "Q(6,2): all size-3 minimal sets are the two cone examples"
     sp = build_polar_space("q", 3, 2)
     th = analysis.theorem_threshold("q", 2, rank=3)
     if th.max_delta != 0:
-        return _fail(cid, title, f"threshold admits delta up to {th.max_delta}")
+        return "fail", f"threshold admits delta up to {th.max_delta}"
     er = search.enumerate_minimal(sp, 3)
     if not er.complete:
-        return _fail(cid, title, "enumeration incomplete")
+        return "fail", "enumeration incomplete"
     census = _census(sp, er.sets)
     bad = set(census) - theorem_labels("q", 3)
     if bad:
-        return _fail(cid, title, f"unexpected labels {bad}")
-    return _ok(cid, title, f"{len(er.sets)} minimal sets, census {census}")
+        return "fail", f"unexpected labels {bad}"
+    return "pass", f"{len(er.sets)} minimal sets, census {census}"
 
 
 # the catalogue's rows of each kind at rank 3, and the parabolic ones at
@@ -153,9 +162,9 @@ CONE_SPACES = [
     for kind, rank in (("q", 3), ("qminus", 3), ("h", 3), ("q", 4))]
 
 
+@_criterion(6, "Cone example round-trip at ranks 3 and 4 (q = 2)")
 def criterion_6():
     """Catalogue round-trip: every cone example classifies as its own row."""
-    cid, title = 6, "Cone example round-trip at ranks 3 and 4 (q = 2)"
     lines = []
     for kind, rank, q, rows in CONE_SPACES:
         t0 = time.monotonic()
@@ -163,18 +172,17 @@ def criterion_6():
         for row in rows:
             bs = _example(kind, rank, q, row)
             if not analysis.is_blocking(sp, bs.members):
-                return _fail(cid, title, f"{sp.name} {row}: not blocking")
+                return "fail", f"{sp.name} {row}: not blocking"
             if not analysis.is_minimal(sp, bs.members):
-                return _fail(cid, title, f"{sp.name} {row}: not minimal")
+                return "fail", f"{sp.name} {row}: not minimal"
             label = analysis.classify(sp, bs.members).label
             if label != CONE_ROWS[row].label:
-                return _fail(cid, title,
-                             f"{sp.name} {row}: classified {label}")
+                return "fail", f"{sp.name} {row}: classified {label}"
         dt = time.monotonic() - t0
         if dt > 120:
-            return _fail(cid, title, f"{sp.name}: {dt:.0f}s over the 120s budget")
+            return "fail", f"{sp.name}: {dt:.0f}s over the 120s budget"
         lines.append(f"{sp.name} ok")
-    return _ok(cid, title, "; ".join(lines))
+    return "pass", "; ".join(lines)
 
 
 def _rank2_examples():
@@ -197,10 +205,10 @@ def _rank2_examples():
     return out
 
 
+@_criterion(7, "Rank-2 coverage identities (constructed + randomized)")
 def criterion_7():
     """Coverage identity battery on constructed rank-2 examples plus 100
     random minimized blocking sets of Q(4,3)."""
-    cid, title = 7, "Rank-2 coverage identities (constructed + randomized)"
     ran = 0
     not_applicable = 0
     for sp, name, members in _rank2_examples():
@@ -210,7 +218,7 @@ def criterion_7():
             continue
         if not rep.all_ok:
             bad = [k for k, v in rep.items.items() if not v.ok]
-            return _fail(cid, title, f"{sp.name} {name}: failed {bad}")
+            return "fail", f"{sp.name} {name}: failed {bad}"
         ran += 1
     sp = build_polar_space("q", 2, 3)
     rng = np.random.default_rng(RNG_SEED)
@@ -223,16 +231,15 @@ def criterion_7():
         rand_applicable += 1
         if not rep.all_ok:
             bad = [k for k, v in rep.items.items() if not v.ok]
-            return _fail(cid, title,
-                         f"random set {sorted(members)}: failed {bad}")
-    return _ok(cid, title,
-               f"{ran} constructed examples pass ({not_applicable} not applicable); "
-               f"{rand_applicable}/100 random sets applicable, all pass")
+            return "fail", f"random set {sorted(members)}: failed {bad}"
+    return "pass", (f"{ran} constructed examples pass ({not_applicable} not "
+                    f"applicable); {rand_applicable}/100 random sets "
+                    "applicable, all pass")
 
 
+@_criterion(8, "Cone covers avoid every hyperplane of their span enough")
 def criterion_8():
     """Hyperplane-avoidance counts of the five cone covers."""
-    cid, title = 8, "Cone covers avoid every hyperplane of their span enough"
     q = 2
     lines = []
     skipped = []
@@ -246,32 +253,30 @@ def criterion_8():
         got, _ = constructions.min_generators_outside_hyperplanes(sp, bs.members)
         bound = spec.avoidance(q)
         if got < bound:
-            return _fail(cid, title,
-                         f"{sp.name} {row} (base {spec.base_name}): "
-                         f"min outside = {got} < {bound}")
+            return "fail", (f"{sp.name} {row} (base {spec.base_name}): "
+                            f"min outside = {got} < {bound}")
         lines.append(f"{row}: {got} >= {bound}")
     detail = "; ".join(lines)
     if skipped:
-        return CriterionResult(cid, title, "skip",
-                               detail + " | skipped(budget): " + "; ".join(skipped))
-    return _ok(cid, title, detail)
+        return "skip", detail + " | skipped(budget): " + "; ".join(skipped)
+    return "pass", detail
 
 
+@_criterion(9, "Smallest non-trivial plane blocking sets (q = 2, 3)")
 def criterion_9():
     """Plane blocking-set oracle at q = 2 and q = 3."""
-    cid, title = 9, "Smallest non-trivial plane blocking sets (q = 2, 3)"
     r2 = search.smallest_nontrivial_pg2(2)
     if r2.exists is not False:
-        return _fail(cid, title, f"q=2: expected none, got {r2}")
+        return "fail", f"q=2: expected none, got {r2}"
     r3 = search.smallest_nontrivial_pg2(3)
     if r3.size != 6 or r3.epsilon != 2:
-        return _fail(cid, title, f"q=3: expected size 6, got {r3.size}")
-    return _ok(cid, title, "q=2: none exists; q=3: size 6 (epsilon 2 = (q+1)/2)")
+        return "fail", f"q=3: expected size 6, got {r3.size}"
+    return "pass", "q=2: none exists; q=3: size 6 (epsilon 2 = (q+1)/2)"
 
 
+@_criterion(10, "Hole projections block the quotient (50 holes/space)")
 def criterion_10():
     """Projection from sampled holes yields quotient blocking sets."""
-    cid, title = 10, "Hole projections block the quotient (50 holes/space)"
     total = 0
     for kind, rank, q, rows in CONE_SPACES:
         sp = build_polar_space(kind, rank, q)
@@ -284,37 +289,36 @@ def criterion_10():
             for x in sample:
                 qspace, proj, _ = analysis.project_blocking_set(sp, bs.members, x)
                 if not analysis.is_blocking(qspace, proj):
-                    return _fail(cid, title, f"{sp.name} {row} hole {x}")
+                    return "fail", f"{sp.name} {row} hole {x}"
                 if len(proj) > bs.size:
-                    return _fail(cid, title,
-                                 f"{sp.name} {row} hole {x}: projection grew")
+                    return "fail", f"{sp.name} {row} hole {x}: projection grew"
                 total += 1
-    return _ok(cid, title, f"{total} projections verified")
+    return "pass", f"{total} projections verified"
 
 
+@_criterion(11, "H(4,4): pencil verifies; exact search certifies 9")
 def criterion_11():
     """H(4,4) facts: the pencil verifies, and the exact search, within its
     budget, certifies optimum 9 with the 165 point pencils as its only
     witnesses."""
-    cid, title = 11, "H(4,4): pencil verifies; exact search certifies 9"
     sp = build_polar_space("h", 2, 2)
     p = constructions.pencil(sp)
     if p.size != 9:
-        return _fail(cid, title, f"pencil size {p.size} != 9")
+        return "fail", f"pencil size {p.size} != 9"
     if not analysis.is_blocking(sp, p.members) or not analysis.is_minimal(sp, p.members):
-        return _fail(cid, title, "pencil failed verification")
+        return "fail", "pencil failed verification"
     res = search.min_blocking(sp, budget_nodes=2_000_000, budget_secs=45)
     if not res.complete:
-        return _fail(cid, title, f"search incomplete after {res.nodes} nodes")
+        return "fail", f"search incomplete after {res.nodes} nodes"
     if res.optimum != 9:
-        return _fail(cid, title, f"complete search reported {res.optimum}")
+        return "fail", f"complete search reported {res.optimum}"
     pencils = sorted(tuple(sp.generators_through(Subspace(sp.field, sp.n, (pt,))))
                      for pt in sp.points)
     if res.witnesses != pencils:
-        return _fail(cid, title, f"{len(res.witnesses)} witnesses are not "
-                     f"the {len(pencils)} point pencils")
-    return _ok(cid, title, f"pencil ok; optimum 9 certified in {res.nodes} "
-               f"nodes, witnesses exactly the {len(pencils)} point pencils")
+        return "fail", (f"{len(res.witnesses)} witnesses are not "
+                        f"the {len(pencils)} point pencils")
+    return "pass", (f"pencil ok; optimum 9 certified in {res.nodes} nodes, "
+                    f"witnesses exactly the {len(pencils)} point pencils")
 
 
 CRITERIA = [
@@ -336,10 +340,7 @@ def run_acceptance() -> list[CriterionResult]:
     out = []
     for func, limit in CRITERIA:
         t0 = time.monotonic()
-        try:
-            res = func()
-        except BudgetError as e:
-            res = CriterionResult(0, func.__name__, "skip", str(e))
+        res = func()
         res.seconds = time.monotonic() - t0
         res.limit = limit
         if limit is not None and res.seconds > limit and res.status == "pass":

@@ -692,8 +692,7 @@ class Threshold:
     epsilon_source: str | None = None
 
 
-def theorem_threshold(kind: str, q: int, rank: int = 3,
-                      epsilon="auto") -> Threshold:
+def theorem_threshold(kind: str, q: int, rank: int = 3) -> Threshold:
     """Largest delta for which the classification theorems apply.
 
     kind 'qminus': delta <= (3q - sqrt(5q^2+2q+1))/2 (any rank >= 2).
@@ -717,7 +716,12 @@ def theorem_threshold(kind: str, q: int, rank: int = 3,
     if kind == "h":
         return Threshold(kind, q, q - 4, "delta < q-3", float(q - 3))
     if kind == "q":
-        eps_val, eps_exists, source = _resolve_epsilon(q, epsilon)
+        from .search import smallest_nontrivial_pg2
+
+        res = smallest_nontrivial_pg2(q)
+        if not res.complete:
+            raise BudgetError(f"PG(2,{q}) plane oracle {res.note}")
+        eps_val, eps_exists, source = res.epsilon, res.exists, res.source
         if rank >= 3:
             md = (q - 2) // 2
             desc = "delta < min((q-1)/2, eps)"
@@ -732,17 +736,6 @@ def theorem_threshold(kind: str, q: int, rank: int = 3,
             md = 0
         return Threshold(kind, q, md, desc, None, eps_val, eps_exists, source)
     raise ValueError(f"threshold kinds are 'q', 'qminus', 'h'; got {kind!r}")
-
-
-def _resolve_epsilon(q: int, epsilon):
-    if epsilon == "auto":
-        from .search import smallest_nontrivial_pg2
-
-        res = smallest_nontrivial_pg2(q)
-        if not res.complete:
-            raise BudgetError(f"PG(2,{q}) plane oracle {res.note}")
-        return res.epsilon, res.exists, res.source
-    return int(epsilon), True, "caller"
 
 
 def spread_size_gate(kind: str, q: int) -> int:

@@ -21,7 +21,7 @@ import sys
 from . import analysis, constructions, search
 from .acceptance import format_table, run_acceptance
 from .projective import canonicalize
-from .spaces import BudgetError, BuildError, build_polar_space
+from .spaces import KINDS, BudgetError, BuildError, build_polar_space
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,8 +32,7 @@ CONE_EXAMPLES = {f"cone:{row}" for row in analysis.CONE_ROWS}
 
 
 def _add_space_args(p):
-    p.add_argument("--kind", required=True,
-                   choices=["q", "qminus", "h", "qplus3", "h3"],
+    p.add_argument("--kind", required=True, choices=KINDS,
                    help="space family (q: Q(2n,q); qminus: Q-(2n+1,q); "
                         "h: H(2n,q^2); sections qplus3/h3)")
     p.add_argument("--rank", type=int, required=True)

@@ -26,14 +26,20 @@ through its points' images, an AND of the quotient's point-generator
 masks.  A build whose bitmasks would exceed MAX_BUILD_BYTES raises
 BudgetError before anything is enumerated.
 
-Supported kinds (q is the base parameter of the family; hermitian
-spaces live over GF(q^2)):
+Supported kinds, one row each of the table _KINDS (q is the base
+parameter of the family; hermitian spaces live over GF(q^2)).  The
+rank-2 space of a kind is a generalized quadrangle of order (s, t), where
+s = q^f is the field order and t = q^k:
 
-    q       Q(2n,q)   parabolic, ambient 2*rank
-    qminus  Q-(2n+1,q) elliptic, ambient 2*rank+1
-    h       H(2n,q^2) hermitian, ambient 2*rank
-    qplus3  Q+(3,q)   hyperbolic, rank 2 only
-    h3      H(3,q^2)  hermitian, rank 2 only
+    q       Q(2r,q)     parabolic     (s, t) = (q, q)
+    qminus  Q-(2r+1,q)  elliptic      (s, t) = (q, q^2)
+    h       H(2r,q^2)   hermitian     (s, t) = (q^2, q^3)
+    qplus3  Q+(3,q)     hyperbolic    (s, t) = (q, 1), rank 2 only
+    h3      H(3,q^2)    hermitian     (s, t) = (q^2, q), rank 2 only
+
+The space of rank r has (s^r - 1)(s^(r-1) t + 1)/(s - 1) points and
+prod_{i<r} (s^i t + 1) generators (Hirschfeld and Thas, General Galois
+Geometries, 1991).
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
+from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,7 +75,31 @@ from .forms import (
     parabolic_form,
 )
 
-KINDS = ("q", "qminus", "qplus3", "h", "h3")
+
+class _Kind(NamedTuple):
+    """A kind of space.  Its rank-2 order is (s, t) = (q^f, q^k), and the
+    space of rank r lives in PG(2r + offset, q^f)."""
+
+    prefix: str
+    offset: int
+    f: int
+    k: int
+    form: Callable[[int, int], Form]  # (rank, q) -> the standard form
+    rank2_only: bool = False
+
+
+_KINDS = {
+    "q": _Kind("Q", 0, 1, 1,
+               lambda r, q: parabolic_form(r, field_of_order(q))),
+    "qminus": _Kind("Q-", 1, 1, 2,
+                    lambda r, q: elliptic_form(r, field_of_order(q))),
+    "qplus3": _Kind("Q+", -1, 1, 0,
+                    lambda r, q: hyperbolic_form(r, field_of_order(q)), True),
+    "h": _Kind("H", 0, 2, 3, lambda r, q: hermitian_form(2 * r, q)),
+    "h3": _Kind("H", -1, 2, 1, lambda r, q: hermitian_form(2 * r - 1, q),
+                True),
+}
+KINDS = tuple(_KINDS)
 
 # Guard on the estimated size of a build's incidence and meets bitmasks.
 MAX_BUILD_BYTES = 2 ** 30
@@ -81,42 +113,30 @@ class BudgetError(RuntimeError):
     """Raised when a construction would exceed its resource guard."""
 
 
+def _kind(kind: str, rank: int | None = None) -> _Kind:
+    """The table row of a kind; BuildError for an unknown kind, or for a
+    rank other than 2 on a rank-2 kind (rank None is not checked)."""
+    row = _KINDS.get(kind)
+    if row is None:
+        raise BuildError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if row.rank2_only and rank not in (None, 2):
+        raise BuildError(f"{kind} is a rank-2 space")
+    return row
+
+
+def _st(kind: str, rank: int | None, q: int) -> tuple[int, int]:
+    row = _kind(kind, rank)
+    return q ** row.f, q ** row.k
+
+
 def point_count(kind: str, rank: int, q: int) -> int:
-    if kind == "q":
-        return (q ** (2 * rank) - 1) // (q - 1)
-    if kind == "qminus":
-        return (q ** (rank + 1) + 1) * (q ** rank - 1) // (q - 1)
-    if kind == "qplus3":
-        return (q + 1) ** 2
-    if kind == "h":
-        n = rank
-        return (q ** (2 * n + 1) + 1) * (q ** (2 * n) - 1) // (q ** 2 - 1)
-    if kind == "h3":
-        return (q ** 3 + 1) * (q ** 2 + 1)
-    raise BuildError(f"unknown kind {kind!r}")
+    s, t = _st(kind, rank, q)
+    return (s ** rank - 1) * (s ** (rank - 1) * t + 1) // (s - 1)
 
 
 def generator_count(kind: str, rank: int, q: int) -> int:
-    if kind == "q":
-        out = 1
-        for i in range(1, rank + 1):
-            out *= q ** i + 1
-        return out
-    if kind == "qminus":
-        out = 1
-        for i in range(2, rank + 2):
-            out *= q ** i + 1
-        return out
-    if kind == "qplus3":
-        return 2 * (q + 1)
-    if kind == "h":
-        out = 1
-        for i in range(1, rank + 1):
-            out *= q ** (2 * i + 1) + 1
-        return out
-    if kind == "h3":
-        return (q ** 3 + 1) * (q + 1)
-    raise BuildError(f"unknown kind {kind!r}")
+    s, t = _st(kind, rank, q)
+    return prod(s ** i * t + 1 for i in range(rank))
 
 
 def build_bytes(kind: str, rank: int, q: int) -> int:
@@ -127,57 +147,22 @@ def build_bytes(kind: str, rank: int, q: int) -> int:
 
 def st_params(kind: str, q: int):
     """GQ order (s,t) of the rank-2 space of the given kind."""
-    return {
-        "q": (q, q),
-        "qminus": (q, q ** 2),
-        "h": (q ** 2, q ** 3),
-        "qplus3": (q, 1),
-        "h3": (q ** 2, q),
-    }[kind]
+    return _st(kind, None, q)
 
 
 def pencil_size(kind: str, q: int) -> int:
     """Number of generators through an (r-2)-dimensional totally singular
     subspace: t+1 for rank 2 and the cone base size t_base+1 in general."""
-    return {
-        "q": q + 1,
-        "qminus": q ** 2 + 1,
-        "h": q ** 3 + 1,
-        "qplus3": 2,
-        "h3": q + 1,
-    }[kind]
+    return st_params(kind, q)[1] + 1
 
 
 def space_name(kind: str, rank: int, q: int) -> str:
-    if kind == "q":
-        return f"Q({2 * rank},{q})"
-    if kind == "qminus":
-        return f"Q-({2 * rank + 1},{q})"
-    if kind == "h":
-        return f"H({2 * rank},{q ** 2})"
-    if kind == "qplus3":
-        return f"Q+(3,{q})"
-    if kind == "h3":
-        return f"H(3,{q ** 2})"
-    raise BuildError(f"unknown kind {kind!r}")
+    row = _kind(kind, rank)
+    return f"{row.prefix}({2 * rank + row.offset},{q ** row.f})"
 
 
 def standard_form(kind: str, rank: int, q: int) -> Form:
-    if kind == "q":
-        return parabolic_form(rank, field_of_order(q))
-    if kind == "qminus":
-        return elliptic_form(rank, field_of_order(q))
-    if kind == "qplus3":
-        if rank != 2:
-            raise BuildError("Q+(3,q) has rank 2")
-        return hyperbolic_form(2, field_of_order(q))
-    if kind == "h":
-        return hermitian_form(2 * rank, q)
-    if kind == "h3":
-        if rank != 2:
-            raise BuildError("H(3,q^2) has rank 2")
-        return hermitian_form(3, q)
-    raise BuildError(f"unknown kind {kind!r}")
+    return _kind(kind, rank).form(rank, q)
 
 
 def _mask_from_bool(bits: np.ndarray) -> int:
@@ -554,12 +539,9 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
 
 def build_polar_space(kind: str, rank: int, q: int) -> PolarSpace:
     """The standard polar space of the given kind, memoized by form."""
-    if kind not in KINDS:
-        raise BuildError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    _kind(kind)
     if rank < 1:
         raise BuildError("rank must be >= 1")
-    if kind in ("qplus3", "h3") and rank != 2:
-        raise BuildError(f"{kind} is a rank-2 space")
     return _materialize(kind, rank, q, standard_form(kind, rank, q))
 
 
@@ -667,13 +649,15 @@ def _join_orbits(space: PolarSpace, marked: np.ndarray, groups,
 
     groups() yields groups of candidates, each an images(gens=None) map as
     _reflections yields them.  One is kept when it moves a marked generator
-    (marked is a boolean mask) to an unmarked one, tested on the marked
-    alone, so only a kept one is made whole; the marked set is then closed
-    under those kept (_close), and the scan stops once all are marked.  A
-    group is left after _SCHREIER_PATIENCE candidates in a row are not
-    kept.  If the groups run out first, the scan is made again without that
-    cut-off, as long as it keeps one, before AssertionError reports short
-    formatted with the marked count and the generator count.
+    (marked is a boolean mask) to an unmarked one.  That is tested on the
+    smaller of the marked and the unmarked sets alone, since a bijection
+    keeps the one exactly when it keeps the other, so only a kept one is
+    made whole; the marked set is then closed under those kept (_close),
+    and the scan stops once all are marked.  A group is left after
+    _SCHREIER_PATIENCE candidates in a row are not kept.  If the groups run
+    out first, the scan is made again without that cut-off, as long as it
+    keeps one, before AssertionError reports short formatted with the
+    marked count and the generator count.
     """
     n = space.num_generators
     found = []
@@ -683,7 +667,8 @@ def _join_orbits(space: PolarSpace, marked: np.ndarray, groups,
         for group in groups():
             idle = 0
             for images in group:
-                if marked[images(marked)].all():
+                if (marked[images(marked)].all() if 2 * marked.sum() <= n
+                        else not marked[images(~marked)].any()):
                     idle += 1
                     if idle == patience:
                         break

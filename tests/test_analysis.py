@@ -297,7 +297,8 @@ def test_thresholds_known_values():
     assert A.theorem_threshold("q", 3, rank=3).max_delta == 0
     th_r2 = A.theorem_threshold("q", 3, rank=2)
     assert th_r2.max_delta == 1  # Prop: delta < eps = 2
-    assert A.theorem_threshold("q", 5, rank=3, epsilon=3).max_delta == 1
+    th5 = A.theorem_threshold("q", 5, rank=3)
+    assert (th5.epsilon, th5.max_delta) == (3, 1)
     with pytest.raises(ValueError):
         A.theorem_threshold("w", 2)
 
@@ -306,8 +307,10 @@ def test_threshold_of_stopped_oracle_raises(monkeypatch):
     monkeypatch.setenv("POLARBLOCK_BUDGET_SECS", "0")
     with pytest.raises(BudgetError, match="target size"):
         A.theorem_threshold("q", 8)
-    # a caller's epsilon needs no oracle
-    assert A.theorem_threshold("q", 8, epsilon=4).max_delta == 3
+    # with the budget back, the oracle finds epsilon 4
+    monkeypatch.delenv("POLARBLOCK_BUDGET_SECS")
+    th = A.theorem_threshold("q", 8)
+    assert (th.epsilon, th.max_delta) == (4, 3)
 
 
 def test_spread_size_gate():

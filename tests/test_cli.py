@@ -4,7 +4,6 @@ import json
 import pytest
 
 from polarblock import acceptance
-from polarblock.acceptance import CriterionResult
 from polarblock.cli import main
 from polarblock.spaces import BudgetError
 
@@ -320,11 +319,11 @@ def test_malformed_set_file_exits_1(capsys, tmp_path, data):
 
 
 def _stub_criterion(cid, status):
+    @acceptance._criterion(cid, f"stub {cid}")
     def criterion():
         if status == "budget":
             raise BudgetError(f"criterion {cid} over its guard")
-        return CriterionResult(cid, f"stub {cid}", status, f"{status} detail")
-    criterion.__name__ = f"criterion_{cid}"
+        return status, f"{status} detail"
     return criterion
 
 
@@ -351,6 +350,18 @@ def test_accept_json_lists_each_criterion(capsys, monkeypatch):
     rows = json.loads(out)
     assert [(r["cid"], r["status"], r["detail"]) for r in rows] == [
         (1, "pass", "pass detail"), (2, "fail", "fail detail"),
-        (0, "skip", "criterion 3 over its guard")]
+        (3, "skip", "criterion 3 over its guard")]
     assert [r["limit"] for r in rows] == [60.0, None, None]
     assert all(r["seconds"] >= 0 for r in rows)
+
+
+def test_accept_skip_row_keeps_number_and_title(monkeypatch):
+    def over_guard(*args):
+        raise BudgetError("over the guard")
+
+    monkeypatch.setattr(acceptance, "build_polar_space", over_guard)
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[4:5])
+    [row] = acceptance.run_acceptance()
+    assert (row.cid, row.title, row.status, row.detail) == (
+        5, "Q(6,2): all size-3 minimal sets are the two cone examples",
+        "skip", "over the guard")

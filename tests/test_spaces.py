@@ -7,7 +7,7 @@ from math import prod
 import pytest
 
 from polarblock import spaces
-from polarblock.gf import make_field
+from polarblock.gf import field_of_order, make_field
 from polarblock.projective import (
     Subspace,
     canonicalize,
@@ -17,7 +17,14 @@ from polarblock.projective import (
     subspace_points,
     theta,
 )
-from polarblock.forms import is_totally_singular
+from polarblock.forms import (
+    Form,
+    elliptic_form,
+    hermitian_form,
+    hyperbolic_form,
+    is_totally_singular,
+    parabolic_form,
+)
 from polarblock.spaces import (
     BudgetError,
     BuildError,
@@ -570,6 +577,133 @@ def test_pencil_sizes():
     assert pencil_size("h", 2) == 9
     assert pencil_size("qplus3", 2) == 2
     assert pencil_size("h3", 2) == 3
+
+
+# The six per-kind case analyses the kind table replaced, verbatim but for
+# their names: the reference the table is compared against.
+def _ref_point_count(kind: str, rank: int, q: int) -> int:
+    if kind == "q":
+        return (q ** (2 * rank) - 1) // (q - 1)
+    if kind == "qminus":
+        return (q ** (rank + 1) + 1) * (q ** rank - 1) // (q - 1)
+    if kind == "qplus3":
+        return (q + 1) ** 2
+    if kind == "h":
+        n = rank
+        return (q ** (2 * n + 1) + 1) * (q ** (2 * n) - 1) // (q ** 2 - 1)
+    if kind == "h3":
+        return (q ** 3 + 1) * (q ** 2 + 1)
+    raise BuildError(f"unknown kind {kind!r}")
+
+
+def _ref_generator_count(kind: str, rank: int, q: int) -> int:
+    if kind == "q":
+        out = 1
+        for i in range(1, rank + 1):
+            out *= q ** i + 1
+        return out
+    if kind == "qminus":
+        out = 1
+        for i in range(2, rank + 2):
+            out *= q ** i + 1
+        return out
+    if kind == "qplus3":
+        return 2 * (q + 1)
+    if kind == "h":
+        out = 1
+        for i in range(1, rank + 1):
+            out *= q ** (2 * i + 1) + 1
+        return out
+    if kind == "h3":
+        return (q ** 3 + 1) * (q + 1)
+    raise BuildError(f"unknown kind {kind!r}")
+
+
+def _ref_st_params(kind: str, q: int):
+    """GQ order (s,t) of the rank-2 space of the given kind."""
+    return {
+        "q": (q, q),
+        "qminus": (q, q ** 2),
+        "h": (q ** 2, q ** 3),
+        "qplus3": (q, 1),
+        "h3": (q ** 2, q),
+    }[kind]
+
+
+def _ref_pencil_size(kind: str, q: int) -> int:
+    """Number of generators through an (r-2)-dimensional totally singular
+    subspace: t+1 for rank 2 and the cone base size t_base+1 in general."""
+    return {
+        "q": q + 1,
+        "qminus": q ** 2 + 1,
+        "h": q ** 3 + 1,
+        "qplus3": 2,
+        "h3": q + 1,
+    }[kind]
+
+
+def _ref_space_name(kind: str, rank: int, q: int) -> str:
+    if kind == "q":
+        return f"Q({2 * rank},{q})"
+    if kind == "qminus":
+        return f"Q-({2 * rank + 1},{q})"
+    if kind == "h":
+        return f"H({2 * rank},{q ** 2})"
+    if kind == "qplus3":
+        return f"Q+(3,{q})"
+    if kind == "h3":
+        return f"H(3,{q ** 2})"
+    raise BuildError(f"unknown kind {kind!r}")
+
+
+def _ref_standard_form(kind: str, rank: int, q: int) -> Form:
+    if kind == "q":
+        return parabolic_form(rank, field_of_order(q))
+    if kind == "qminus":
+        return elliptic_form(rank, field_of_order(q))
+    if kind == "qplus3":
+        if rank != 2:
+            raise BuildError("Q+(3,q) has rank 2")
+        return hyperbolic_form(2, field_of_order(q))
+    if kind == "h":
+        return hermitian_form(2 * rank, q)
+    if kind == "h3":
+        if rank != 2:
+            raise BuildError("H(3,q^2) has rank 2")
+        return hermitian_form(3, q)
+    raise BuildError(f"unknown kind {kind!r}")
+
+
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+@pytest.mark.parametrize("kind", spaces.KINDS)
+def test_kind_table_matches_case_analyses(kind):
+    ranks = (2,) if kind in ("qplus3", "h3") else range(1, 6)
+    for q in PRIME_POWERS:
+        assert st_params(kind, q) == _ref_st_params(kind, q)
+        assert pencil_size(kind, q) == _ref_pencil_size(kind, q)
+        for rank in ranks:
+            key = (kind, rank, q)
+            assert point_count(*key) == _ref_point_count(*key), key
+            assert generator_count(*key) == _ref_generator_count(*key), key
+            assert spaces.space_name(*key) == _ref_space_name(*key), key
+            assert spaces.standard_form(*key) == _ref_standard_form(*key), key
+
+
+def test_kind_table_rejects_unknown_kind_and_rank():
+    for call, args in [(point_count, (2, 2)), (generator_count, (2, 2)),
+                       (st_params, (2,)), (pencil_size, (2,)),
+                       (spaces.space_name, (2, 2)),
+                       (spaces.standard_form, (2, 2))]:
+        with pytest.raises(BuildError, match="unknown kind 'x'"):
+            call("x", *args)
+    for kind, rank in [("qplus3", 3), ("h3", 1)]:
+        for call in (point_count, generator_count, spaces.space_name,
+                     spaces.standard_form):
+            with pytest.raises(BuildError,
+                               match=f"^{kind} is a rank-2 space$"):
+                call(kind, rank, 2)
 
 
 def test_theta_helper():
