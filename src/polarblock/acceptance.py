@@ -1,9 +1,10 @@
 """The acceptance suite: one callable per criterion, shared by the CLI
 `accept` subcommand and by tests/test_acceptance.py.
 
-Each criterion returns pass/fail/skip with a detail line; the runner adds
-wall time and enforces the stated per-criterion time limits.  Skips only
-arise from a BudgetError, never silently.
+Each criterion returns pass/fail/skip with a detail line, under the number
+and title that _criterion gives it; the runner adds wall time and enforces
+the stated per-criterion time limits.  Skips only arise from a BudgetError,
+never silently.
 """
 
 from __future__ import annotations
