@@ -25,7 +25,7 @@ for kind, rank, q in [("q", 2, 2), ("qminus", 2, 2), ("h", 2, 2),
 print("\n== a grid ruling inside Q(4,2) ==")
 sp = build_polar_space("q", 2, 2)
 sec = hyperbolic_section(sp)
-ruling = ruling_spread(sp, 0, lines=sec.gen_indices)
+ruling = ruling_spread(sp, 0)
 print(f"section {sec.label} has lines {sec.gen_indices}")
 print(f"one ruling: {ruling.members} -> {classify(sp, ruling.members).label}")
 

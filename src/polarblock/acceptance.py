@@ -191,9 +191,7 @@ def _rank2_examples():
     for q in (2, 3):
         sp = build_polar_space("q", 2, q)
         out.append((sp, "pencil", constructions.pencil(sp).members))
-        sec = constructions.hyperbolic_section(sp)
-        out.append((sp, "ruling",
-                    constructions.ruling_spread(sp, 0, lines=sec.gen_indices).members))
+        out.append((sp, "ruling", constructions.ruling_spread(sp, 0).members))
         se = build_polar_space("qminus", 2, q)
         out.append((se, "pencil", constructions.pencil(se).members))
         out.append((se, "section-cover", constructions.section_cover(se).members))

@@ -40,6 +40,7 @@ from .spaces import (
     hyperplane_section,
     pencil_size,
     quotient_at_point,
+    space_name,
 )
 
 LABEL_PENCIL = "Pencil"
@@ -569,7 +570,7 @@ def _covers_q4_section(space: PolarSpace, members, h: Subspace):
         return None
     sec = space.cached("hyperplane_section", h.rows, hyperplane_section,
                        space, h)
-    if (sec.label == f"Q(4,{space.q})"
+    if (sec.label == space_name("q", 2, space.q)
             and set(members) <= set(sec.gen_indices)
             and covered_mask(space, members) & sec.point_mask == sec.point_mask):
         return sec

@@ -105,12 +105,7 @@ def cmd_construct(args):
     if name == "pencil":
         bs = constructions.pencil(space, vertex)
     elif name == "ruling":
-        if space.kind == "qplus3":
-            bs = constructions.ruling_spread(space, args.which)
-        else:
-            sec = constructions.hyperbolic_section(space)
-            bs = constructions.ruling_spread(space, args.which,
-                                             lines=sec.gen_indices)
+        bs = constructions.ruling_spread(space, args.which)
     elif name == "section-cover":
         bs = constructions.section_cover(space)
     elif name in CONE_EXAMPLES:

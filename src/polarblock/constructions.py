@@ -23,6 +23,7 @@ from .spaces import (
     enumerate_hyperplanes,
     hyperplane_section,
     pencil_size,
+    space_name,
 )
 from .analysis import (
     CONE_ROWS,
@@ -100,12 +101,15 @@ def grid_rulings(space: PolarSpace, lines=None) -> tuple[list[int], list[int]]:
     return fam0, fam1
 
 
-def ruling_spread(space: PolarSpace, which: int = 0, lines=None) -> BlockingSet:
-    """One ruling of a hyperbolic grid: q+1 pairwise disjoint lines
+def ruling_spread(space: PolarSpace, which: int = 0) -> BlockingSet:
+    """One ruling of a hyperbolic grid, the space itself on Q+(3,q) and its
+    lex-least Q+(3,q) section otherwise: q+1 pairwise disjoint lines
     partitioning the grid's points.  which is 0 or 1."""
     if (isinstance(which, bool) or not isinstance(which, (int, np.integer))
             or which not in (0, 1)):
         raise ValueError(f"ruling {which!r} is not 0 or 1")
+    lines = (None if space.kind == "qplus3"
+             else hyperbolic_section(space).gen_indices)
     fam0, fam1 = grid_rulings(space, lines)
     members = tuple((fam0, fam1)[which])
     if lines is None and covered_mask(space, members) != space.all_points_mask:
@@ -124,7 +128,7 @@ def find_section(space: PolarSpace, label: str) -> SectionStructure:
 
 def hyperbolic_section(space: PolarSpace) -> SectionStructure:
     """Lex-least Q+(3,q) section of a parabolic rank-2 space."""
-    return find_section(space, f"Q+(3,{space.q})")
+    return find_section(space, space_name("qplus3", 2, space.q))
 
 
 def section_cover(space: PolarSpace) -> BlockingSet:
@@ -134,7 +138,7 @@ def section_cover(space: PolarSpace) -> BlockingSet:
     q^2+1)."""
     if space.kind != "qminus" or space.rank != 2:
         raise ValueError("section covers live in Q-(5,q)")
-    sec = find_section(space, f"Q(4,{space.q})")
+    sec = find_section(space, space_name("q", 2, space.q))
     lines = [space.gen_points[g] for g in sec.gen_indices]
     # POLARBLOCK_BUDGET_SECS, the search's default deadline, can stop it
     res = search.min_cover(sec.point_indices, lines)
@@ -179,8 +183,7 @@ def cone_example(space: PolarSpace, row: str,
     qm = space.quotient(vertex)
     quot = qm.quotient
     if spec.base == LABEL_SUBGQ_SPREAD:
-        sec = hyperbolic_section(quot)
-        base = ruling_spread(quot, 0, lines=sec.gen_indices)
+        base = ruling_spread(quot, 0)
     else:
         base = section_cover(quot)
     # generators through the vertex correspond one to one to the

@@ -29,17 +29,21 @@ BudgetError before anything is enumerated.
 Supported kinds, one row each of the table _KINDS (q is the base
 parameter of the family; hermitian spaces live over GF(q^2)).  The
 rank-2 space of a kind is a generalized quadrangle of order (s, t), where
-s = q^f is the field order and t = q^k:
+s = q^f is the field order and t = q^k; the last column names the
+nondegenerate hyperplane sections of the space of rank r:
 
-    q       Q(2r,q)     parabolic     (s, t) = (q, q)
-    qminus  Q-(2r+1,q)  elliptic      (s, t) = (q, q^2)
-    h       H(2r,q^2)   hermitian     (s, t) = (q^2, q^3)
-    qplus3  Q+(3,q)     hyperbolic    (s, t) = (q, 1), rank 2 only
-    h3      H(3,q^2)    hermitian     (s, t) = (q^2, q), rank 2 only
+    q       Q(2r,q)      parabolic   (q, q)      Q+(2r-1,q), Q-(2r-1,q)
+    qminus  Q-(2r+1,q)   elliptic    (q, q^2)    Q(2r,q)
+    h       H(2r,q^2)    hermitian   (q^2, q^3)  H(2r-1,q^2)
+    qplus3  Q+(2r-1,q)   hyperbolic  (q, 1)      Q(2r-2,q)
+    h3      H(2r-1,q^2)  hermitian   (q^2, q)    H(2r-2,q^2)
 
 The space of rank r has (s^r - 1)(s^(r-1) t + 1)/(s - 1) points and
 prod_{i<r} (s^i t + 1) generators (Hirschfeld and Thas, General Galois
-Geometries, 1991).
+Geometries, 1991).  Counts and names hold at every rank; standard_form,
+and so build_polar_space, holds qplus3 and h3 to rank 2.  A tangent
+hyperplane section is the cone pt*X from a point over the space's own
+kind X one rank down.
 """
 
 from __future__ import annotations
@@ -78,26 +82,30 @@ from .forms import (
 
 class _Kind(NamedTuple):
     """A kind of space.  Its rank-2 order is (s, t) = (q^f, q^k), and the
-    space of rank r lives in PG(2r + offset, q^f)."""
+    space of rank r lives in PG(2r + offset, q^f).  Its nondegenerate
+    hyperplane sections are the spaces of the listed kinds, each of rank
+    r + its rank offset."""
 
     prefix: str
     offset: int
     f: int
     k: int
+    sections: tuple[tuple[str, int], ...]
     form: Callable[[int, int], Form]  # (rank, q) -> the standard form
-    rank2_only: bool = False
+    rank2_only: bool = False  # standard_form builds rank 2 alone
 
 
 _KINDS = {
-    "q": _Kind("Q", 0, 1, 1,
+    "q": _Kind("Q", 0, 1, 1, (("qplus3", 0), ("qminus", -1)),
                lambda r, q: parabolic_form(r, field_of_order(q))),
-    "qminus": _Kind("Q-", 1, 1, 2,
+    "qminus": _Kind("Q-", 1, 1, 2, (("q", 0),),
                     lambda r, q: elliptic_form(r, field_of_order(q))),
-    "qplus3": _Kind("Q+", -1, 1, 0,
+    "qplus3": _Kind("Q+", -1, 1, 0, (("q", -1),),
                     lambda r, q: hyperbolic_form(r, field_of_order(q)), True),
-    "h": _Kind("H", 0, 2, 3, lambda r, q: hermitian_form(2 * r, q)),
-    "h3": _Kind("H", -1, 2, 1, lambda r, q: hermitian_form(2 * r - 1, q),
-                True),
+    "h": _Kind("H", 0, 2, 3, (("h3", 0),),
+               lambda r, q: hermitian_form(2 * r, q)),
+    "h3": _Kind("H", -1, 2, 1, (("h", -1),),
+                lambda r, q: hermitian_form(2 * r - 1, q), True),
 }
 KINDS = tuple(_KINDS)
 
@@ -113,29 +121,22 @@ class BudgetError(RuntimeError):
     """Raised when a construction would exceed its resource guard."""
 
 
-def _kind(kind: str, rank: int | None = None) -> _Kind:
-    """The table row of a kind; BuildError for an unknown kind, or for a
-    rank other than 2 on a rank-2 kind (rank None is not checked)."""
+def _kind(kind: str) -> _Kind:
+    """The table row of a kind; BuildError for an unknown kind."""
     row = _KINDS.get(kind)
     if row is None:
         raise BuildError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if row.rank2_only and rank not in (None, 2):
-        raise BuildError(f"{kind} is a rank-2 space")
     return row
 
 
-def _st(kind: str, rank: int | None, q: int) -> tuple[int, int]:
-    row = _kind(kind, rank)
-    return q ** row.f, q ** row.k
-
-
 def point_count(kind: str, rank: int, q: int) -> int:
-    s, t = _st(kind, rank, q)
-    return (s ** rank - 1) * (s ** (rank - 1) * t + 1) // (s - 1)
+    s, t = st_params(kind, q)
+    # s^rank // s is s^(rank-1) as an integer, and 0 at rank 0
+    return theta(rank - 1, s) * (s ** rank // s * t + 1)
 
 
 def generator_count(kind: str, rank: int, q: int) -> int:
-    s, t = _st(kind, rank, q)
+    s, t = st_params(kind, q)
     return prod(s ** i * t + 1 for i in range(rank))
 
 
@@ -147,7 +148,8 @@ def build_bytes(kind: str, rank: int, q: int) -> int:
 
 def st_params(kind: str, q: int):
     """GQ order (s,t) of the rank-2 space of the given kind."""
-    return _st(kind, None, q)
+    row = _kind(kind)
+    return q ** row.f, q ** row.k
 
 
 def pencil_size(kind: str, q: int) -> int:
@@ -157,12 +159,15 @@ def pencil_size(kind: str, q: int) -> int:
 
 
 def space_name(kind: str, rank: int, q: int) -> str:
-    row = _kind(kind, rank)
+    row = _kind(kind)
     return f"{row.prefix}({2 * rank + row.offset},{q ** row.f})"
 
 
 def standard_form(kind: str, rank: int, q: int) -> Form:
-    return _kind(kind, rank).form(rank, q)
+    row = _kind(kind)
+    if row.rank2_only and rank != 2:
+        raise BuildError(f"{kind} is a rank-2 space")
+    return row.form(rank, q)
 
 
 def _mask_from_bool(bits: np.ndarray) -> int:
@@ -886,37 +891,20 @@ def enumerate_hyperplanes(space: PolarSpace) -> list[Subspace]:
 
 
 def _section_label(space: PolarSpace, rad_dim: int, npts: int) -> str:
-    q = space.q
-    table = {}
-    if space.kind == "qminus" and space.rank == 2:
-        table = {
-            (-1, (q ** 2 + 1) * (q + 1)): f"Q(4,{q})",
-            (0, 1 + q * (q ** 2 + 1)): f"pt*Q-(3,{q})",
-        }
-    elif space.kind == "q" and space.rank == 2:
-        table = {
-            (-1, (q + 1) ** 2): f"Q+(3,{q})",
-            (-1, q ** 2 + 1): f"Q-(3,{q})",
-            (0, 1 + q * (q + 1)): f"pt*Q(2,{q})",
-        }
-    elif space.kind == "h" and space.rank == 2:
-        table = {
-            (-1, (q ** 2 + 1) * (q ** 3 + 1)): f"H(3,{q ** 2})",
-            (0, 1 + q ** 2 * (q ** 3 + 1)): f"pt*H(2,{q ** 2})",
-        }
-    elif space.kind == "q" and space.rank == 3:
-        table = {
-            (-1, (q ** 2 + 1) * (q ** 2 + q + 1)): f"Q+(5,{q})",
-            (-1, (q ** 3 + 1) * (q + 1)): f"Q-(5,{q})",
-            (0, 1 + q * point_count("q", 2, q)): f"pt*Q(4,{q})",
-        }
-    elif space.kind == "qminus" and space.rank == 3:
-        table = {
-            (-1, point_count("q", 3, q)): f"Q(6,{q})",
-            (0, 1 + q * point_count("qminus", 2, q)): f"pt*Q-(5,{q})",
-        }
-    return table.get((rad_dim, npts),
-                     f"section(radical_dim={rad_dim}, points={npts})")
+    """The name of a hyperplane section with npts points and a radical of
+    dimension rad_dim, matched by point count: with no radical, one of the
+    kinds of the space's _Kind.sections; with a point as radical, the cone
+    pt*X over the space's own kind X one rank down, with 1 + s|X| points.
+    Any other section is section(radical_dim=..., points=...)."""
+    kind, rank, q = space.kind, space.rank, space.q
+    if rad_dim == -1:
+        for k, dr in _kind(kind).sections:
+            if point_count(k, rank + dr, q) == npts:
+                return space_name(k, rank + dr, q)
+    elif (rad_dim == 0 and npts == 1 + st_params(kind, q)[0]
+          * point_count(kind, rank - 1, q)):
+        return "pt*" + space_name(kind, rank - 1, q)
+    return f"section(radical_dim={rad_dim}, points={npts})"
 
 
 def hyperplane_section(space: PolarSpace, h: Subspace) -> SectionStructure:

@@ -212,8 +212,7 @@ def test_classify_requires_minimal_blocking():
 
 def test_classify_known_examples():
     sp = build_polar_space("q", 2, 2)
-    sec = C.hyperbolic_section(sp)
-    ruling = C.ruling_spread(sp, 0, lines=sec.gen_indices)
+    ruling = C.ruling_spread(sp, 0)
     cls = A.classify(sp, ruling.members)
     assert cls.label == "SubGQSpread"
     assert cls.details["order"] == (2, 1)
@@ -284,6 +283,20 @@ def test_project_blocking_set_rejects_bad_hole():
     for bad in (sp.num_points, True, 2.0):
         with pytest.raises(ValueError):
             A.project_blocking_set(sp, cone.members, bad)
+
+
+@pytest.mark.parametrize("key, holes", [(("qplus3", 2, 2), 4),
+                                        (("qplus3", 2, 3), 9),
+                                        (("h3", 2, 2), 32)])
+def test_pencil_projects_from_every_hole_on_rank2_section_kinds(key, holes):
+    # the quotients at points of Q+(3,q) and H(3,q^2) have rank 1
+    sp = build_polar_space(*key)
+    pen = C.pencil(sp)
+    prof = A.coverage_profile(sp, pen.members)
+    assert len(prof.holes) == holes
+    for hole in prof.holes:
+        qspace, proj, _ = A.project_blocking_set(sp, pen.members, hole)
+        assert qspace.rank == 1 and A.is_blocking(qspace, proj)
 
 
 def test_thresholds_known_values():

@@ -74,12 +74,14 @@ def test_rulings_grid_structure():
 def test_embedded_ruling_is_minimal_blocking():
     sp = build_polar_space("q", 2, 2)
     sec = C.hyperbolic_section(sp)
-    emb = C.ruling_spread(sp, 0, lines=sec.gen_indices)
+    emb = C.ruling_spread(sp, 0)
     assert A.is_blocking(sp, emb.members)
     assert A.is_minimal(sp, emb.members)
     assert A.classify(sp, emb.members).label == "SubGQSpread"
-    other = C.ruling_spread(sp, 1, lines=sec.gen_indices)
+    other = C.ruling_spread(sp, 1)
     assert set(other.members).isdisjoint(emb.members)
+    # the two rulings of the lex-least Q+(3,2) section
+    assert sorted(emb.members + other.members) == list(sec.gen_indices)
 
 
 def test_ruling_rejects_non_grid():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
 from math import prod
 
@@ -698,12 +699,84 @@ def test_kind_table_rejects_unknown_kind_and_rank():
                        (spaces.standard_form, (2, 2))]:
         with pytest.raises(BuildError, match="unknown kind 'x'"):
             call("x", *args)
+    # only a standard build is held to rank 2; counts and names hold at
+    # every rank
     for kind, rank in [("qplus3", 3), ("h3", 1)]:
-        for call in (point_count, generator_count, spaces.space_name,
-                     spaces.standard_form):
+        for call in (spaces.standard_form, build_polar_space):
             with pytest.raises(BuildError,
                                match=f"^{kind} is a rank-2 space$"):
                 call(kind, rank, 2)
+    for key, want in [(("qplus3", 3, 2), (35, 30, "Q+(5,2)")),
+                      (("h3", 1, 2), (3, 3, "H(1,4)"))]:
+        assert (point_count(*key), generator_count(*key),
+                spaces.space_name(*key)) == want
+
+
+def _ref_section_label(space, rad_dim: int, npts: int) -> str:
+    q = space.q
+    table = {}
+    if space.kind == "qminus" and space.rank == 2:
+        table = {
+            (-1, (q ** 2 + 1) * (q + 1)): f"Q(4,{q})",
+            (0, 1 + q * (q ** 2 + 1)): f"pt*Q-(3,{q})",
+        }
+    elif space.kind == "q" and space.rank == 2:
+        table = {
+            (-1, (q + 1) ** 2): f"Q+(3,{q})",
+            (-1, q ** 2 + 1): f"Q-(3,{q})",
+            (0, 1 + q * (q + 1)): f"pt*Q(2,{q})",
+        }
+    elif space.kind == "h" and space.rank == 2:
+        table = {
+            (-1, (q ** 2 + 1) * (q ** 3 + 1)): f"H(3,{q ** 2})",
+            (0, 1 + q ** 2 * (q ** 3 + 1)): f"pt*H(2,{q ** 2})",
+        }
+    elif space.kind == "q" and space.rank == 3:
+        table = {
+            (-1, (q ** 2 + 1) * (q ** 2 + q + 1)): f"Q+(5,{q})",
+            (-1, (q ** 3 + 1) * (q + 1)): f"Q-(5,{q})",
+            (0, 1 + q * point_count("q", 2, q)): f"pt*Q(4,{q})",
+        }
+    elif space.kind == "qminus" and space.rank == 3:
+        table = {
+            (-1, point_count("q", 3, q)): f"Q(6,{q})",
+            (0, 1 + q * point_count("qminus", 2, q)): f"pt*Q-(5,{q})",
+        }
+    return table.get((rad_dim, npts),
+                     f"section(radical_dim={rad_dim}, points={npts})")
+
+
+@pytest.mark.parametrize("key", [("q", 2, 2), ("q", 2, 3), ("qminus", 2, 2),
+                                 ("qminus", 2, 3), ("h", 2, 2), ("q", 3, 2),
+                                 ("qminus", 3, 2)])
+def test_section_labels_match_count_tables(key):
+    # the hand-typed (kind, rank) tables the kind table's sections replaced
+    sp = build_polar_space(*key)
+    for h in enumerate_hyperplanes(sp):
+        sec = hyperplane_section(sp, h)
+        want = _ref_section_label(sp, sec.radical.dim, len(sec.point_indices))
+        assert sec.label == want, h.rows
+        assert not want.startswith("section(")
+
+
+@pytest.mark.parametrize("key, census", [
+    (("qplus3", 2, 2), {"pt*Q+(1,2)": 9, "Q(2,2)": 6}),
+    (("h3", 2, 2), {"H(2,4)": 40, "pt*H(1,4)": 45}),
+    (("q", 4, 2), {"Q+(7,2)": 136, "Q-(7,2)": 120, "pt*Q(6,2)": 255}),
+])
+def test_section_census_past_count_tables(key, census):
+    sp = build_polar_space(*key)
+    assert Counter(hyperplane_section(sp, h).label
+                   for h in enumerate_hyperplanes(sp)) == census
+
+
+@pytest.mark.parametrize("key, name, count", [
+    (("qplus3", 2, 2), "Q+(1,2)", 2), (("qplus3", 2, 3), "Q+(1,3)", 2),
+    (("h3", 2, 2), "H(1,4)", 3)])
+def test_quotient_of_rank2_section_kind(key, name, count):
+    quot = build_polar_space(*key).quotient_map(0).quotient
+    assert (quot.name, quot.num_points, quot.num_generators) == (
+        name, count, count)
 
 
 def test_theta_helper():
