@@ -901,8 +901,8 @@ def _section_label(space: PolarSpace, rad_dim: int, npts: int) -> str:
         for k, dr in _kind(kind).sections:
             if point_count(k, rank + dr, q) == npts:
                 return space_name(k, rank + dr, q)
-    elif (rad_dim == 0 and npts == 1 + st_params(kind, q)[0]
-          * point_count(kind, rank - 1, q)):
+    elif (rad_dim == 0
+          and npts == 1 + space.field.q * point_count(kind, rank - 1, q)):
         return "pt*" + space_name(kind, rank - 1, q)
     return f"section(radical_dim={rad_dim}, points={npts})"
 
