@@ -41,6 +41,9 @@ def lex_least_ts_subspace(space: PolarSpace, dim: int) -> Subspace:
     """Lexicographically least totally singular subspace of the given
     projective dimension, below the generators (first of its level kept by
     the build; the empty subspace for dimension -1)."""
+    if not -1 <= dim <= space.rank - 2:
+        raise ValueError(f"{space.name}: dim must lie in -1..{space.rank - 2}"
+                         f", below the generators, not {dim}")
     if dim == -1:
         return Subspace(space.field, space.n, ())
     return Subspace(space.field, space.n, space.levels[dim][0])

@@ -175,15 +175,9 @@ def subspace_points(field: GF, rows) -> list[Vector]:
 
 def enumerate_pg_points(n: int, field: GF) -> list[Vector]:
     """The theta_n(q) = (q^{n+1}-1)/(q-1) points of PG(n,q), lex order."""
-    if n < 0:
-        return []
-    pts = []
-    for lead in range(n + 1):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(field.q), repeat=n - lead):
-            pts.append(prefix + tail)
-    pts.sort()
-    return pts
+    # a later leading column is lex-smaller, and product runs in lex order
+    return [(0,) * lead + (1,) + tail for lead in range(n, -1, -1)
+            for tail in product(range(field.q), repeat=n - lead)]
 
 
 def theta(n: int, q: int) -> int:

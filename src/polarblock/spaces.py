@@ -11,8 +11,8 @@ then the hyperplane of W holding its lowest points, so each subspace is
 found once, from that hyperplane.  W's points are computed as a bitmask:
 below the generators they are P + x for the vectors x of U, added as
 integer codes, and a generator W = <U, P> has the points
-perp(U) & perp(P).  W's RREF rows are the least point of W outside U,
-read off that mask, followed by U's rows, so nothing is row-reduced.
+perp(U) & perp(P).  W's RREF rows are P, the least candidate left, then
+U's rows: nothing is row-reduced, and no level is sorted.
 numpy unpacks the generators' point lists from their masks, a bounded
 chunk at a time.
 
@@ -49,7 +49,6 @@ kind X one rank down.
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -349,16 +348,14 @@ class PolarSpace:
 
 
 def _content_hash(space: PolarSpace) -> str:
-    payload = {
-        "kind": space.kind,
-        "rank": space.rank,
-        "q": space.q,
-        # tuples dump as JSON arrays, so no list copies are made
-        "points": space.points,
-        "generators": [g.rows for g in space.generators],
-    }
-    blob = json.dumps(payload, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of the compact JSON of kind, rank, q, the points and the
+    generators' rows, which are points: each point's text is made once."""
+    text = ["[" + ",".join(map(str, p)) + "]" for p in space.points]
+    gens = ("[" + ",".join(text[space.point_index[r]] for r in g.rows) + "]"
+            for g in space.generators)
+    blob = (f'{{"kind":"{space.kind}","rank":{space.rank},"q":{space.q},'
+            f'"points":[{",".join(text)}],"generators":[{",".join(gens)}]}}')
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _singular_points(form: Form) -> list[Vector]:
@@ -411,15 +408,16 @@ def _point_codes(field: GF, points):
     return add, multiples, bit_of
 
 
-def _extend_level(points, point_index, collinear, level, codes):
+def _extend_level(points, point_index, collinear, urows, umasks, codes):
     """Extend every totally singular subspace of one level by one point.
 
-    level holds (rows, mask) pairs: the canonical RREF basis of a subspace U
-    and the mask of its points, sorted by rows.  Each W = <U, P> is computed
-    as a point mask.  Below the generators its points are U's points, P and
-    P + x for every nonzero vector x of U, looked up through the integer
-    codes of _point_codes; codes is None on the last level, where W is a
-    generator and its points are perp(U) & perp(P).
+    A level is two parallel lists sorted by rows, the RREF bases urows of
+    its subspaces U and the masks umasks of their points, and so is the
+    level returned.  Each W = <U, P> is computed as a point mask.  Below
+    the generators its points are U's points, P and P + x for every nonzero
+    vector x of U, looked up through the integer codes of _point_codes;
+    codes is None on the last level, where W is a generator and its points
+    are perp(U) & perp(P).
 
     Every W is reached once, from its lowest hyperplane: the points of W
     with a zero in the pivot column of W's first RREF row.  That hyperplane
@@ -427,38 +425,35 @@ def _extend_level(points, point_index, collinear, level, codes):
     Points are normalised to a leading 1 and indexed in lex order, so the
     points with leading column before c are the top index segment
     [start[c], len(points)), and P runs over perp(U) & Q in that segment;
-    all of W's points leave the candidates after each step.  A U whose
-    first pivot is column 0, or with no candidate, is skipped at once.
+    all of W's points leave the candidates after each step.  No point leads
+    before column 0, and the U with first pivot 0 are the level's tail.
 
-    W's RREF rows are (w0,) + U's rows, and w0 is the point of W outside U
-    with the least index, read off the mask.  Every point of W outside U is
-    P + x for a unique x in U, normalised, with its leading 1 in P's
-    column.  w0 is one of them and is 0 at U's pivots, and for a nonzero y
-    in U, w0 + y agrees with w0 before y's leading column and is nonzero
-    there, at a pivot of U where w0 is 0.  So w0 is the lex-least point of
-    W outside U, and point indices follow lex order.  RREF rows are
-    singular points, so they are stored as the shared point tuples.
-    Returns the new pairs sorted by rows, which is the order of (w0's
-    index, U's index in level).
+    W's RREF rows are (P,) + U's rows.  Every point of W outside U is P + x
+    for a unique x in U, normalised, with its leading 1 in P's column, and
+    is a candidate; none has left the candidates, as an earlier W' through
+    U holding one would equal W.  W's first RREF row w0 is one of them and
+    is 0 at U's pivots, and for a nonzero y in U, w0 + y agrees with w0
+    before y's leading column and is nonzero there, at a pivot of U where
+    w0 is 0.  So w0 is the lex-least of them, the least candidate left: P.
+    The scan files U's index and W's mask under P, and the rows (shared
+    point tuples) are made after it in the order of (P, U's index): by rows.
     """
     if codes is not None:
         add, multiples, bit_of = codes
     # start[c]: the points with leading column >= c lie below it
     start = [sum(p.index(1) >= c for p in points)
              for c in range(len(points[0]))]
-    npts = len(points)
-    out = []
-    for ui, (rows, umask) in enumerate(level):
+    found = [[] for _ in points]  # found[P]: U's index, W's mask, ...
+    for ui, rows in enumerate(urows):
+        if rows[0][0]:  # the first pivot is column 0
+            break
         s = start[rows[0].index(1)]
-        if s == npts:
-            continue
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
         cand = full >> s << s
-        if not cand:
-            continue
         if codes is not None:
+            umask = umasks[ui]
             ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
         while cand:
             low = cand & -cand
@@ -470,12 +465,11 @@ def _extend_level(points, point_index, collinear, level, codes):
                 wmask = umask | low
                 for c in ucodes:
                     wmask |= bit_of[add(pc, c)]
-            new = wmask & ~umask
-            i = (new & -new).bit_length() - 1
-            out.append((i, ui, (points[i],) + rows, wmask))
+            found[p] += ui, wmask
             cand &= ~wmask
-    out.sort()
-    return [(rows, wmask) for _, _, rows, wmask in out]
+    rows = [(head,) + urows[ui] for head, kept in zip(points, found)
+            for ui in kept[::2]]
+    return rows, [m for kept in found for m in kept[1::2]]
 
 
 @lru_cache(maxsize=None)
@@ -498,22 +492,23 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     collinear = _collinearity_masks(form, points, arr)
     point_index = {p: i for i, p in enumerate(points)}
 
-    # level 0: the points themselves
-    level = [((p,), 1 << i) for i, p in enumerate(points)]
+    # level 0: the points; after the last level, the generators
+    rows = [(p,) for p in points]
+    gen_point_mask = [1 << i for i in range(len(points))]
     levels = []
     codes = _point_codes(field, points) if rank > 2 else None
     for k in range(rank - 1):
-        levels.append([rows for rows, _ in level])
-        level = _extend_level(points, point_index, collinear, level,
-                              codes if k < rank - 2 else None)
+        levels.append(rows)
+        rows, gen_point_mask = _extend_level(
+            points, point_index, collinear, rows, gen_point_mask,
+            codes if k < rank - 2 else None)
 
-    if len(level) != exp_gens:
+    if len(rows) != exp_gens:
         raise BuildError(
-            f"{space_name(kind, rank, q)}: enumerated {len(level)} "
+            f"{space_name(kind, rank, q)}: enumerated {len(rows)} "
             f"generators, expected {exp_gens}")
 
-    generators = [Subspace(field, form.n, rows) for rows, _ in level]
-    gen_point_mask = [mask for _, mask in level]
+    generators = [Subspace(field, form.n, r) for r in rows]
     gen_points = _bit_lists(gen_point_mask, len(points))
 
     # maximality: a generator's mask is perp(g) & Q, which contains g, so

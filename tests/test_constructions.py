@@ -55,6 +55,11 @@ def test_pencil_deterministic_seed():
             lines.add(line.rows)
     least = C.lex_least_ts_subspace(sp, 1)
     assert least.rows == min(lines)
+    assert C.lex_least_ts_subspace(sp, -1).rows == ()
+    # dimensions outside -1..rank-2 name no level
+    for dim in (-2, 2):
+        with pytest.raises(ValueError, match=r"-1\.\.1"):
+            C.lex_least_ts_subspace(sp, dim)
     assert C.pencil(sp).members == tuple(sp.generators_through(least))
 
 

@@ -103,6 +103,10 @@ def test_min_cover_generic_interface():
     assert res.witnesses[0] == (0, 2)
     with pytest.raises(ValueError):
         S.min_cover("ab", [("a",)])
+    with pytest.raises(ValueError, match="2, which is not a point"):
+        S.min_cover([0, 1], [[0, 2]])
+    with pytest.raises(ValueError, match="point 0 is listed twice"):
+        S.min_cover([0, 0, 1], [[0], [1]])
 
 
 def test_min_maximal_partial_spreads():

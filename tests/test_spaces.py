@@ -496,13 +496,22 @@ def test_extend_level_keys_are_point_masks(key):
     sp = build_polar_space(*key)
     field, points, index = sp.field, sp.points, sp.point_index
     codes = spaces._point_codes(field, points)
-    level = [((p,), 1 << i) for i, p in enumerate(points)]
+    urows = [(p,) for p in points]
+    umasks = [1 << i for i in range(len(points))]
     for k in range(sp.rank - 1):
         last = k == sp.rank - 2
-        args = (field, points, index, sp.collinear, level,
-                None if last else codes)
-        level = spaces._extend_level(*args[1:])
-        assert level == _lowest_hyperplane_extend_level(*args)
+        level_codes = None if last else codes
+        ref = _lowest_hyperplane_extend_level(
+            field, points, index, sp.collinear, list(zip(urows, umasks)),
+            level_codes)
+        # the scan stops at the first U whose first pivot is column 0: every
+        # such U comes after it
+        skipped = [i for i, r in enumerate(urows) if r[0][0]]
+        assert skipped == list(range(skipped[0], len(urows)))
+        urows, umasks = spaces._extend_level(points, index, sp.collinear,
+                                             urows, umasks, level_codes)
+        level = list(zip(urows, umasks))
+        assert level == ref
         for rows, mask in level:
             assert rows == rref(field, rows)
             assert mask == sum(1 << index[p]
@@ -827,6 +836,33 @@ def _keys_h64_slow(keys):
     # the H(6,4) build takes seconds; acceptance criterion 6 shares it
     return [pytest.param(k, marks=pytest.mark.slow) if k == ("h", 3, 2) else k
             for k in sorted(keys)]
+
+
+def _ref_content_hash(space) -> str:
+    # the former body of spaces._content_hash: one json.dumps of the whole
+    # payload, for the new one to match byte for byte
+    payload = {
+        "kind": space.kind,
+        "rank": space.rank,
+        "q": space.q,
+        # tuples dump as JSON arrays, so no list copies are made
+        "points": space.points,
+        "generators": [g.rows for g in space.generators],
+    }
+    blob = json.dumps(payload, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("key", _keys_h64_slow(PINNED_BUILDS) + [
+    ("qplus3", 2, 11), ("qplus3", 2, 16), ("h", 1, 4), ("q", 1, 3),
+    ("q", 2, 9), "quotient"])
+def test_content_hash_matches_reference(key):
+    # two-digit coordinates, rank 1 and a quotient's form included
+    if key == "quotient":
+        sp = quotient_at_point(build_polar_space("q", 3, 3), 0)[0]
+    else:
+        sp = build_polar_space(*key)
+    assert sp.content_hash() == _ref_content_hash(sp)
 
 
 @pytest.mark.parametrize("key", _keys_h64_slow(PINNED_BUILDS))
