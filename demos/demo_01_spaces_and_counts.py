@@ -37,9 +37,7 @@ print("(the nondegenerate ones are the parabolic subquadrangles; the "
       "tangent ones are cones over the point's quotient)")
 
 print("\n== quotient geometry ==")
-from polarblock import quotient_at_point
-
 s7 = build_polar_space("qminus", 3, 2)
-quot, qmap = quotient_at_point(s7, 0)
+quot = s7.quotient_map(0).quotient
 print(f"{s7.name} projected from a point gives {quot.name}: "
       f"{quot.num_points} points, {quot.num_generators} lines")

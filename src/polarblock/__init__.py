@@ -36,7 +36,6 @@ from .spaces import (
     hyperplane_section,
     pencil_size,
     point_count,
-    quotient_at_point,
     space_name,
     st_params,
 )

@@ -39,7 +39,6 @@ from .spaces import (
     _iter_bits,
     hyperplane_section,
     pencil_size,
-    quotient_at_point,
     space_name,
 )
 
@@ -137,10 +136,6 @@ class BlockingSet:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def delta(self) -> int:
-        return delta_of(self.space, self.size)
 
     def to_json(self) -> dict:
         sp = self.space
@@ -393,15 +388,15 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     """
     members = validate_members(space, members)
     # checks the hole as a point index (BuildError is a ValueError)
-    qspace, qm = quotient_at_point(space, hole)
+    qm = space.quotient_map(hole)
     if space.point_gen_mask[hole] & members_mask(members):
         raise ValueError(f"point {hole} is covered; not a hole")
     projected = tuple(sorted({
         qm.gen_through(space.gen_point_mask[m] & space.collinear[hole])
         for m in members}))
-    if not is_blocking(qspace, projected):
+    if not is_blocking(qm.quotient, projected):
         raise AssertionError("projection from a hole failed to block the quotient")
-    return qspace, projected, qm
+    return qm.quotient, projected, qm
 
 
 # -- GQ axioms -----------------------------------------------------------------
@@ -704,14 +699,17 @@ def theorem_threshold(kind: str, q: int, rank: int = 3) -> Threshold:
                    beyond, unbounded when no non-trivial set exists).
     """
     if kind == "qminus":
+        # the largest delta with 3q - 2 delta >= c, for c >= 1 the least
+        # integer with c^2 >= 5q^2+2q+1; -1 when there is none
         d = 5 * q * q + 2 * q + 1
-        md = -1
-        delta = 0
-        while 3 * q - 2 * delta >= 0 and (3 * q - 2 * delta) ** 2 >= d:
-            md = delta
-            delta += 1
         r = isqrt(d)
-        value = (3 * q - (r if r * r == d else d ** 0.5)) / 2
+        c = r if r * r == d else r + 1
+        md = max(-1, (3 * q - c) // 2)
+        try:
+            value = (3 * q - (r if r * r == d else d ** 0.5)) / 2
+        except OverflowError:
+            raise ValueError(f"q = {q} is too large for a float "
+                             "threshold value") from None
         return Threshold(kind, q, md,
                          "delta <= (3q - sqrt(5q^2+2q+1))/2", value)
     if kind == "h":

@@ -47,6 +47,11 @@ def _emit(args, payload, text):
         print(text)
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
 def _build(args):
     return build_polar_space(args.kind, args.rank, args.q)
 
@@ -99,13 +104,22 @@ def cmd_space(args):
 
 
 def cmd_construct(args):
+    name = args.example
+    # the flags an example ignores are refused before any work
+    for flag, value, used in (
+            ("--seed-vertex", args.seed_vertex,
+             name not in ("ruling", "section-cover")),
+            ("--which", args.which, name == "ruling")):
+        if value is not None and not used:
+            print(f"{flag} does not apply to --example {name}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     space = _build(args)
     vertex = _parse_vertex(space, args.seed_vertex) if args.seed_vertex else None
-    name = args.example
     if name == "pencil":
         bs = constructions.pencil(space, vertex)
     elif name == "ruling":
-        bs = constructions.ruling_spread(space, args.which)
+        bs = constructions.ruling_spread(space, args.which or 0)
     elif name == "section-cover":
         bs = constructions.section_cover(space)
     elif name in CONE_EXAMPLES:
@@ -115,8 +129,7 @@ def cmd_construct(args):
         return EXIT_USAGE
     payload = bs.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        _write_json(args.out, payload)
         print(f"wrote {name} ({bs.size} generators) on {space.name} to {args.out}")
     else:
         print(json.dumps(payload))
@@ -187,37 +200,31 @@ def cmd_classify(args):
 def cmd_search(args):
     space = _build(args)
     kw = dict(budget_nodes=args.budget_nodes, budget_secs=args.budget_secs)
-    if args.search_cmd == "min-blocking":
-        res = search.min_blocking(space, args.bound, **kw)
-    elif args.search_cmd == "min-cover":
-        res = search.min_cover_of_space(space, upper_bound=args.bound, **kw)
-    elif args.search_cmd == "min-maximal-spread":
-        res = search.min_maximal_partial_spread(space, args.bound, **kw)
-    else:  # enumerate-minimal
+    if args.search_cmd == "enumerate-minimal":
         if args.bound is None:
             print("enumerate-minimal requires --bound", file=sys.stderr)
             return EXIT_USAGE
-        er = search.enumerate_minimal(space, args.bound, **kw)
+        res = search.enumerate_minimal(space, args.bound, **kw)
         payload = {"space": space.name, "max_size": args.bound,
-                   "count": len(er.sets), "complete": er.complete,
-                   "nodes": er.nodes, "seconds": er.seconds,
-                   "sets": [list(w) for w in er.sets]}
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-        _emit(args, payload,
-              f"{space.name}: {len(er.sets)} minimal blocking sets of size <= "
-              f"{args.bound} (complete: {er.complete}, {er.nodes} nodes)")
-        return EXIT_OK if er.complete else EXIT_BUDGET
-    payload = res.to_json()
-    payload["space"] = space.name
+                   "count": len(res.sets), "complete": res.complete,
+                   "nodes": res.nodes, "seconds": res.seconds,
+                   "sets": [list(w) for w in res.sets]}
+        text = (f"{space.name}: {len(res.sets)} minimal blocking sets of size "
+                f"<= {args.bound} (complete: {res.complete}, {res.nodes} "
+                "nodes)")
+    else:
+        find = {"min-blocking": search.min_blocking,
+                "min-cover": search.min_cover_of_space,
+                "min-maximal-spread": search.min_maximal_partial_spread}
+        res = find[args.search_cmd](space, args.bound, **kw)
+        payload = res.to_json()
+        payload["space"] = space.name
+        text = (f"{space.name} {args.search_cmd}: optimum {res.optimum} "
+                f"({len(res.witnesses)} witnesses, complete: {res.complete}, "
+                f"{res.nodes} nodes, {res.seconds:.2f}s)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-    _emit(args, payload,
-          f"{space.name} {args.search_cmd}: optimum {res.optimum} "
-          f"({len(res.witnesses)} witnesses, complete: {res.complete}, "
-          f"{res.nodes} nodes, {res.seconds:.2f}s)")
+        _write_json(args.out, payload)
+    _emit(args, payload, text)
     return EXIT_OK if res.complete else EXIT_BUDGET
 
 
@@ -307,8 +314,8 @@ def make_parser() -> argparse.ArgumentParser:
                         "in " + ", ".join(analysis.CONE_ROWS))
     p.add_argument("--seed-vertex",
                    help="vertex rows, e.g. '0,0,1,0,0;0,0,0,1,0'")
-    p.add_argument("--which", type=int, default=0, choices=[0, 1],
-                   help="ruling selector")
+    p.add_argument("--which", type=int, choices=[0, 1],
+                   help="ruling selector (default 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_construct)
 

@@ -170,8 +170,6 @@ class Form:
                     )
         else:
             gen_rows = sub.rows
-        if not gen_rows:
-            return Subspace(f, self.n, _unit_rows(self.n))
         mrows = [self._polar_row(u) for u in gen_rows]
         if self.kind == "hermitian":
             mrows = [f.conj_table[w].tolist() for w in mrows]
@@ -210,11 +208,6 @@ def is_totally_singular(form: Form, sub: Subspace) -> bool:
 
 
 # -- standard forms ----------------------------------------------------------
-
-
-def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The unit vectors e_0, ..., e_n: the RREF basis of all of PG(n,q)."""
-    return tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
 
 
 def _zero(n: int):

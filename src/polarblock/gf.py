@@ -21,16 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# Fixed moduli, little-endian coefficient tuples (constant term first,
-# monic leading term included).  Pinned for cross-run reproducibility.
-_FIXED_MODULI = {
-    (2, 2): (1, 1, 1),        # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),     # x^3 + x + 1
-    (3, 2): (1, 0, 1),        # x^2 + 1
-    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
-    (5, 2): (1, 1, 1),        # x^2 + x + 1
-    (3, 3): (1, 2, 0, 1),     # x^3 + 2x + 1
-}
+# GF(25) keeps x^2 + x + 1 (constant term first) where the lex-least search
+# below would pick x^2 + 2: every GF(25) encoding, and so every hash and
+# index over it, depends on this choice.  Every other field's is searched.
+_FIXED_MODULI = {(5, 2): (1, 1, 1)}
 
 MAX_ORDER = 1024
 
@@ -276,7 +270,10 @@ def make_field(p: int, h: int = 1) -> GF:
 
 
 def field_of_order(q: int) -> GF:
-    """GF(q) for a prime power q, factoring q as p^h."""
+    """GF(q) for a prime power q, factoring q as p^h; an order over
+    MAX_ORDER is refused before any factoring."""
+    if q > MAX_ORDER:
+        raise ValueError(f"order {q} exceeds supported maximum {MAX_ORDER}")
     for p in range(2, q + 1):
         if is_prime(p) and q % p == 0:
             h = 0

@@ -77,12 +77,6 @@ class Subspace:
     def contains_point(self, v: Vector) -> bool:
         return reduce_against(self.field, self.rows, v) is None
 
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_point(r) for r in other.rows)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains(self)
-
     def to_json(self):
         return [list(r) for r in self.rows]
 

@@ -91,13 +91,24 @@ def default_budget_secs() -> float:
     return float(os.environ.get("POLARBLOCK_BUDGET_SECS", 600.0))
 
 
+def _deadline(budget_secs: float | None) -> float:
+    """The time.monotonic() at which a run of budget_secs seconds (the
+    default budget when None) stops."""
+    if budget_secs is None:
+        budget_secs = default_budget_secs()
+    return time.monotonic() + budget_secs
+
+
 @dataclass
 class SearchResult:
-    optimum: int | None
-    witnesses: list[tuple[int, ...]]
+    witnesses: list[tuple[int, ...]]  # all of one size, the optimum
     complete: bool
     nodes: int
     seconds: float
+
+    @property
+    def optimum(self) -> int | None:
+        return len(self.witnesses[0]) if self.witnesses else None
 
     def to_json(self) -> dict:
         return {
@@ -148,10 +159,11 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     Each node carries the chosen set, the allowed candidates and the
     uncovered rows as bitmasks.  Returns (sols, complete, nodes, seconds).
     """
-    if budget_secs is None:
-        budget_secs = default_budget_secs()
-    deadline = time.monotonic() + budget_secs
+    deadline = _deadline(budget_secs)
     t0 = time.monotonic()
+    # no set has more than len(cols) members; one more keeps every node
+    # as it was, as the last pick is still made at the same depth
+    max_size = min(max_size, len(cols) + 1)
     nodes = 0
     best = max_size
     done = False
@@ -332,9 +344,7 @@ def _type_runs(space: PolarSpace, rows, cols, keep=None, *, max_size: int,
     best size so far, and only the sets of the final best size are kept.
     Sets failing keep are dropped.  Returns ([(type members, sets)],
     complete, nodes); the runs stop at the first that is incomplete."""
-    if budget_secs is None:
-        budget_secs = default_budget_secs()
-    deadline = time.monotonic() + budget_secs
+    deadline = _deadline(budget_secs)
     types = meet_types(space)
     allowed = (1 << len(cols)) - 1
     runs, nodes, complete = [], 0, True
@@ -403,12 +413,10 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
     sols, complete, nodes, seconds = _pinned(
         space, space.meets, space.meets, max_size=upper_bound, mode="min",
         budget_nodes=budget_nodes, budget_secs=budget_secs)
-    optimum = len(sols[0]) if sols else None
-    if not complete and optimum is None and seed is not None:
+    if not complete and not sols and seed is not None:
         # nothing found before the budget: the seed is the known upper bound
-        optimum = len(seed)
         sols = [tuple(seed)]
-    return SearchResult(optimum, sols, complete, nodes, seconds)
+    return SearchResult(sols, complete, nodes, seconds)
 
 
 def minimum_minimal_blocking_sets(space: PolarSpace,
@@ -468,12 +476,10 @@ def min_cover(points, lines, budget_nodes: int = DEFAULT_BUDGET_NODES,
         raise ValueError(f"a line names {e.args[0]!r}, "
                          "which is not a point") from None
     line_masks = [analysis.members_mask(l) for l in line_pts]
-    sols, complete, nodes, seconds = _run_engine(
+    return SearchResult(*_run_engine(
         _transpose(line_pts, len(pts)), line_masks,
         max_size=_greedy_cover_size(line_masks, (1 << len(pts)) - 1),
-        mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs)
-    optimum = len(sols[0]) if sols else None
-    return SearchResult(optimum, sols, complete, nodes, seconds)
+        mode="min", budget_nodes=budget_nodes, budget_secs=budget_secs))
 
 
 def min_cover_of_space(space: PolarSpace, upper_bound: int | None = None,
@@ -483,12 +489,10 @@ def min_cover_of_space(space: PolarSpace, upper_bound: int | None = None,
     if upper_bound is None:
         upper_bound = _greedy_cover_size(space.gen_point_mask,
                                          space.all_points_mask)
-    sols, complete, nodes, seconds = _pinned(
+    return SearchResult(*_pinned(
         space, space.point_gen_mask, space.gen_point_mask,
         max_size=upper_bound, mode="min", budget_nodes=budget_nodes,
-        budget_secs=budget_secs)
-    optimum = len(sols[0]) if sols else None
-    return SearchResult(optimum, sols, complete, nodes, seconds)
+        budget_secs=budget_secs))
 
 
 def _greedy_maximal_partial_spread(space: PolarSpace) -> tuple[int, ...]:
@@ -508,12 +512,10 @@ def min_maximal_partial_spread(space: PolarSpace, bound: int | None = None,
     block every generator (maximality and blocking coincide)."""
     if bound is None:
         bound = len(_greedy_maximal_partial_spread(space))
-    sols, complete, nodes, seconds = _pinned(
+    return SearchResult(*_pinned(
         space, space.meets, space.meets, max_size=bound, mode="min",
         conflicts=space.meets, budget_nodes=budget_nodes,
-        budget_secs=budget_secs)
-    optimum = len(sols[0]) if sols else None
-    return SearchResult(optimum, sols, complete, nodes, seconds)
+        budget_secs=budget_secs))
 
 
 # -- plane blocking-set oracle -------------------------------------------------
@@ -569,9 +571,7 @@ def smallest_nontrivial_pg2(q: int,
     lines_through = _transpose(lines, npts)
     line01 = line_masks[(lines_through[0] & lines_through[1]).bit_length() - 1]
     triangle = (0, 1, next(p for p in range(npts) if not line01 >> p & 1))
-    if budget_secs is None:
-        budget_secs = default_budget_secs()
-    deadline = time.monotonic() + budget_secs
+    deadline = _deadline(budget_secs)
 
     def first_set(target, start):
         nonlocal budget_nodes

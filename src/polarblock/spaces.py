@@ -24,7 +24,8 @@ perp(V)/V at each totally singular vertex V it is asked for
 points to quotient points, and a generator to the quotient generator
 through its points' images, an AND of the quotient's point-generator
 masks.  A build whose bitmasks would exceed MAX_BUILD_BYTES raises
-BudgetError before anything is enumerated.
+BudgetError before anything is enumerated, and a standard build before
+its form is built.
 
 Supported kinds, one row each of the table _KINDS (q is the base
 parameter of the family; hermitian spaces live over GF(q^2)).  The
@@ -51,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import prod
@@ -72,6 +74,7 @@ from .projective import (
 from .projective import rref, subspace_points  # noqa: F401
 from .forms import (
     Form,
+    _square_field,
     elliptic_form,
     hermitian_form,
     hyperbolic_form,
@@ -162,11 +165,42 @@ def space_name(kind: str, rank: int, q: int) -> str:
     return f"{row.prefix}({2 * rank + row.offset},{q ** row.f})"
 
 
-def standard_form(kind: str, rank: int, q: int) -> Form:
+def _standard_kind(kind: str, rank: int, q: int) -> _Kind:
+    """The table row of a kind whose standard space of this rank and q
+    builds: BuildError for a rank the kind does not have, ValueError for a
+    q whose field (GF(q^2) on a hermitian kind) is not supported."""
     row = _kind(kind)
     if row.rank2_only and rank != 2:
         raise BuildError(f"{kind} is a rank-2 space")
-    return row.form(rank, q)
+    (field_of_order if row.f == 1 else _square_field)(q)
+    return row
+
+
+def standard_form(kind: str, rank: int, q: int) -> Form:
+    return _standard_kind(kind, rank, q).form(rank, q)
+
+
+def _check_build_bytes(kind: str, rank: int, q: int) -> None:
+    """BudgetError when build_bytes is over MAX_BUILD_BYTES, decided in
+    bounded time.  The generator count is multiplied out one factor at a
+    time, each at least 2, and a count of 2^28 or more is refused as it
+    stands: its square alone is 2^53 bytes of meets rows.  Below that the
+    estimate is exact, and the GiB are rounded to a tenth in integers."""
+    s, t = st_params(kind, q)
+    gens = 1
+    for i in range(rank):
+        gens *= s ** i * t + 1
+        if gens >> 28:
+            need, about = gens * gens // 8, "more than"
+            break
+    else:
+        need, about = build_bytes(kind, rank, q), "about"
+    if need > MAX_BUILD_BYTES:
+        tenths = round(Fraction(10 * need, 2 ** 30))
+        raise BudgetError(
+            f"{space_name(kind, rank, q)} needs {about} {tenths // 10}."
+            f"{tenths % 10} GiB of bitmasks, over the guard of "
+            f"{MAX_BUILD_BYTES / 2 ** 30:g} GiB")
 
 
 def _mask_from_bool(bits: np.ndarray) -> int:
@@ -474,11 +508,7 @@ def _extend_level(points, point_index, collinear, urows, umasks, codes):
 
 @lru_cache(maxsize=None)
 def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
-    need = build_bytes(kind, rank, q)
-    if need > MAX_BUILD_BYTES:
-        raise BudgetError(
-            f"{space_name(kind, rank, q)} needs about {need / 2 ** 30:.1f} GiB "
-            f"of bitmasks, over the guard of {MAX_BUILD_BYTES / 2 ** 30:g} GiB")
+    _check_build_bytes(kind, rank, q)
     exp_pts = point_count(kind, rank, q)
     exp_gens = generator_count(kind, rank, q)
 
@@ -538,10 +568,14 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
 
 
 def build_polar_space(kind: str, rank: int, q: int) -> PolarSpace:
-    """The standard polar space of the given kind, memoized by form."""
+    """The standard polar space of the given kind, memoized by form.  The
+    kind, rank and field are checked and the size guard is passed before
+    the form is built."""
     _kind(kind)
     if rank < 1:
         raise BuildError("rank must be >= 1")
+    _standard_kind(kind, rank, q)
+    _check_build_bytes(kind, rank, q)
     return _materialize(kind, rank, q, standard_form(kind, rank, q))
 
 
@@ -864,12 +898,6 @@ class QuotientMap:
         if self.vertex_mask & ~pts:
             return None
         return self.gen_through(pts & ~self.vertex_mask)
-
-
-def quotient_at_point(space: PolarSpace, point_idx: int):
-    """Quotient polar space at a singular point, with the projection map."""
-    qm = space.quotient_map(point_idx)
-    return qm.quotient, qm
 
 
 # -- hyperplane sections -------------------------------------------------------

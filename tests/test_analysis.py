@@ -2,14 +2,16 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from polarblock.projective import canonicalize
-from polarblock.spaces import BudgetError, build_polar_space, quotient_at_point
+from polarblock.spaces import BudgetError, build_polar_space
 from polarblock import analysis as A
 from polarblock import constructions as C
+from polarblock import search as S
 
 
 def pencil_through_point(space, p):
@@ -314,6 +316,28 @@ def test_thresholds_known_values():
     assert (th5.epsilon, th5.max_delta) == (3, 1)
     with pytest.raises(ValueError):
         A.theorem_threshold("w", 2)
+
+
+def _qminus_max_delta_by_steps(q):
+    # delta up by one while 3q - 2 delta >= 0 and (3q - 2 delta)^2 >=
+    # 5q^2+2q+1: the reference for the closed form
+    d = 5 * q * q + 2 * q + 1
+    md, delta = -1, 0
+    while 3 * q - 2 * delta >= 0 and (3 * q - 2 * delta) ** 2 >= d:
+        md, delta = delta, delta + 1
+    return md
+
+
+def test_qminus_threshold_closed_form():
+    for q in range(2, 2001):
+        assert (A.theorem_threshold("qminus", q).max_delta
+                == _qminus_max_delta_by_steps(q)), q
+    # in bounded time for any q; a value past the float range is refused
+    th = A.theorem_threshold("qminus", 10 ** 8)
+    assert th.max_delta == (3 * 10 ** 8 - isqrt(5 * 10 ** 16 + 2 * 10 ** 8
+                                                 + 1) - 1) // 2
+    with pytest.raises(ValueError, match="too large for a float"):
+        A.theorem_threshold("qminus", 10 ** 400)
 
 
 def test_threshold_of_stopped_oracle_raises(monkeypatch):
@@ -725,3 +749,55 @@ def test_minimize_matches_restart_loop(key):
         members += rng.sample(order[len(members):], rng.randint(0, 5))
         assert A.minimize_blocking_set(sp, members) == \
             _minimize_with_restarts(sp, members)
+
+
+# the rank-2 bases of the cone catalogue, by kind
+_RANK2_EXAMPLES = {"q": lambda sp: [C.ruling_spread(sp, 0),
+                                    C.ruling_spread(sp, 1)],
+                   "qminus": lambda sp: [C.section_cover(sp)],
+                   "h": lambda sp: []}
+
+
+@pytest.mark.parametrize("key", [("q", 2, 3), ("qminus", 2, 3), ("h", 2, 2),
+                                 ("q", 3, 2), ("qminus", 3, 2), ("q", 4, 2)])
+def test_labels_invariant_under_isometries(key):
+    # an isometry keeps the label, minimality and the witness of a set; the
+    # per-space caches are keyed by point masks and RREF rows, so an image
+    # must not be answered from its preimage's entry
+    sp = build_polar_space(*key)
+    if sp.rank == 2:
+        sets = [bs.members for bs in _RANK2_EXAMPLES[sp.kind](sp)]
+    else:
+        sets = [C.cone_example(sp, name).members
+                for name, row in A.CONE_ROWS.items() if row.kind == sp.kind]
+    sets.append(C.pencil(sp).members)
+    rng = np.random.default_rng(7)
+    drawn = [w for w in (S.greedy_then_minimize(sp, rng) for _ in range(30))
+             if A.is_minimal(sp, w)][:10]
+    assert len(drawn) == 10
+    sets += drawn
+    perms = sp.generator_permutations()
+    for members in sets:
+        label = A.classify(sp, members).label
+        for _ in range(2):
+            tau = np.arange(sp.num_generators)
+            for row in rng.integers(len(perms), size=4):
+                tau = perms[row][tau]
+            image = tuple(sorted(tau[list(members)].tolist()))
+            assert A.is_minimal(sp, image)
+            cls = A.classify(sp, image)
+            assert cls.label == label, (members, image)
+            assert A.verify_classification(sp, image, cls)
+    if sp.kind == "q" and sp.rank == 2:
+        # a partial spread of a ruling's size that is no image of one: the
+        # ruling less a member, and a generator off its grid through a point
+        # of that member
+        ruling = sets[0]
+        cls = A.classify(sp, ruling)
+        rest = A.covered_mask(sp, ruling[1:])
+        grid = A.covered_mask(sp, ruling)
+        off = next(g for g, m in enumerate(sp.gen_point_mask)
+                   if not m & rest and m & ~grid)
+        assert cls.label == "SubGQSpread"
+        assert A.is_partial_spread(sp, ruling[1:] + (off,))
+        assert not A.verify_classification(sp, ruling[1:] + (off,), cls)

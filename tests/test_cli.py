@@ -1,10 +1,12 @@
+import argparse
 import hashlib
 import json
+import time
 
 import pytest
 
 from polarblock import acceptance
-from polarblock.cli import main
+from polarblock.cli import _non_negative_int, main, make_parser
 from polarblock.spaces import BudgetError
 
 
@@ -255,6 +257,30 @@ def test_construct_with_seed_vertex(capsys, tmp_path):
     assert len(data["members"]) == 3
 
 
+@pytest.mark.parametrize("example,flags", [
+    ("ruling", ["--seed-vertex", "0,1,0,0,0"]),
+    ("section-cover", ["--seed-vertex", "0,1,0,0,0"]),
+    ("pencil", ["--which", "0"]),
+    ("section-cover", ["--which", "1"]),
+    ("cone:conic-pencil", ["--which", "1"]),
+])
+def test_construct_rejects_flags_it_ignores(capsys, example, flags):
+    # refused before the build: rank 999 is over the guard
+    code, out, err = run(capsys, "construct", "--kind", "q", "--rank", "999",
+                         "--q", "2", "--example", example, *flags)
+    assert (code, out) == (2, "")
+    assert err == f"{flags[0]} does not apply to --example {example}\n"
+
+
+def test_construct_ruling_defaults_to_the_first(capsys):
+    argv = ["construct", "--kind", "qplus3", "--rank", "2", "--q", "2",
+            "--example", "ruling"]
+    first = run(capsys, *argv)
+    assert first[0] == 0
+    assert run(capsys, *argv, "--which", "0") == first
+    assert run(capsys, *argv, "--which", "1") != first
+
+
 @pytest.mark.parametrize("entry", ["9", "3", "2", "-1"])
 def test_seed_vertex_entry_out_of_field_exits_1(capsys, entry):
     code, out, err = run(capsys, "construct", "--kind", "q", "--rank", "3",
@@ -365,3 +391,85 @@ def test_accept_skip_row_keeps_number_and_title(monkeypatch):
     assert (row.cid, row.title, row.status, row.detail) == (
         5, "Q(6,2): all size-3 minimal sets are the two cone examples",
         "skip", "over the guard")
+
+
+def _subcommands(parser, prefix=()):
+    """(argv prefix, parser) for every subcommand below parser; a
+    positional with choices (the search subcommands) counts as one."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _subcommands(sub, prefix + (name,))
+    if not subs:
+        chosen = [a for a in parser._actions
+                  if not a.option_strings and a.choices]
+        for action in chosen:
+            for name in action.choices:
+                yield prefix + (name,), parser
+        if not chosen:
+            yield prefix, parser
+
+
+_BASELINE = {"--kind": "q", "--rank": "2", "--q": "2", "--example": "pencil",
+             "--bound": "3"}
+
+
+def test_every_integer_option_and_set_file_exits_cleanly(capsys, tmp_path,
+                                                        monkeypatch):
+    # 0, -1, 10**12 and 400 digits for each integer option on Q(4,2), and
+    # broken or oversized --set files: a documented exit code, at most one
+    # stderr line, and no form built for a space over the guard
+    from polarblock import spaces
+
+    early, form = [], spaces.standard_form
+
+    def spy(kind, rank, q):
+        # each rank fed here from 100 up is over the guard
+        if rank >= 100:
+            early.append((kind, rank, q))
+            raise BudgetError("form built before the guard")
+        return form(kind, rank, q)
+
+    monkeypatch.setattr(spaces, "standard_form", spy)
+    files = {}
+    for name, content in [("not-utf8", b"\xff\xfe{"), ("not-json", b"{"),
+                          ("rank-999", b""), ("rank-1000000", b"")]:
+        if name.startswith("rank-"):
+            content = json.dumps({"space": {"kind": "q", "rank": int(name[5:]),
+                                            "q": 2}, "members": [0]}).encode()
+        files[name] = tmp_path / name
+        files[name].write_bytes(content)
+    files["missing"] = tmp_path / "missing"
+    runs = []
+    for prefix, parser in _subcommands(make_parser()):
+        base = list(prefix)
+        numeric = []
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if flag in _BASELINE and (action.required or flag == "--bound"):
+                base += [flag, _BASELINE[flag]]
+            if action.type in (int, _non_negative_int):
+                numeric.append(flag)
+        for flag in numeric:
+            values = ["0", "-1", str(10 ** 12), "9" * 400]
+            values += ["999"] if flag == "--rank" else []
+            runs += [base + [flag, v] for v in values]
+        if any(a.option_strings == ["--set"] for a in parser._actions):
+            runs += [base + ["--set", str(f)] for f in files.values()]
+    assert {tuple(r[:2]) for r in runs} == {
+        ("space", "stats"), ("construct", "--kind"), ("verify", "--set"),
+        ("classify", "--set"), ("thresholds", "--q"),
+        *(("search", cmd) for cmd in ("min-blocking", "enumerate-minimal",
+                                      "min-cover", "min-maximal-spread"))}
+    t0 = time.perf_counter()
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
+    assert early == []
+    assert time.perf_counter() - t0 < 2

@@ -19,7 +19,7 @@ def test_pencil_sizes_per_kind():
         sp = build_polar_space(kind, rank, q)
         p = C.pencil(sp)
         assert p.size == size == pencil_size(kind, q)
-        assert p.delta == 0
+        assert A.delta_of(sp, p.size) == 0
         assert A.is_blocking(sp, p.members)
         assert A.is_minimal(sp, p.members)
 

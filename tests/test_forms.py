@@ -134,7 +134,7 @@ def test_perp_inclusion_reversing_and_double():
     l = canonicalize(F3, 5, [pts[0], mate])
     assert is_totally_singular(f, l)
     assert f.perp(l).dim < f.perp(p).dim
-    assert f.perp(l).contains(l)
+    assert all(f.perp(l).contains_point(r) for r in l.rows)
     # odd q, nondegenerate: double perp is the identity on subspaces
     assert f.perp(f.perp(l)).rows == l.rows
     assert f.perp(f.perp(p)).rows == p.rows
@@ -149,7 +149,7 @@ def test_even_parabolic_perp_paths():
     # nucleus lies on every tangent hyperplane
     assert tangent.contains_point((1, 0, 0, 0, 0))
     # double perp under the tangent-intersection definition
-    assert f.perp(f.perp(p)).contains(p)
+    assert all(f.perp(f.perp(p)).contains_point(r) for r in p.rows)
     # a subspace with no singular point is rejected
     nuc = canonicalize(F2, 4, [(1, 0, 0, 0, 0)])
     with pytest.raises(ValueError):

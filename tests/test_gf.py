@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarblock import gf
 from polarblock.gf import GF, field_of_order, is_prime, make_field
 
 SMALL_ORDERS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
@@ -111,6 +112,17 @@ def test_field_of_order():
     with pytest.raises(ValueError):
         field_of_order(6)
     assert is_prime(7) and not is_prime(9)
+
+
+def test_field_of_order_refuses_large_order_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError("factored an order over the maximum")
+
+    monkeypatch.setattr(gf, "is_prime", no_factoring)
+    for q in (1025, 1000003, 10 ** 400):
+        with pytest.raises(ValueError,
+                           match=f"^order {q} exceeds supported maximum 1024$"):
+            field_of_order(q)
 
 
 def test_deterministic_tables():

@@ -98,14 +98,19 @@ def test_nullspace():
     assert ker.dim == 1
     for p in subspace_points(F3, ker.rows):
         assert sum(p) % 3 == 0
+    # no rows: the unit rows, which Form.perp of the empty subspace returns
+    for p, h in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        field = make_field(p, h)
+        for n in range(7):
+            assert nullspace(field, [], n).rows == tuple(
+                tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
 
 
 def test_containment_and_ordering():
     l = canonicalize(F2, 3, [(1, 0, 0, 0), (0, 1, 0, 0)])
     p = canonicalize(F2, 3, [(1, 1, 0, 0)])
-    assert l.contains(p)
-    assert p <= l
-    assert not l <= p
+    assert all(l.contains_point(r) for r in p.rows)
+    assert not all(p.contains_point(r) for r in l.rows)
 
 
 def test_empty_and_ambient_mismatch():

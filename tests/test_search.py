@@ -775,6 +775,22 @@ def test_engine_vs_reference_random_relations(seed):
             _assert_same_tree(rows, cols, max_size=max_size, mode=mode, **kw)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_bound_past_the_candidates(seed):
+    # nothing is sized by a bound past the candidate count: at 10**12 the
+    # tree is the reference's at a bound just past the candidates
+    rng = np.random.default_rng(2000 + seed)
+    nrows, ncands = int(rng.integers(8, 16)), int(rng.integers(6, 12))
+    rows = [sum(1 << c for c in range(ncands) if rng.random() < 0.3)
+            for _ in range(nrows)]
+    cols = _cols(rows, ncands)
+    for mode in ("min", "leaves"):
+        want = _reference_engine(rows, cols, max_size=ncands + 3, mode=mode)
+        sols, complete, nodes, _ = S._run_engine(rows, cols,
+                                                 max_size=10 ** 12, mode=mode)
+        assert (sols, complete, nodes) == want
+
+
 @pytest.mark.parametrize("key,mode,max_size", [
     ("q43", "min", 10), ("q43", "leaves", 6), ("qm52", "min", 5),
     ("qm52", "leaves", 5), ("h44", "min", 9), ("q62", "min", 7),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 from math import prod
@@ -35,7 +36,6 @@ from polarblock.spaces import (
     hyperplane_section,
     pencil_size,
     point_count,
-    quotient_at_point,
     st_params,
 )
 
@@ -134,13 +134,13 @@ def test_points_lex_sorted_with_stable_indices():
 
 def test_quotients_known_counts():
     s5 = build_polar_space("qminus", 2, 2)
-    q1, _ = quotient_at_point(s5, 0)
+    q1 = s5.quotient_map(0).quotient
     assert (q1.name, q1.num_points, q1.num_generators) == ("Q-(3,2)", 5, 5)
     s6 = build_polar_space("q", 3, 2)
-    q2, _ = quotient_at_point(s6, 4)
+    q2 = s6.quotient_map(4).quotient
     assert (q2.num_points, q2.num_generators) == (15, 15)
     s7 = build_polar_space("qminus", 3, 2)
-    q3, _ = quotient_at_point(s7, 0)
+    q3 = s7.quotient_map(0).quotient
     assert (q3.num_points, q3.num_generators) == (27, 45)
 
 
@@ -174,7 +174,8 @@ def _gen_index(space):
 def test_quotient_coherence_bijection():
     sp = build_polar_space("q", 3, 2)
     for pi in (0, 7):
-        qs, qm = quotient_at_point(sp, pi)
+        qm = sp.quotient_map(pi)
+        qs = qm.quotient
         p = sp.points[pi]
         thru = [gi for gi, g in enumerate(sp.generators) if g.contains_point(p)]
         imgs = {_to_quotient(sp, pi, sp.generators[gi]).rows for gi in thru}
@@ -185,7 +186,7 @@ def test_quotient_coherence_bijection():
             assert img.rows == _to_quotient(sp, pi, sp.generators[gi]).rows
 
 
-# content_hash() of quotient_at_point(space, i)[0]; on H(4,4) the quotient
+# content_hash() of space.quotient_map(i).quotient; on H(4,4) the quotient
 # forms at points 0 and 50 are equal and the one at point 164 differs.
 PINNED_QUOTIENTS = {
     (("q", 3, 2), 0): "51a150dcc63216361011dc9b12d5dbdb58f38e5384451fb28991bd3d6aaa2feb",
@@ -200,19 +201,19 @@ PINNED_QUOTIENTS = {
 
 @pytest.mark.parametrize("key,point", sorted(PINNED_QUOTIENTS))
 def test_quotient_output_pinned(key, point):
-    qs, _ = quotient_at_point(build_polar_space(*key), point)
+    qs = build_polar_space(*key).quotient_map(point).quotient
     assert qs.content_hash() == PINNED_QUOTIENTS[key, point]
 
 
 def test_quotients_share_builds_by_form():
     q62 = build_polar_space("q", 3, 2)
-    a, qa = quotient_at_point(q62, 0)
-    b, qb = quotient_at_point(q62, 62)
-    assert qa.quotient.form == qb.quotient.form and a is b
+    a = q62.quotient_map(0).quotient
+    b = q62.quotient_map(62).quotient
+    assert a.form == b.form and a is b
     h44 = build_polar_space("h", 2, 2)
-    c, qc = quotient_at_point(h44, 0)
-    d, qd = quotient_at_point(h44, 164)
-    assert qc.quotient.form != qd.quotient.form and c is not d
+    c = h44.quotient_map(0).quotient
+    d = h44.quotient_map(164).quotient
+    assert c.form != d.form and c is not d
 
 
 @pytest.mark.parametrize("key", [("q", 3, 2), ("qminus", 3, 2), ("h", 2, 2)])
@@ -221,7 +222,6 @@ def test_quotient_map_memo_and_gen_image(key):
     for pi in range(sp.num_points):
         qm = sp.quotient_map(pi)
         assert sp.quotient_map(pi) is qm
-        assert quotient_at_point(sp, pi) == (qm.quotient, qm)
         index = _gen_index(qm.quotient)
         for g, gen in enumerate(sp.generators):
             if gen.contains_point(sp.points[pi]):
@@ -248,7 +248,8 @@ def test_iterated_quotient_gen_image():
 
     index = _gen_index(qm.quotient)
     for g, gen in enumerate(sp.generators):
-        want = index[image(gen).rows] if gen.contains(line) else None
+        inside = all(gen.contains_point(r) for r in line.rows)
+        want = index[image(gen).rows] if inside else None
         assert qm.gen_image(g) == want
     on_line = {i for i, p in enumerate(sp.points) if line.contains_point(p)}
     assert qm.vertex_mask == sum(1 << i for i in on_line)
@@ -311,10 +312,10 @@ def test_quotient_coordinates_vs_bruteforce(key):
 def test_quotient_rejects_bad_input():
     sp = build_polar_space("qminus", 1, 2)
     with pytest.raises(BuildError):
-        quotient_at_point(sp, 0)
+        sp.quotient_map(0)
     sp2 = build_polar_space("q", 2, 2)
     with pytest.raises(BuildError):
-        quotient_at_point(sp2, 99)
+        sp2.quotient_map(99)
     for bad in (True, 2.0):
         with pytest.raises(BuildError):
             sp2.quotient_map(bad)
@@ -579,6 +580,57 @@ def test_build_bytes_guard(monkeypatch):
     for key in [("qminus", 3, 4), ("h", 2, 5)]:
         with pytest.raises(BudgetError):
             build_polar_space(*key)
+
+
+def test_guard_before_the_form_in_bounded_time(monkeypatch):
+    # kind, rank, rank-2 rule and field first, then the guard, then the
+    # form; a generator count of 2^28 or more is refused as it stands
+    built = []
+    monkeypatch.setattr(spaces, "standard_form",
+                        lambda *args: built.append(args))
+    t0 = time.perf_counter()
+    for rank in (40, 999, 3000, 10 ** 6, 10 ** 400):
+        with pytest.raises(BudgetError, match="^Q\\(.*\\) needs more than "
+                                              "46947182.8 GiB of bitmasks"):
+            build_polar_space("q", rank, 2)
+    for key, error, message in [
+            (("w", 10 ** 6, 2), BuildError, "unknown kind 'w'"),
+            (("q", 0, 2), BuildError, "rank must be >= 1"),
+            (("qplus3", 10 ** 6, 2), BuildError, "qplus3 is a rank-2 space"),
+            (("q", 10 ** 6, 6), ValueError, "6 is not a prime power"),
+            (("q", 10 ** 6, 10 ** 12), ValueError,
+             "order 1000000000000 exceeds supported maximum 1024"),
+            (("h", 10 ** 6, 64), ValueError,
+             "order 4096 exceeds supported maximum 1024")]:
+        with pytest.raises(error, match=f"^{message}"):
+            build_polar_space(*key)
+    # a quotient's form is checked in the build itself
+    with pytest.raises(BudgetError, match="needs more than"):
+        spaces.space_from_form("q", 999, 2, parabolic_form(2, make_field(2)))
+    assert built == []
+    assert time.perf_counter() - t0 < 1
+
+
+def test_guard_message_keeps_the_float_estimate():
+    # below 2^53 bytes the estimate in GiB is exact as a float, and its
+    # integer tenths must read as the float did
+    seen = 0
+    for kind in spaces.KINDS:
+        ranks = (2,) if kind in ("qplus3", "h3") else range(1, 30)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32, 64, 81,
+                  121, 125, 128, 243, 256, 343, 512, 729, 1024):
+            for rank in ranks:
+                need = spaces.build_bytes(kind, rank, q)
+                if not spaces.MAX_BUILD_BYTES < need < 2 ** 53:
+                    continue
+                with pytest.raises(BudgetError) as exc:
+                    spaces._check_build_bytes(kind, rank, q)
+                assert str(exc.value) == (
+                    f"{spaces.space_name(kind, rank, q)} needs about "
+                    f"{need / 2 ** 30:.1f} GiB of bitmasks, over the guard "
+                    "of 1 GiB")
+                seen += 1
+    assert seen == 63
 
 
 def test_pencil_sizes():
@@ -859,7 +911,7 @@ def _ref_content_hash(space) -> str:
 def test_content_hash_matches_reference(key):
     # two-digit coordinates, rank 1 and a quotient's form included
     if key == "quotient":
-        sp = quotient_at_point(build_polar_space("q", 3, 3), 0)[0]
+        sp = build_polar_space("q", 3, 3).quotient_map(0).quotient
     else:
         sp = build_polar_space(*key)
     assert sp.content_hash() == _ref_content_hash(sp)
