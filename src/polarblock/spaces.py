@@ -52,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import prod
@@ -196,7 +195,9 @@ def _check_build_bytes(kind: str, rank: int, q: int) -> None:
     else:
         need, about = build_bytes(kind, rank, q), "about"
     if need > MAX_BUILD_BYTES:
-        tenths = round(Fraction(10 * need, 2 ** 30))
+        # to the nearest tenth of a GiB, a tie to even, as floats round
+        tenths, rest = divmod(10 * need, 2 ** 30)
+        tenths += 2 * rest > 2 ** 30 or 2 * rest == 2 ** 30 and tenths % 2
         raise BudgetError(
             f"{space_name(kind, rank, q)} needs {about} {tenths // 10}."
             f"{tenths % 10} GiB of bitmasks, over the guard of "

@@ -611,9 +611,9 @@ def test_guard_before_the_form_in_bounded_time(monkeypatch):
     assert time.perf_counter() - t0 < 1
 
 
-def test_guard_message_keeps_the_float_estimate():
+def test_guard_message_keeps_the_float_estimate(monkeypatch):
     # below 2^53 bytes the estimate in GiB is exact as a float, and its
-    # integer tenths must read as the float did
+    # integer tenths must read as the float did, ties to even included
     seen = 0
     for kind in spaces.KINDS:
         ranks = (2,) if kind in ("qplus3", "h3") else range(1, 30)
@@ -631,6 +631,11 @@ def test_guard_message_keeps_the_float_estimate():
                     "of 1 GiB")
                 seen += 1
     assert seen == 63
+    for need in (5 * 2 ** 28, 7 * 2 ** 28, 21 * 2 ** 27, 2 ** 40 + 1):
+        monkeypatch.setattr(spaces, "build_bytes", lambda *key: need)
+        with pytest.raises(BudgetError,
+                           match=f" about {need / 2 ** 30:.1f} GiB "):
+            spaces._check_build_bytes("q", 2, 2)
 
 
 def test_pencil_sizes():
