@@ -161,8 +161,9 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     """
     deadline = _deadline(budget_secs)
     t0 = time.monotonic()
-    # no set has more than len(cols) members; one more keeps every node
-    # as it was, as the last pick is still made at the same depth
+    # A set has at most len(cols) members.  Capped at len(cols) + 1,
+    # max_size still leaves two picks or more wherever a candidate is left,
+    # so every node is as it was, and no list grows with the bound.
     max_size = min(max_size, len(cols) + 1)
     nodes = 0
     best = max_size
