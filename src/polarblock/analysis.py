@@ -713,7 +713,7 @@ def theorem_threshold(kind: str, q: int, rank: int = 3) -> Threshold:
         return Threshold(kind, q, md,
                          "delta <= (3q - sqrt(5q^2+2q+1))/2", value)
     if kind == "h":
-        return Threshold(kind, q, q - 4, "delta < q-3", float(q - 3))
+        return Threshold(kind, q, max(-1, q - 4), "delta < q-3", float(q - 3))
     if kind == "q":
         from .search import smallest_nontrivial_pg2
 

@@ -5,6 +5,14 @@ quotient ring GF(p)[x]/(modulus) is stored as sum(a_i p^i) (base-p,
 little-endian), so 0 encodes 0 and 1 encodes 1, and the lexicographic
 order of coordinate vectors downstream is the numeric order of encodings.
 
+The add and mul tables are built one base-p digit plane at a time, by one
+path for prime and extension fields alike.  Digit j of a + b is
+(a_j + b_j) mod p.  Multiplication by x is GF(p)-linear on digits: those of
+x^(i+1) b are those of x^i b shifted up one place, the top digit folded back
+in through x^h = -(modulus without its leading term).  So h - 1 shifts give
+every x^i b, and digit j of a b is (sum_i a_i (x^i b)_j) mod p.  The neg and
+inv tables are read off the rows of add == 0 and mul == 1.
+
 Fields of square order q0^2 expose the conjugation a -> a^q0 needed by
 hermitian forms.
 
@@ -29,14 +37,36 @@ _FIXED_MODULI = {(5, 2): (1, 1, 1)}
 MAX_ORDER = 1024
 
 
+# Miller-Rabin to the 13 prime bases up to 41 is exact below psi_13, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_LIMIT; ValueError at or above it."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -46,33 +76,6 @@ def _digits(a: int, p: int, h: int) -> list[int]:
         out.append(a % p)
         a //= p
     return out
-
-
-def _encode(digits, p: int) -> int:
-    a = 0
-    for d in reversed(digits):
-        a = a * p + d
-    return a
-
-
-def _poly_mul_mod(a: int, b: int, p: int, h: int, modulus) -> int:
-    """Multiply two encoded elements modulo the (monic) modulus."""
-    da = _digits(a, p, h)
-    db = _digits(b, p, h)
-    prod = [0] * (2 * h - 1)
-    for i, ai in enumerate(da):
-        if ai:
-            for j, bj in enumerate(db):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^h = -(modulus minus leading term)
-    red = [(-c) % p for c in modulus[:h]]
-    for k in range(2 * h - 2, h - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(h):
-                prod[k - h + j] = (prod[k - h + j] + c * red[j]) % p
-    return _encode(prod[:h], p)
 
 
 def _poly_is_irreducible(coeffs, p: int) -> bool:
@@ -130,6 +133,12 @@ class GF:
             raise ValueError(f"p = {p} is not prime")
         if h < 1:
             raise ValueError(f"extension degree must be >= 1, got {h}")
+        # is_prime refuses p >= _MR_LIMIT > 2^81, so up to this degree p^h
+        # has at most 1,600 digits; past it the order is refused before the
+        # power, which for a huge h would not fit in memory
+        if h > 64:
+            raise ValueError(f"order {p}^{h} exceeds supported maximum "
+                             f"{MAX_ORDER}")
         q = p ** h
         if q > MAX_ORDER:
             raise ValueError(f"order {q} exceeds supported maximum {MAX_ORDER}")
@@ -139,45 +148,36 @@ class GF:
         self.modulus = _find_modulus(p, h)
 
         dt = np.uint16 if q > 255 else np.uint8
-        a = np.arange(q, dtype=np.int64)
-        if h == 1:
-            add = (a[:, None] + a[None, :]) % p
-            mul = (a[:, None] * a[None, :]) % p
-        else:
-            # base-p digit vectors: addition is digitwise mod p
-            digs = np.stack([(a // p ** i) % p for i in range(h)], axis=1)
-            sdig = (digs[:, None, :] + digs[None, :, :]) % p
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(h):
-                add += sdig[:, :, i] * p ** i
-            mul = np.zeros((q, q), dtype=np.int64)
-            for x in range(q):
-                for y in range(x, q):
-                    v = _poly_mul_mod(x, y, p, h, self.modulus)
-                    mul[x, y] = v
-                    mul[y, x] = v
+        # int32 holds every digit sum below, at most h (p-1)^2 <= 1020^2
+        a = np.arange(q, dtype=np.int32)
+        digit = [a // p ** j % p for j in range(h)]
+        # xb[i][j] is digit j of x^i * b for every b (module docstring)
+        red = [-c % p for c in self.modulus[:h]]
+        xb = [digit]
+        for _ in range(h - 1):
+            top = xb[-1][-1]
+            xb.append([(lower + top * r) % p
+                       for lower, r in zip([0] + xb[-1][:-1], red)])
+        add = np.zeros((q, q), dtype=np.int32)
+        mul = np.zeros((q, q), dtype=np.int32)
+        for j in range(h):
+            add += (digit[j][:, None] + digit[j]) % p * p ** j
+            prod = sum(digit[i][:, None] * xb[i][j] for i in range(h))
+            mul += prod % p * p ** j
         self.add_table = add.astype(dt)
         self.mul_table = mul.astype(dt)
-
-        neg = np.empty(q, dtype=dt)
-        for x in range(q):
-            col = np.nonzero(add[x] == 0)[0]
-            neg[x] = col[0]
-        self.neg_table = neg
-
-        inv = np.zeros(q, dtype=dt)
-        for x in range(1, q):
-            col = np.nonzero(mul[x] == 1)[0]
-            if len(col) != 1:
-                raise RuntimeError(f"modulus for GF({p}^{h}) is not irreducible")
-            inv[x] = col[0]
-        self.inv_table = inv
+        self.neg_table = np.nonzero(add == 0)[1].astype(dt)
+        rows, cols = np.nonzero(mul == 1)
+        if rows.tolist() != list(range(1, q)):
+            raise RuntimeError(f"modulus for GF({p}^{h}) is not irreducible")
+        self.inv_table = np.zeros(q, dtype=dt)
+        self.inv_table[1:] = cols
 
         # plain nested tuples: faster than numpy for scalar-heavy loops
-        self.addl = tuple(tuple(int(v) for v in row) for row in self.add_table)
-        self.mull = tuple(tuple(int(v) for v in row) for row in self.mul_table)
-        self.negl = tuple(int(v) for v in self.neg_table)
-        self.invl = tuple(int(v) for v in self.inv_table)
+        self.addl = tuple(map(tuple, self.add_table.tolist()))
+        self.mull = tuple(map(tuple, self.mul_table.tolist()))
+        self.negl = tuple(self.neg_table.tolist())
+        self.invl = tuple(self.inv_table.tolist())
 
         if h % 2 == 0:
             q0 = p ** (h // 2)
@@ -274,8 +274,9 @@ def field_of_order(q: int) -> GF:
     MAX_ORDER is refused before any factoring."""
     if q > MAX_ORDER:
         raise ValueError(f"order {q} exceeds supported maximum {MAX_ORDER}")
+    # the least divisor p >= 2 of q is prime
     for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
+        if q % p == 0:
             h = 0
             m = q
             while m % p == 0:

@@ -307,7 +307,8 @@ def test_thresholds_known_values():
     th4 = A.theorem_threshold("qminus", 4)
     assert th4.max_delta == 1
     assert A.theorem_threshold("h", 5).max_delta == 1  # delta < 2
-    assert A.theorem_threshold("h", 2).max_delta < 0   # no claim at q = 2
+    for q in (1, 2, 3):  # delta < q-3 admits none, which reads -1
+        assert A.theorem_threshold("h", q).max_delta == -1
     assert A.theorem_threshold("q", 2, rank=3).max_delta == 0
     assert A.theorem_threshold("q", 3, rank=3).max_delta == 0
     th_r2 = A.theorem_threshold("q", 3, rank=2)
@@ -353,6 +354,8 @@ def test_threshold_of_stopped_oracle_raises(monkeypatch):
 def test_spread_size_gate():
     assert A.spread_size_gate("q", 2) == 4
     assert A.spread_size_gate("qminus", 2) == 6
+    # no admissible delta: the trivial bound t+1 = q^3+1 of H(4,4)
+    assert A.spread_size_gate("h", 2) == 9
 
 
 def test_delta_of():

@@ -1,13 +1,19 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from polarblock import acceptance
 from polarblock.cli import _non_negative_int, main, make_parser
 from polarblock.spaces import BudgetError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -138,9 +144,10 @@ def test_thresholds(capsys):
 # sha256 of the stdout of `--format json thresholds --q Q`, recorded once q
 # had its own "base_q" key (the oracle-run-twice output, q missing, carried
 # the same thresholds); q = 7 was recorded while the plane oracle searched
-# without symmetry.
+# without symmetry.  q = 2 was re-recorded when the "h" max_delta there was
+# clamped from -2 to -1 ("none"), its only changed line.
 PINNED_THRESHOLDS = {
-    2: "c4012007436e47b7f1bbb5e295560b78357c1ab64580a4d3fb82d0667ffd2458",
+    2: "257b6b90699b1af862536bc2e3ddca5eb4ff380ab850673c298963d2bc2844f1",
     3: "b589d5d0982b0962f37f51b4e5d36cc4876799ad536c7733c8990c996d623db6",
     4: "1eef05b76ad82cfff0716b5cc0a8e9dd3dc1d2a0432eec499ed0e431cb5a8dc3",
     5: "1fce9449c4cae29e0533296127104a5290aa297d49d02b8fb3bf86e534e6e369",
@@ -175,6 +182,28 @@ def test_thresholds_text_pinned(capsys, q, text):
     code, out, _ = run(capsys, "thresholds", "--q", str(q))
     assert code == 0
     assert out == text
+
+
+# primes whose trial division takes seconds; the prime formula applies
+@pytest.mark.parametrize("q,md", [
+    (99999999999973, ("38196601124999", "99999999999969", "49999999999985",
+                      "49999999999987")),
+    (9999999999999937, ("3819660112501027", "9999999999999933",
+                        "4999999999999967", "4999999999999969")),
+])
+def test_thresholds_of_large_prime_in_bounded_time(capsys, q, md):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "thresholds", "--q", str(q))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out == (
+        f"q = {q}\n"
+        "qminus: delta <= (3q - sqrt(5q^2+2q+1))/2; admissible delta up to "
+        f"{md[0]}\n"
+        f"h: delta < q-3; admissible delta up to {md[1]}\n"
+        f"q: delta < min((q-1)/2, eps); admissible delta up to {md[2]}\n"
+        f"epsilon: {{'exists': True, 'epsilon': {md[3]}, "
+        "'source': 'prime-formula'}\n")
 
 
 def test_thresholds_without_epsilon_exits_1(capsys):
@@ -473,3 +502,21 @@ def test_every_integer_option_and_set_file_exits_cleanly(capsys, tmp_path,
         assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
     assert early == []
     assert time.perf_counter() - t0 < 2
+
+
+def test_gf1024_space_refused_in_bounded_time():
+    # H(4,1024) needs GF(2^10) before its size guard refuses it; a fresh
+    # process, so that no field built by another test is reused
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, "-m", "polarblock.cli", "space",
+                          "stats", "--kind", "h", "--rank", "2", "--q", "32"],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert time.perf_counter() - start < 3
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == ("budget exceeded: H(4,1024) needs more than "
+                          "140746086810112.1 GiB of bitmasks, over the guard "
+                          "of 1 GiB\n")

@@ -1,3 +1,6 @@
+import hashlib
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,63 @@ def test_combine_matches_scalar(p, h):
             assert (got == _combine_by_scalars(f, coeffs, rows)).all()
             # a list of rows gives the same sum as a stacked array
             assert (f.combine(coeffs, list(rows)) == got).all()
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 200_000):
+        assert is_prime(n) == _is_prime_by_trial_division(n), n
+
+
+def test_is_prime_strong_pseudoprimes_and_bound():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 31
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(9999999999999937)
+    # psi_13, the least strong pseudoprime to every prime base up to 41,
+    # is composite: the exact range ends below it
+    assert 1287836182261 * 2575672364521 == gf._MR_LIMIT
+    assert not is_prime(gf._MR_LIMIT - 1)
+    for n in (gf._MR_LIMIT, 2 ** 89 - 1, 10 ** 400):
+        with pytest.raises(ValueError, match=f"only below {gf._MR_LIMIT}$"):
+            is_prime(n)
+
+
+def test_extension_degree_refused_before_the_power():
+    # the order itself is named up to degree 64
+    with pytest.raises(ValueError, match=f"^order {2 ** 64} exceeds "):
+        GF(2, 64)
+    # 2^(10^12) would be a 125 GB integer
+    for h in (65, 10 ** 5, 10 ** 12):
+        with pytest.raises(ValueError, match=f"^order 2\\^{h} exceeds "
+                                             "supported maximum 1024$"):
+            GF(2, h)
+
+
+# sha256 of add_table and mul_table (uint16, native byte order), recorded
+# when each product was a polynomial multiplied and reduced pair by pair
+PINNED_TABLES = {
+    (2, 9): ("33f225f9672db35bcb990b0c4f45c768120d68a4732d4ba238cb0da263faa85d",
+             "f51bfee2a23e3d8fa0638d6e68a78f20aa59101f5f5ab1e4e05833d1a2f8c7d7"),
+    (2, 10): ("3ca6f9912c9270ed55d3093cd6f80330b6026b2aace67ad242b73e561b36dd96",
+              "fe3c040093eb3cd3854350c3e471bfd3cfdce9743f4699ba15c89d2b797ae68c"),
+    (3, 6): ("da9079073679288be72acfb2202895d3f1988ec5f6e734696f4b28dc6b5172f8",
+             "15d6179c839193f9d516b2a91dce94685865144baef2b6710cd7569e9379111e"),
+    (5, 4): ("e1c04c7e9a2e56b60bdaab0847d5c3d8cd2f4c42233d6778e446c34f533c1325",
+             "f9c6737aee781e60f63b300643e10c1892218d62e883c41d309d0d3b1af9a762"),
+    (31, 2): ("1f1ea67a1673a9bb4a704b318ef7bddd9a396827b3a9365ac8d18be110f96799",
+              "affa75b1e3a93bd03e8d3a469782c4be9ece571cab9459c0bbab716257aa81ec"),
+}
+
+
+@pytest.mark.parametrize("p,h", sorted(PINNED_TABLES))
+def test_large_field_tables_pinned(p, h):
+    f = GF(p, h)  # not make_field: the tables are not kept after the test
+    assert f.add_table.dtype == np.uint16
+    digests = tuple(hashlib.sha256(t.tobytes()).hexdigest()
+                    for t in (f.add_table, f.mul_table))
+    assert digests == PINNED_TABLES[p, h]
