@@ -5,13 +5,14 @@ quotient ring GF(p)[x]/(modulus) is stored as sum(a_i p^i) (base-p,
 little-endian), so 0 encodes 0 and 1 encodes 1, and the lexicographic
 order of coordinate vectors downstream is the numeric order of encodings.
 
-The add and mul tables are built one base-p digit plane at a time, by one
-path for prime and extension fields alike.  Digit j of a + b is
-(a_j + b_j) mod p.  Multiplication by x is GF(p)-linear on digits: those of
-x^(i+1) b are those of x^i b shifted up one place, the top digit folded back
-in through x^h = -(modulus without its leading term).  So h - 1 shifts give
-every x^i b, and digit j of a b is (sum_i a_i (x^i b)_j) mod p.  The neg and
-inv tables are read off the rows of add == 0 and mul == 1.
+The tables are built by one path for prime and extension fields alike.
+The add table is summed one base-p digit plane at a time: digit j of a + b
+is (a_j + b_j) mod p.  Multiplication by x is GF(p)-linear on digits: those
+of x^(k+1) b are those of x^k b shifted up one place, the top digit folded
+back in through x^h = -(modulus without its leading term).  Row a + p^k of
+the mul table is row a plus x^k b, so the rows below p^(k+1) follow from
+those below p^k by lookups in the add table, q^2 lookups in all.  The neg
+and inv tables are read off add == 0 and mul == 1.
 
 Fields of square order q0^2 expose the conjugation a -> a^q0 needed by
 hermitian forms.
@@ -148,30 +149,26 @@ class GF:
         self.modulus = _find_modulus(p, h)
 
         dt = np.uint16 if q > 255 else np.uint8
-        # int32 holds every digit sum below, at most h (p-1)^2 <= 1020^2
-        a = np.arange(q, dtype=np.int32)
+        a = np.arange(q, dtype=np.int64)
         digit = [a // p ** j % p for j in range(h)]
-        # xb[i][j] is digit j of x^i * b for every b (module docstring)
+        ADD = sum((digit[j][:, None] + digit[j]) % p * p ** j for j in range(h))
+        ADD = self.add_table = ADD.astype(dt)
         red = [-c % p for c in self.modulus[:h]]
-        xb = [digit]
-        for _ in range(h - 1):
-            top = xb[-1][-1]
-            xb.append([(lower + top * r) % p
-                       for lower, r in zip([0] + xb[-1][:-1], red)])
-        add = np.zeros((q, q), dtype=np.int32)
-        mul = np.zeros((q, q), dtype=np.int32)
-        for j in range(h):
-            add += (digit[j][:, None] + digit[j]) % p * p ** j
-            prod = sum(digit[i][:, None] * xb[i][j] for i in range(h))
-            mul += prod % p * p ** j
-        self.add_table = add.astype(dt)
-        self.mul_table = mul.astype(dt)
-        self.neg_table = np.nonzero(add == 0)[1].astype(dt)
-        rows, cols = np.nonzero(mul == 1)
-        if rows.tolist() != list(range(1, q)):
+        xkb = digit  # the digits of x^k b for every b
+        MUL = self.mul_table = np.zeros((q, q), dtype=dt)
+        for k in range(h):
+            xk = sum(d * p ** j for j, d in enumerate(xkb)).astype(dt)
+            pk = p ** k
+            for d in range(1, p):
+                MUL[d * pk:(d + 1) * pk] = ADD[MUL[(d - 1) * pk:d * pk], xk]
+            xkb = [(lower + xkb[-1] * r) % p
+                   for lower, r in zip([0] + xkb[:-1], red)]
+        self.neg_table = (np.flatnonzero(ADD == 0) % q).astype(dt)
+        ones = np.flatnonzero(MUL == 1)
+        if (ones // q).tolist() != list(range(1, q)):
             raise RuntimeError(f"modulus for GF({p}^{h}) is not irreducible")
         self.inv_table = np.zeros(q, dtype=dt)
-        self.inv_table[1:] = cols
+        self.inv_table[1:] = ones % q
 
         # plain nested tuples: faster than numpy for scalar-heavy loops
         self.addl = tuple(map(tuple, self.add_table.tolist()))
