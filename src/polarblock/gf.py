@@ -151,8 +151,9 @@ class GF:
         dt = np.uint16 if q > 255 else np.uint8
         a = np.arange(q, dtype=np.int64)
         digit = [a // p ** j % p for j in range(h)]
-        ADD = sum((digit[j][:, None] + digit[j]) % p * p ** j for j in range(h))
-        ADD = self.add_table = ADD.astype(dt)
+        ADD = self.add_table = sum(
+            (digit[j][:, None] + digit[j]) % p * p ** j for j in range(h)
+        ).astype(dt)
         red = [-c % p for c in self.modulus[:h]]
         xkb = digit  # the digits of x^k b for every b
         MUL = self.mul_table = np.zeros((q, q), dtype=dt)
@@ -161,6 +162,7 @@ class GF:
             pk = p ** k
             for d in range(1, p):
                 MUL[d * pk:(d + 1) * pk] = ADD[MUL[(d - 1) * pk:d * pk], xk]
+            # times x: shift up one place, fold the top digit back in
             xkb = [(lower + xkb[-1] * r) % p
                    for lower, r in zip([0] + xkb[:-1], red)]
         self.neg_table = (np.flatnonzero(ADD == 0) % q).astype(dt)
