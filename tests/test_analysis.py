@@ -162,6 +162,58 @@ def test_identities_ignore_member_order():
                 == A.check_coverage_identities(sp, sorted(members)))
 
 
+@pytest.fixture(scope="module")
+def rank2_corpus():
+    """823 rank-2 sets: the 523 that the classify_census benchmark verifies
+    at seed 1 (its enum-qm52-5 and minb-q43 lists, then 50 greedy sets each
+    on Q(4,3), H(4,4) and Q-(5,3) from one generator seeded 1), and 50
+    seeded greedy sets each on six spaces, Q+(3,3) and H(3,4) among them."""
+    out = []
+    qm52, q43 = build_polar_space("qminus", 2, 2), build_polar_space("q", 2, 3)
+    out += [(qm52, s) for s in S.enumerate_minimal(qm52, max_size=5).sets]
+    out += [(q43, s) for s in S.min_blocking(q43).witnesses]
+    rng = np.random.default_rng(1)
+    for key in [("q", 2, 3), ("h", 2, 2), ("qminus", 2, 3)]:
+        sp = build_polar_space(*key)
+        out += [(sp, S.greedy_then_minimize(sp, rng)) for _ in range(50)]
+    for seed, key in enumerate([("q", 2, 3), ("q", 2, 4), ("h", 2, 2),
+                                ("qminus", 2, 3), ("qplus3", 2, 3),
+                                ("h3", 2, 2)], start=100):
+        sp = build_polar_space(*key)
+        rng = np.random.default_rng(seed)
+        out += [(sp, S.greedy_then_minimize(sp, rng)) for _ in range(50)]
+    return out
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_identity_reports_pinned(rank2_corpus):
+    # every verdict and detail string of the battery on the corpus; 501 of
+    # the 823 reports are applicable
+    reports = []
+    for sp, members in rank2_corpus:
+        rep = A.check_coverage_identities(sp, members)
+        reports.append([sp.name, list(members), rep.applicable, rep.reason,
+                        rep.delta, {k: [v.ok, v.detail]
+                                    for k, v in rep.items.items()}])
+    assert sum(r[2] for r in reports) == 501
+    assert _sha(reports) == ("bb74410f0cb78dbbcaaef1fa4bc928e6"
+                             "fb66a8e81d8f616a159600d851ddc109")
+
+
+def test_coverage_profiles_pinned(rank2_corpus):
+    profiles = []
+    for sp, members in rank2_corpus:
+        p = A.coverage_profile(sp, members)
+        profiles.append([sp.name, list(p.members), p.covered_mask,
+                         p.num_covered, sorted(p.w.items()), p.W,
+                         list(p.holes)])
+    assert _sha(profiles) == ("fcbde8239d20d8592a2a38c77585f731"
+                              "3f81f340550f520ab878d27ce9b7bd70")
+
+
 def test_gq_axioms_pass_and_fail():
     sp = build_polar_space("q", 2, 2)
     res = A.check_gq_axioms(range(sp.num_points), sp.gen_points)
