@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Coverage diagnostics: weights, excess, hole histograms, projections.
+"""Coverage diagnostics: weights, excess, line histograms, projections.
 
-For a blocking set L on a rank-2 space the bookkeeping tracks w(P) (how
-many members pass through each covered point), the excess W = sum of
-(w(P)-1), the histogram b_i of non-member lines by members met and
-b~_i by covered points carried, and per-hole line histograms.  These
-satisfy a battery of identities whenever delta < s-1; the battery is a
-reusable report.
+For a blocking set L the coverage profile tracks w(P) (how many members
+pass through each covered point), the excess W = sum of (w(P)-1) and the
+holes.  On a rank-2 space with delta < s-1 the identity battery counts
+each line not in L once, for the members it meets and the covered points
+on it: the histograms b_i and b~_i of those counts, and the lines through
+each hole, satisfy a battery of identities, returned as a reusable report
+that carries b and b~.
 """
 
 import numpy as np
@@ -22,11 +23,12 @@ p = pencil(sp)
 prof = coverage_profile(sp, p.members)
 print(f"|L| = {p.size}, covered points |M| = {prof.num_covered} "
       f"= |L|(s+1) - W with W = {prof.W}; holes: {len(prof.holes)}")
-print(f"b histogram: {dict(sorted(prof.b.items()))}")
-print(f"b~ histogram: {dict(sorted(prof.b_tilde.items()))}")
 
 print("\n== the identity battery ==")
 rep = check_coverage_identities(sp, p.members)
+print(f"b histogram (lines not in L by members met): {dict(sorted(rep.b.items()))}")
+print(f"b~ histogram (lines not in L by covered points): "
+      f"{dict(sorted(rep.b_tilde.items()))}")
 for name, item in rep.items.items():
     print(f"{name:18s} {'ok' if item.ok else 'FAIL: ' + item.detail}")
 

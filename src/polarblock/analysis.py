@@ -24,6 +24,7 @@ classify.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import isqrt
 from typing import Callable, NamedTuple
@@ -213,14 +214,13 @@ class CoverageProfile:
     w: dict[int, int]              # covered point index -> multiplicity
     W: int                         # sum of (w(P)-1)
     holes: tuple[int, ...]
-    b: dict[int, int] | None          # rank 2 only
-    b_tilde: dict[int, int] | None    # rank 2 only
-    hole_histograms: dict[int, dict[int, int]] | None  # rank 2 only
 
 
 def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
+    """The points the members cover, each with its multiplicity w(P), the
+    excess W = sum of (w(P)-1) and the holes (points on no member), at any
+    rank; checks |M| = |L|·(points per generator) - W on the way."""
     members = validate_members(space, members)
-    lmask = members_mask(members)
     covered = 0
     w: dict[int, int] = {}
     for m in members:
@@ -233,27 +233,7 @@ def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
     if num_covered != len(members) * ppg - W:
         raise AssertionError("coverage count identity violated")
     holes = tuple(_iter_bits(space.all_points_mask & ~covered))
-
-    b = b_tilde = hole_hist = None
-    if space.rank == 2:
-        b = {}
-        b_tilde = {}
-        for g in range(space.num_generators):
-            if (1 << g) & lmask:
-                continue
-            i = (space.meets[g] & lmask).bit_count()
-            b[i] = b.get(i, 0) + 1
-            j = (space.gen_point_mask[g] & covered).bit_count()
-            b_tilde[j] = b_tilde.get(j, 0) + 1
-        hole_hist = {}
-        for x in holes:
-            hist: dict[int, int] = {}
-            for g in _iter_bits(space.point_gen_mask[x]):
-                i = (space.meets[g] & lmask).bit_count()
-                hist[i] = hist.get(i, 0) + 1
-            hole_hist[x] = hist
-    return CoverageProfile(members, covered, num_covered, w, W, holes,
-                           b, b_tilde, hole_hist)
+    return CoverageProfile(members, covered, num_covered, w, W, holes)
 
 
 @dataclass
@@ -268,6 +248,10 @@ class IdentityReport:
     reason: str
     delta: int
     items: dict[str, CheckItem] = dc_field(default_factory=dict)
+    # lines not in L by members met (b) and by covered points (b~);
+    # empty unless applicable
+    b: dict[int, int] = dc_field(default_factory=dict)
+    b_tilde: dict[int, int] = dc_field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -279,7 +263,8 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     delta < s-1: per-hole line histogram identity and perp bound, the
     meet bound delta+1 with its histogram consequences, the b~ vs b
     comparison, the global counting inequality, and the pencil bound at
-    points not fully surrounded by members."""
+    points not fully surrounded by members.  Each line not in L is
+    counted once, for the members it meets and the covered points on it."""
     members = validate_members(space, members)
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces",
@@ -293,18 +278,26 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
                               delta)
     prof = coverage_profile(space, members)
     lmask = members_mask(members)
+    # i[g]: members the line g meets; j[g]: covered points on g; -1 on members
+    lines = list(_iter_bits(space.all_gens_mask & ~lmask))
+    i = [-1] * space.num_generators
+    j = [-1] * space.num_generators
+    for g in lines:
+        i[g] = (space.meets[g] & lmask).bit_count()
+        j[g] = (space.gen_point_mask[g] & prof.covered_mask).bit_count()
+    b = dict(Counter(i[g] for g in lines))
+    b_tilde = dict(Counter(j[g] for g in lines))
     items: dict[str, CheckItem] = {}
 
-    # (a) per hole X: sum_i b_i(X)(i-1) = delta and sum over X-perp of (w-1) <= delta
-    ok = True
-    detail = ""
-    for x in prof.holes:
-        tot = sum(h * (i - 1) for i, h in prof.hole_histograms[x].items())
-        if tot != delta:
-            ok = False
-            detail = f"hole {x}: sum b_i(X)(i-1) = {tot} != {delta}"
-            break
-    items["a_hole_identity"] = CheckItem(ok, detail or f"{len(prof.holes)} holes checked")
+    # (a) per hole X: sum_i b_i(X)(i-1) = delta, over lines that are all
+    #     outside L (a member through X would cover it), and sum over
+    #     X-perp of (w-1) <= delta
+    tot = {x: sum(i[g] - 1 for g in _iter_bits(space.point_gen_mask[x]))
+           for x in prof.holes}
+    x = next((x for x in prof.holes if tot[x] != delta), None)
+    items["a_hole_identity"] = CheckItem(
+        x is None, f"{len(prof.holes)} holes checked" if x is None
+        else f"hole {x}: sum b_i(X)(i-1) = {tot[x]} != {delta}")
     ok = True
     detail = ""
     for x in prof.holes:
@@ -319,59 +312,42 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     # (b) a line not contained in M meets at most delta+1 members;
     #     histogram consequences b_0 = b~_0 = 0 and zeros strictly between
     #     delta+1 and s+1
-    ok = True
-    detail = ""
-    for g in range(space.num_generators):
-        if (1 << g) & lmask:
-            continue
-        if space.gen_point_mask[g] & ~prof.covered_mask:
-            hits = (space.meets[g] & lmask).bit_count()
-            if hits > delta + 1:
-                ok = False
-                detail = f"line {g} (not in M) meets {hits} > delta+1 members"
-                break
-    items["b_meet_bound"] = CheckItem(ok, detail)
-    bad = [i for i in range(delta + 2, s + 1)
-           if prof.b.get(i, 0) or prof.b_tilde.get(i, 0)]
-    ok = not prof.b.get(0, 0) and not prof.b_tilde.get(0, 0) and not bad
+    g = next((g for g in lines if j[g] <= s and i[g] > delta + 1), None)
+    items["b_meet_bound"] = CheckItem(
+        g is None, "" if g is None
+        else f"line {g} (not in M) meets {i[g]} > delta+1 members")
+    bad = [k for k in range(delta + 2, s + 1) if b.get(k, 0) or b_tilde.get(k, 0)]
+    ok = not b.get(0, 0) and not b_tilde.get(0, 0) and not bad
     items["b_histograms"] = CheckItem(
-        ok, "" if ok else f"nonzero histogram entries: b0={prof.b.get(0, 0)} "
-                          f"b~0={prof.b_tilde.get(0, 0)} middle={bad}")
+        ok, "" if ok else f"nonzero histogram entries: b0={b.get(0, 0)} "
+                          f"b~0={b_tilde.get(0, 0)} middle={bad}")
 
     # (c) sum_{i=2}^{delta+1} b~_i (i-1) <= same sum for b_i
-    lhs = sum(prof.b_tilde.get(i, 0) * (i - 1) for i in range(2, delta + 2))
-    rhs = sum(prof.b.get(i, 0) * (i - 1) for i in range(2, delta + 2))
+    lhs = sum(b_tilde.get(k, 0) * (k - 1) for k in range(2, delta + 2))
+    rhs = sum(b.get(k, 0) * (k - 1) for k in range(2, delta + 2))
     items["c_tilde_le_b"] = CheckItem(lhs <= rhs, f"{lhs} <= {rhs}")
 
     # (e) (s-delta) sum_{i=1}^{delta+1} b_i (i-1) <= (st-t-delta)(s+1)delta + W delta
-    lhs = (s - delta) * sum(prof.b.get(i, 0) * (i - 1) for i in range(1, delta + 2))
+    lhs = (s - delta) * sum(b.get(k, 0) * (k - 1) for k in range(1, delta + 2))
     rhs = (s * t - t - delta) * (s + 1) * delta + prof.W * delta
     items["e_global_bound"] = CheckItem(lhs <= rhs, f"{lhs} <= {rhs}")
 
     # (f) a point with a non-member line lies on <= delta+1 members, and
     #     fewer than t/s + 1 of its non-member lines are inside M
-    ok = True
-    detail = ""
-    ok2 = True
-    detail2 = ""
+    detail = detail2 = ""
     for p in range(space.num_points):
         in_l = (space.point_gen_mask[p] & lmask).bit_count()
         if in_l == t + 1:
             continue
         if in_l > delta + 1:
-            ok = False
             detail = f"point {p} lies on {in_l} > delta+1 members"
-        full = 0
-        for g in _iter_bits(space.point_gen_mask[p] & ~lmask):
-            if space.gen_point_mask[g] & ~prof.covered_mask == 0:
-                full += 1
+        full = sum(j[g] == s + 1 for g in _iter_bits(space.point_gen_mask[p]))
         if full * s >= t + s:  # full < t/s + 1
-            ok2 = False
             detail2 = f"point {p} has {full} fully covered non-member lines"
-    items["f_pencil_bound"] = CheckItem(ok, detail)
-    items["f_covered_lines"] = CheckItem(ok2, detail2)
+    items["f_pencil_bound"] = CheckItem(not detail, detail)
+    items["f_covered_lines"] = CheckItem(not detail2, detail2)
 
-    return IdentityReport(True, "", delta, items)
+    return IdentityReport(True, "", delta, items, b, b_tilde)
 
 
 # -- projection from a hole ----------------------------------------------------

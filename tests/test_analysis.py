@@ -83,13 +83,11 @@ def test_coverage_profile_pencil_q52():
     assert prof.W == sp.t
     assert len(prof.holes) == 16
     assert prof.w[0] == sp.t + 1
-    # blocking iff b_0 = b~_0 = 0: independent code paths agree
-    assert (prof.b.get(0, 0) == 0) == A.is_blocking(sp, pen)
-    assert (prof.b_tilde.get(0, 0) == 0) == A.is_blocking(sp, pen)
-    some = (0, 1)
-    prof2 = A.coverage_profile(sp, some)
-    assert (prof2.b.get(0, 0) == 0) == A.is_blocking(sp, some)
-    assert (prof2.b_tilde.get(0, 0) == 0) == A.is_blocking(sp, some)
+    # the pencil blocks, and its battery's histograms have b_0 = b~_0 = 0:
+    # independent code paths agree
+    rep = A.check_coverage_identities(sp, pen)
+    assert A.is_blocking(sp, pen) and rep.applicable
+    assert rep.b.get(0, 0) == 0 and rep.b_tilde.get(0, 0) == 0
 
 
 def test_coverage_profile_spread():
@@ -106,7 +104,6 @@ def test_higher_rank_profile_restricted():
     sp = build_polar_space("q", 3, 2)
     pen = C.pencil(sp)
     prof = A.coverage_profile(sp, pen.members)
-    assert prof.b is None and prof.b_tilde is None
     ppg = sp.points_per_generator()
     assert prof.num_covered == pen.size * ppg - prof.W
 
