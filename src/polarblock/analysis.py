@@ -1,13 +1,15 @@
 """Verification and classification of generator blocking sets.
 
 Everything here is a pure function over an immutable PolarSpace: blocking
-and minimality checks, the coverage bookkeeping (covered-point weights
-w(P), excess W, per-hole line histograms b_i(X), the global histograms
-b_i and b~_i), the identity/inequality battery on those quantities for
+and minimality checks, the coverage profile (covered-point weights w(P),
+excess W and holes, at any rank), the identity/inequality battery for
 rank-2 spaces, projection of a blocking set from a hole into the quotient
 geometry, the generalized-quadrangle axiom checker, partial-spread
 predicates, the catalogue classifier and the delta-thresholds under which
-the classification theorems apply.
+the classification theorems apply.  The battery's line histograms (b_i
+and b~_i, and b_i(X) at each hole X) come from one pass over the lines
+not in the set, made only where the battery applies; its report carries
+b and b~.
 
 A census classifies many sets that share a few rank-2 bases, so two
 structures are kept on the space they belong to (PolarSpace.cached),
@@ -150,7 +152,7 @@ class BlockingSet:
 def is_blocking(space: PolarSpace, members) -> bool:
     """Every generator of the space meets some member non-trivially."""
     hit = 0
-    for m in members:
+    for m in validate_members(space, members):
         hit |= space.meets[m]
     return hit == space.all_gens_mask
 
@@ -360,9 +362,12 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     taken in the quotient geometry; duplicates merge.  That span is a
     quotient generator, the one through the images of g's points collinear
     with the hole (QuotientMap.gen_through).  Returns (quotient space,
-    projected member indices, quotient map).
+    projected member indices, quotient map).  A set that does not block is
+    refused with ValueError: its projection need not block either.
     """
     members = validate_members(space, members)
+    if not is_blocking(space, members):
+        raise ValueError("projection requires a blocking set")
     # checks the hole as a point index (BuildError is a ValueError)
     qm = space.quotient_map(hole)
     if space.point_gen_mask[hole] & members_mask(members):

@@ -258,8 +258,6 @@ class SectionStructure:
     point_indices: tuple[int, ...]
     point_mask: int
     gen_indices: tuple[int, ...]
-    radical_points: tuple[int, ...]
-    radical: Subspace
     label: str
 
 
@@ -950,4 +948,4 @@ def hyperplane_section(space: PolarSpace, h: Subspace) -> SectionStructure:
     if len(rad) != theta(rad_sub.dim, field.q):
         raise BuildError("section radical is not a subspace")
     label = _section_label(space, rad_sub.dim, len(pidx))
-    return SectionStructure(h, pidx, pmask, gidx, rad, rad_sub, label)
+    return SectionStructure(h, pidx, pmask, gidx, label)

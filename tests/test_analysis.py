@@ -29,6 +29,15 @@ def test_blocking_basics():
     assert A.essential_members(sp, pen) == pen
 
 
+@pytest.mark.parametrize("members", [[-15, -13, -2], [1.0], [99]])
+def test_is_blocking_validates_members(members):
+    # negative indices would read the pencil (0, 2, 13) from the end of the
+    # relation, a float would raise TypeError and 99 IndexError
+    sp = build_polar_space("q", 2, 2)
+    with pytest.raises(ValueError):
+        A.is_blocking(sp, members)
+
+
 def test_full_line_set_not_minimal():
     sp = build_polar_space("q", 2, 2)
     allg = tuple(range(sp.num_generators))
@@ -334,6 +343,17 @@ def test_project_blocking_set_rejects_bad_hole():
     for bad in (sp.num_points, True, 2.0):
         with pytest.raises(ValueError):
             A.project_blocking_set(sp, cone.members, bad)
+
+
+def test_project_blocking_set_refuses_non_blocking():
+    # the caller's set is at fault, not the projection: ValueError, not the
+    # AssertionError kept for a projection that fails to block
+    sp = build_polar_space("q", 3, 2)
+    members = C.cone_example(sp, "conic-pencil").members[:-1]
+    assert not A.is_blocking(sp, members)
+    assert 1 in A.coverage_profile(sp, members).holes
+    with pytest.raises(ValueError, match="requires a blocking set"):
+        A.project_blocking_set(sp, members, 1)
 
 
 @pytest.mark.parametrize("key, holes", [(("qplus3", 2, 2), 4),

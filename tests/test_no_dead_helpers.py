@@ -2,15 +2,13 @@
 a user outside tests: its name is used in src, demos or perfbench outside
 its own definition.  A helper that only tests call is dead code kept alive
 by its tests.  Likewise every instance attribute a method assigns
-(self.<name> = ...) is read outside that assignment.  Comments and
-docstrings do not count as uses, nor do the re-exports in the package's
-__init__.py; a method that overrides one of a base class is called through
-the base class."""
+(self.<name> = ...), and every field of a dataclass or NamedTuple, is read
+outside its own line.  Comments and docstrings do not count as uses, nor do
+the re-exports in the package's __init__.py; a method that overrides one of
+a base class is called through the base class."""
 
 import ast
 import importlib
-import io
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,19 +54,27 @@ def _definitions(path):
 
 
 def _uses(path):
-    """(identifier, line) for each name token, and for each string literal
-    that is one identifier (getattr, setattr and patch tables use those)."""
-    src = path.read_text(encoding="utf-8")
-    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
-        if tok.type == tokenize.NAME:
-            yield tok.string, tok.start[0]
-        elif tok.type == tokenize.STRING:
-            try:
-                value = ast.literal_eval(tok.string)
-            except (ValueError, SyntaxError):
-                continue
-            if isinstance(value, str) and value.isidentifier():
-                yield value, tok.start[0]
+    """(identifier, line) for each name, attribute, imported name and
+    keyword argument in the syntax tree, and for each string constant that
+    is one identifier (getattr, setattr and patch tables use those).  The
+    tree holds the expressions inside an f-string as nodes on every Python,
+    where the tokenizer gives the whole f-string as one STRING token before
+    3.12."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for name in (*node.name.split("."), node.asname):
+                if name:
+                    yield name, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
 
 
 def _instance_attributes(path):
@@ -90,6 +96,18 @@ def _instance_attributes(path):
                             and isinstance(attr.value, ast.Name)
                             and attr.value.id == "self"):
                         yield attr.attr, node.lineno, node.end_lineno
+
+
+def _fields(path):
+    """(name, first line, last line) of each annotated name in the body of
+    a top-level class: the package's dataclass and NamedTuple fields."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    yield node.target.id, node.lineno, node.end_lineno
 
 
 def _unused(definitions):
@@ -124,4 +142,11 @@ def test_every_instance_attribute_is_read_outside_tests():
     dead = _unused((path, name, first, last)
                    for path in sorted(PACKAGE.glob("*.py"))
                    for name, first, last in _instance_attributes(path))
+    assert not dead, dead
+
+
+def test_every_field_is_read_outside_tests():
+    dead = _unused((path, name, first, last)
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for name, first, last in _fields(path))
     assert not dead, dead
