@@ -291,9 +291,8 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     b_tilde = dict(Counter(j[g] for g in lines))
     items: dict[str, CheckItem] = {}
 
-    # (a) per hole X: sum_i b_i(X)(i-1) = delta, over lines that are all
-    #     outside L (a member through X would cover it), and sum over
-    #     X-perp of (w-1) <= delta
+    # (a) per hole X: sum_i b_i(X)(i-1) = delta and sum over X-perp of
+    #     (w-1) <= delta; no line through X is in L, as it would cover X
     tot = {x: sum(i[g] - 1 for g in _iter_bits(space.point_gen_mask[x]))
            for x in prof.holes}
     x = next((x for x in prof.holes if tot[x] != delta), None)
