@@ -2,9 +2,9 @@
 `accept` subcommand and by tests/test_acceptance.py.
 
 Each criterion returns pass/fail/skip with a detail line, under the number
-and title that _criterion gives it; the runner adds wall time and enforces
-the stated per-criterion time limits.  Skips only arise from a BudgetError,
-never silently.
+and title that _criterion gives it, and _criterion files it in CRITERIA
+with its time limit; the runner adds wall time and enforces the limits.
+Skips only arise from a BudgetError, never silently.
 """
 
 from __future__ import annotations
@@ -39,10 +39,15 @@ def _example(kind, rank, q, row):
     return sp.cached("cone_example", row, constructions.cone_example, sp, row)
 
 
-def _criterion(cid: int, title: str):
-    """Make a criterion of a body that returns (status, detail): calling it
-    gives the CriterionResult with this number and title, a skip when the
-    body raises BudgetError."""
+# (criterion, time limit in seconds or None), in number order
+CRITERIA = []
+
+
+def _criterion(cid: int, title: str, limit: float | None):
+    """Make a criterion of a body that returns (status, detail) and append
+    it to CRITERIA with its time limit: calling it gives the
+    CriterionResult with this number and title, a skip when the body
+    raises BudgetError."""
     def make(body):
         @wraps(body)
         def criterion() -> CriterionResult:
@@ -51,6 +56,7 @@ def _criterion(cid: int, title: str):
             except BudgetError as e:
                 status, detail = "skip", str(e)
             return CriterionResult(cid, title, status, detail)
+        CRITERIA.append((criterion, limit))
         return criterion
     return make
 
@@ -60,7 +66,7 @@ def _census(sp, sets) -> dict[str, int]:
     return dict(Counter(analysis.classify(sp, w).label for w in sets))
 
 
-@_criterion(1, "GQ counting identities at q in {2,3}")
+@_criterion(1, "GQ counting identities at q in {2,3}", 5.0)
 def criterion_1():
     """Counting identities |P| = (st+1)(s+1), |G| = (st+1)(t+1)."""
     checked = []
@@ -76,7 +82,7 @@ def criterion_1():
     return "pass", "; ".join(checked)
 
 
-@_criterion(2, "GQ axioms and orders for the five rank-2 families")
+@_criterion(2, "GQ axioms and orders for the five rank-2 families", 30.0)
 def criterion_2():
     """GQ axiom suite with the expected orders."""
     expects = []
@@ -99,7 +105,8 @@ def criterion_2():
     return "pass", "; ".join(got)
 
 
-@_criterion(3, "Q(4,2)/Q(4,3): minimum = t+1, all minimal minima classified")
+@_criterion(3, "Q(4,2)/Q(4,3): minimum = t+1, all minimal minima classified",
+            60.0)
 def criterion_3():
     """Minimum blocking size is t+1 on Q(4,q) and every minimum minimal
     set is a pencil or a regulus, exhaustively for q = 2, 3."""
@@ -119,7 +126,8 @@ def criterion_3():
     return "pass", "; ".join(lines)
 
 
-@_criterion(4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified")
+@_criterion(4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified",
+            120.0)
 def criterion_4():
     """Exhaustive classification of size-(q^2+1) minimal sets on Q-(5,2)."""
     sp = build_polar_space("qminus", 2, 2)
@@ -139,7 +147,8 @@ def criterion_4():
     return "pass", f"{len(er.sets)} minimal sets, census {census}"
 
 
-@_criterion(5, "Q(6,2): all size-3 minimal sets are the two cone examples")
+@_criterion(5, "Q(6,2): all size-3 minimal sets are the two cone examples",
+            300.0)
 def criterion_5():
     """Exhaustive classification of size-(q+1) minimal sets on Q(6,2)."""
     sp = build_polar_space("q", 3, 2)
@@ -163,7 +172,8 @@ CONE_SPACES = [
     for kind, rank in (("q", 3), ("qminus", 3), ("h", 3), ("q", 4))]
 
 
-@_criterion(6, "Cone example round-trip at ranks 3 and 4 (q = 2)")
+# the limit is enforced per space inside
+@_criterion(6, "Cone example round-trip at ranks 3 and 4 (q = 2)", None)
 def criterion_6():
     """Catalogue round-trip: every cone example classifies as its own row."""
     lines = []
@@ -204,7 +214,8 @@ def _rank2_examples():
     return out
 
 
-@_criterion(7, "Rank-2 coverage identities (constructed + randomized)")
+@_criterion(7, "Rank-2 coverage identities (constructed + randomized)",
+            None)
 def criterion_7():
     """Coverage identity battery on constructed rank-2 examples plus 100
     random minimized blocking sets of Q(4,3)."""
@@ -236,7 +247,8 @@ def criterion_7():
                     "applicable, all pass")
 
 
-@_criterion(8, "Cone covers avoid every hyperplane of their span enough")
+@_criterion(8, "Cone covers avoid every hyperplane of their span enough",
+            60.0)
 def criterion_8():
     """Hyperplane-avoidance counts of the five cone covers."""
     q = 2
@@ -261,7 +273,7 @@ def criterion_8():
     return "pass", detail
 
 
-@_criterion(9, "Smallest non-trivial plane blocking sets (q = 2, 3)")
+@_criterion(9, "Smallest non-trivial plane blocking sets (q = 2, 3)", 60.0)
 def criterion_9():
     """Plane blocking-set oracle at q = 2 and q = 3."""
     r2 = search.smallest_nontrivial_pg2(2)
@@ -273,7 +285,8 @@ def criterion_9():
     return "pass", "q=2: none exists; q=3: size 6 (epsilon 2 = (q+1)/2)"
 
 
-@_criterion(10, "Hole projections block the quotient (50 holes/space)")
+@_criterion(10, "Hole projections block the quotient (50 holes/space)",
+            120.0)
 def criterion_10():
     """Projection from sampled holes yields quotient blocking sets."""
     total = 0
@@ -295,7 +308,8 @@ def criterion_10():
     return "pass", f"{total} projections verified"
 
 
-@_criterion(11, "H(4,4): pencil verifies; exact search certifies 9")
+# budgeted internally
+@_criterion(11, "H(4,4): pencil verifies; exact search certifies 9", None)
 def criterion_11():
     """H(4,4) facts: the pencil verifies, and the exact search, within its
     budget, certifies optimum 9 with the 165 point pencils as its only
@@ -318,21 +332,6 @@ def criterion_11():
                         f"the {len(pencils)} point pencils")
     return "pass", (f"pencil ok; optimum 9 certified in {res.nodes} nodes, "
                     f"witnesses exactly the {len(pencils)} point pencils")
-
-
-CRITERIA = [
-    (criterion_1, 5.0),
-    (criterion_2, 30.0),
-    (criterion_3, 60.0),
-    (criterion_4, 120.0),
-    (criterion_5, 300.0),
-    (criterion_6, None),   # enforced per space inside
-    (criterion_7, None),
-    (criterion_8, 60.0),
-    (criterion_9, 60.0),
-    (criterion_10, 120.0),
-    (criterion_11, None),  # budgeted internally
-]
 
 
 def run_acceptance() -> list[CriterionResult]:

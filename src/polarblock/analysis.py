@@ -248,7 +248,6 @@ class CheckItem:
 class IdentityReport:
     applicable: bool
     reason: str
-    delta: int
     items: dict[str, CheckItem] = dc_field(default_factory=dict)
     # lines not in L by members met (b) and by covered points (b~);
     # empty unless applicable
@@ -269,15 +268,13 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     counted once, for the members it meets and the covered points on it."""
     members = validate_members(space, members)
     if space.rank != 2:
-        return IdentityReport(False, "histogram checks are defined on rank-2 spaces",
-                              delta_of(space, len(members)))
+        return IdentityReport(False, "histogram checks are defined on rank-2 spaces")
     if not is_blocking(space, members):
-        return IdentityReport(False, "set is not blocking", delta_of(space, len(members)))
+        return IdentityReport(False, "set is not blocking")
     s, t = space.s, space.t
     delta = len(members) - (t + 1)
     if delta >= s - 1:
-        return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable",
-                              delta)
+        return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable")
     prof = coverage_profile(space, members)
     lmask = members_mask(members)
     # i[g]: members the line g meets; j[g]: covered points on g; -1 on members
@@ -348,7 +345,7 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     items["f_pencil_bound"] = CheckItem(not detail, detail)
     items["f_covered_lines"] = CheckItem(not detail2, detail2)
 
-    return IdentityReport(True, "", delta, items, b, b_tilde)
+    return IdentityReport(True, "", items, b, b_tilde)
 
 
 # -- projection from a hole ----------------------------------------------------
@@ -517,12 +514,12 @@ def _is_pencil(space: PolarSpace, members, v: Subspace) -> bool:
 def _subgq_spread_lines(space: PolarSpace, members) -> int | None:
     """Number of lines of the subquadrangle of order (s, t/s) induced on the
     points the members cover, when the members are pairwise disjoint and
-    so form a spread of it; None otherwise."""
-    if space.rank != 2 or not is_partial_spread(space, members):
-        return None
-    if space.t % space.s:
+    so form a spread of it; None otherwise.  The members must be valid."""
+    if space.rank != 2 or space.t % space.s:
         return None
     cov = covered_mask(space, members)
+    if cov.bit_count() != len(members) * space.points_per_generator():
+        return None
     return space.cached("subgq_lines", cov, _subgq_lines, space, cov)
 
 
@@ -562,7 +559,7 @@ def _classify_rank2(space: PolarSpace, members) -> Classification:
     # cover of a nondegenerate parabolic hyperplane section (elliptic ambient)
     if space.kind == "qminus":
         h = canonicalize(space.field, space.n,
-                         [r for m in members for r in space.generators[m].rows])
+                         [r for m in members for r in space.generators[m]])
         sec = _covers_q4_section(space, members, h)
         if sec is not None:
             return Classification(

@@ -149,8 +149,9 @@ def cmd_verify(args):
         "blocking": blocking,
         "minimal": minimal,
         "essential": list(essential),
-        "partial_spread": analysis.is_partial_spread(space, members),
-        "maximal_partial_spread": analysis.is_maximal_partial_spread(space, members),
+        # W = 0: no point on two members, so they are pairwise disjoint
+        "partial_spread": prof.W == 0,
+        "maximal_partial_spread": prof.W == 0 and blocking,
         "covered_points": prof.num_covered,
         "excess_W": prof.W,
         "holes": len(prof.holes),
@@ -232,6 +233,7 @@ def cmd_thresholds(args):
     q = args.q
     # "q" holds the parabolic kind's threshold, as "qminus" and "h" do theirs
     payload = {"base_q": q}
+    text = [f"q = {q}"]
     for kind in ("qminus", "h", "q"):
         th = analysis.theorem_threshold(kind, q)
         payload[kind] = {
@@ -239,6 +241,8 @@ def cmd_thresholds(args):
             "max_delta": th.max_delta,
             "value": th.value,
         }
+        text.append(f"{kind}: {th.description}; admissible delta up to "
+                    f"{th.max_delta}")
     # th is the "q" threshold; where the oracle searched, the block also
     # gives the size q+1+eps of the smallest non-trivial plane blocking set
     e = {"exists": th.epsilon_exists}
@@ -246,11 +250,6 @@ def cmd_thresholds(args):
         e["size"] = q + 1 + th.epsilon if th.epsilon_exists else None
     e.update(epsilon=th.epsilon, source=th.epsilon_source)
     payload["epsilon"] = e
-    text = [f"q = {q}"]
-    for kind in ("qminus", "h", "q"):
-        d = payload[kind]
-        text.append(f"{kind}: {d['description']}; admissible delta up to "
-                    f"{d['max_delta']}")
     text.append(f"epsilon: {e}")
     _emit(args, payload, "\n".join(text))
     return EXIT_OK

@@ -4,7 +4,8 @@ Pencils (all generators through a totally singular subspace of
 codimension 1 in a generator), rulings of hyperbolic-quadric grids,
 minimum covers of parabolic hyperplane sections of elliptic spaces, and
 the cone examples in higher rank: a vertex subspace joined to a rank-2
-base blocking structure in the quotient geometry.
+base blocking structure in the quotient geometry.  ruling_spread decides
+which lines form the grid, and grid_rulings splits the lines it is given.
 
 Default seeds are the lexicographically least admissible objects, so
 every constructor is reproducible across runs.
@@ -73,17 +74,9 @@ def pencil(space: PolarSpace, vertex: Subspace | None = None) -> BlockingSet:
     return bs
 
 
-def grid_rulings(space: PolarSpace, lines=None) -> tuple[list[int], list[int]]:
-    """Split the line set of a Q+(3,q) grid into its two rulings.
-
-    lines defaults to all generators (the space itself must then be the
-    hyperbolic quadric); for an embedded grid pass the section's line
-    indices of the ambient space.
-    """
-    if lines is None:
-        if space.kind != "qplus3":
-            raise ValueError("default line set needs a Q+(3,q) space")
-        lines = list(range(space.num_generators))
+def grid_rulings(space: PolarSpace, lines) -> tuple[list[int], list[int]]:
+    """Split the line set of a Q+(3,q) grid, given as generator indices of
+    the space, into its two rulings."""
     lines = sorted(lines)
     q = space.q
     if len(lines) != 2 * (q + 1):
@@ -111,13 +104,9 @@ def ruling_spread(space: PolarSpace, which: int = 0) -> BlockingSet:
     if (isinstance(which, bool) or not isinstance(which, (int, np.integer))
             or which not in (0, 1)):
         raise ValueError(f"ruling {which!r} is not 0 or 1")
-    lines = (None if space.kind == "qplus3"
+    lines = (range(space.num_generators) if space.kind == "qplus3"
              else hyperbolic_section(space).gen_indices)
-    fam0, fam1 = grid_rulings(space, lines)
-    members = tuple((fam0, fam1)[which])
-    if lines is None and covered_mask(space, members) != space.all_points_mask:
-        raise AssertionError("ruling does not partition the grid")
-    return BlockingSet(space, members)
+    return BlockingSet(space, tuple(grid_rulings(space, lines)[which]))
 
 
 def find_section(space: PolarSpace, label: str) -> SectionStructure:
@@ -214,7 +203,7 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     """
     field = space.field
     total = canonicalize(field, space.n,
-                         [r for m in members for r in space.generators[m].rows])
+                         [r for m in members for r in space.generators[m]])
     # every member row lies in the span: its coordinates are its entries
     # at the pivots of the RREF rows.  A member lies outside the hyperplane
     # c.x = 0 when one of its rows has c.x != 0.
@@ -224,6 +213,6 @@ def min_generators_outside_hyperplanes(space: PolarSpace, members) -> tuple[int,
     outside = np.zeros(len(functionals), dtype=np.int64)
     for m in members:
         outside += np.any([field.combine([r[c] for c in pivots], cols) != 0
-                           for r in space.generators[m].rows], axis=0)
+                           for r in space.generators[m]], axis=0)
     i = int(outside.argmin())  # the first minimum
     return int(outside[i]), functionals[i]

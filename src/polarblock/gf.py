@@ -27,6 +27,7 @@ through it.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -172,11 +173,19 @@ class GF:
         self.inv_table = np.zeros(q, dtype=dt)
         self.inv_table[1:] = ones % q
 
-        # plain nested tuples: faster than numpy for scalar-heavy loops
-        self.addl = tuple(map(tuple, self.add_table.tolist()))
-        self.mull = tuple(map(tuple, self.mul_table.tolist()))
-        self.negl = tuple(self.neg_table.tolist())
-        self.invl = tuple(self.inv_table.tolist())
+        # plain nested tuples: faster than numpy for scalar-heavy loops.
+        # Their entries are picked from one tuple of the q ints, so that
+        # equal entries share one int rather than each being its own (a
+        # row has q >= 2 entries, so itemgetter returns a tuple)
+        ints = tuple(range(q))
+
+        def shared(row):
+            return itemgetter(*row.tolist())(ints)
+
+        self.addl = tuple(map(shared, self.add_table))
+        self.mull = tuple(map(shared, self.mul_table))
+        self.negl = shared(self.neg_table)
+        self.invl = shared(self.inv_table)
 
         if h % 2 == 0:
             q0 = p ** (h // 2)

@@ -80,7 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .gf import field_of_order, is_prime
-from .projective import canonicalize, enumerate_pg_points
+from .projective import Subspace, enumerate_pg_points
 from .spaces import PolarSpace, _iter_bits, _transpose, meet_types
 from . import analysis
 
@@ -197,7 +197,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         if not uncovered:
             found(chosen_mask, depth)
             return
-        rem = (best if mode == "min" else max_size) - depth
+        rem = best - depth
         if rem <= 0:
             return
         need = uncovered.bit_count()
@@ -407,9 +407,9 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
         # constructions imports this module
         from .constructions import pencil
 
-        seed = pencil(space, canonicalize(
-            space.field, space.n,
-            space.generators[0].rows[:space.rank - 1])).members
+        # a prefix of RREF rows is in RREF
+        vertex = space.generators[0][:space.rank - 1]
+        seed = pencil(space, Subspace(space.field, space.n, vertex)).members
         upper_bound = len(seed)
     sols, complete, nodes, seconds = _pinned(
         space, space.meets, space.meets, max_size=upper_bound, mode="min",

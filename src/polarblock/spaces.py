@@ -1,9 +1,9 @@
 """Materialized finite classical polar spaces.
 
 A PolarSpace carries the full singular point list (lex order, stable
-indices), the generator list (canonical RREF bases, lex order), the
-point/generator incidence and the generator-meets-generator relation as
-bitmask rows.  Totally singular subspaces are enumerated level by level
+indices), the generators (each the tuple of its RREF rows, in lex order),
+the point/generator incidence and the generator-meets-generator relation
+as bitmask rows.  Totally singular subspaces are enumerated level by level
 and every level is kept: a subspace U is extended by the singular points
 P of perp(U) whose leading column comes before U's first pivot, and once
 a span W = <U, P> is found all of W's points leave U's candidates.  U is
@@ -254,7 +254,6 @@ def _transpose(index_lists, width: int) -> list[int]:
 class SectionStructure:
     """Restriction of a polar space to a hyperplane."""
 
-    hyperplane: Subspace
     point_indices: tuple[int, ...]
     point_mask: int
     gen_indices: tuple[int, ...]
@@ -277,7 +276,7 @@ class PolarSpace:
         self.pts_array = np.array(points, dtype=form.field.add_table.dtype)
         self.collinear = collinear
         self.levels = levels  # RREF rows of the subspaces of dimension 0..rank-2
-        self.generators = generators
+        self.generators = generators  # RREF rows of each generator
         self.gen_points = gen_points
         self.gen_point_mask = gen_point_mask
         self.point_gen_mask = point_gen_mask
@@ -384,7 +383,7 @@ def _content_hash(space: PolarSpace) -> str:
     """sha256 of the compact JSON of kind, rank, q, the points and the
     generators' rows, which are points: each point's text is made once."""
     text = ["[" + ",".join(map(str, p)) + "]" for p in space.points]
-    gens = ("[" + ",".join(text[space.point_index[r]] for r in g.rows) + "]"
+    gens = ("[" + ",".join(text[space.point_index[r]] for r in g) + "]"
             for g in space.generators)
     blob = (f'{{"kind":"{space.kind}","rank":{space.rank},"q":{space.q},'
             f'"points":[{",".join(text)}],"generators":[{",".join(gens)}]}}')
@@ -537,7 +536,6 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
             f"{space_name(kind, rank, q)}: enumerated {len(rows)} "
             f"generators, expected {exp_gens}")
 
-    generators = [Subspace(field, form.n, r) for r in rows]
     gen_points = _bit_lists(gen_point_mask, len(points))
 
     # maximality: a generator's mask is perp(g) & Q, which contains g, so
@@ -558,11 +556,11 @@ def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     if len(degs) != 1:
         raise BuildError("generator regularity violated")
     deg = degs.pop()
-    if len(points) * deg != len(generators) * ppg:
+    if len(points) * deg != len(rows) * ppg:
         raise BuildError("point/generator double count violated")
 
     return PolarSpace(kind, rank, q, form, points, collinear, levels,
-                      generators, gen_points, gen_point_mask, point_gen_mask,
+                      rows, gen_points, gen_point_mask, point_gen_mask,
                       meets)
 
 
@@ -948,4 +946,4 @@ def hyperplane_section(space: PolarSpace, h: Subspace) -> SectionStructure:
     if len(rad) != theta(rad_sub.dim, field.q):
         raise BuildError("section radical is not a subspace")
     label = _section_label(space, rad_sub.dim, len(pidx))
-    return SectionStructure(h, pidx, pmask, gidx, label)
+    return SectionStructure(pidx, pmask, gidx, label)

@@ -33,3 +33,12 @@ def test_criterion(func, limit):
     assert res.status == "pass", res.detail
     if limit is not None:
         assert secs < limit, f"{secs:.1f}s exceeded the {limit:.0f}s budget"
+
+
+def test_criteria_filed_in_number_order_with_their_limits():
+    # _criterion files each criterion with the limit it is declared with
+    assert [(func.__name__, limit) for func, limit in acceptance.CRITERIA] == [
+        ("criterion_1", 5.0), ("criterion_2", 30.0), ("criterion_3", 60.0),
+        ("criterion_4", 120.0), ("criterion_5", 300.0), ("criterion_6", None),
+        ("criterion_7", None), ("criterion_8", 60.0), ("criterion_9", 60.0),
+        ("criterion_10", 120.0), ("criterion_11", None)]

@@ -7,8 +7,9 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from polarblock.projective import canonicalize
-from polarblock.spaces import BudgetError, build_polar_space
+from polarblock.projective import Subspace, canonicalize
+from polarblock.spaces import (BudgetError, build_polar_space,
+                               enumerate_hyperplanes, hyperplane_section)
 from polarblock import analysis as A
 from polarblock import constructions as C
 from polarblock import search as S
@@ -202,7 +203,7 @@ def test_identity_reports_pinned(rank2_corpus):
     for sp, members in rank2_corpus:
         rep = A.check_coverage_identities(sp, members)
         reports.append([sp.name, list(members), rep.applicable, rep.reason,
-                        rep.delta, {k: [v.ok, v.detail]
+                        A.delta_of(sp, len(members)), {k: [v.ok, v.detail]
                                     for k, v in rep.items.items()}])
     assert sum(r[2] for r in reports) == 501
     assert _sha(reports) == ("bb74410f0cb78dbbcaaef1fa4bc928e6"
@@ -218,6 +219,23 @@ def test_coverage_profiles_pinned(rank2_corpus):
                          list(p.holes)])
     assert _sha(profiles) == ("fcbde8239d20d8592a2a38c77585f731"
                               "3f81f340550f520ab878d27ce9b7bd70")
+
+
+@pytest.mark.parametrize("points,lines,failure,witness", [
+    ([], [], "empty point or line set", ()),
+    (range(5), [(0, 1), (2, 3, 4)], "line sizes not constant", ([2, 3],)),
+    (range(2), [(0,), (1,)], "lines must have at least 2 points", ()),
+    (range(4), [(0, 1), (2, 3)], "points must lie on at least 2 lines", ()),
+], ids=["empty", "mixed-sizes", "one-point-lines", "one-line-per-point"])
+def test_gq_axioms_structural_failures(points, lines, failure, witness):
+    assert A.check_gq_axioms(points, lines) == A.GQCheckResult(
+        False, None, failure, witness)
+
+
+def test_minimize_refuses_a_non_blocking_set():
+    sp = build_polar_space("q", 2, 2)
+    with pytest.raises(ValueError, match="^input set is not blocking$"):
+        A.minimize_blocking_set(sp, [0, 2])
 
 
 def test_gq_axioms_pass_and_fail():
@@ -239,7 +257,7 @@ def test_gq_axioms_pass_and_fail():
 
 def test_partial_spread_predicates():
     sp = build_polar_space("qplus3", 2, 2)
-    fam0, fam1 = C.grid_rulings(sp)
+    fam0, fam1 = C.grid_rulings(sp, range(sp.num_generators))
     assert A.is_partial_spread(sp, fam0)
     assert A.is_spread(sp, fam0)
     assert A.is_maximal_partial_spread(sp, fam0)
@@ -315,7 +333,8 @@ def test_verify_classification_rejects_wrong_witness():
     sp = build_polar_space("q", 2, 2)
     pen = pencil_through_point(sp, 0)
     cls = A.classify(sp, pen)
-    wrong = A.Classification("Pencil", vertex=sp.generators[0])
+    wrong = A.Classification("Pencil", vertex=Subspace(sp.field, sp.n,
+                                                       sp.generators[0]))
     assert not A.verify_classification(sp, pen, wrong)
     assert A.verify_classification(sp, pen, cls)
 
@@ -699,7 +718,8 @@ def test_verify_rejects_forged_section_cover():
     cov = C.section_cover(sp)
     cls = A.classify(sp, cov.members)
     assert A.verify_classification(sp, cov.members, cls)
-    tangent = C.find_section(sp, "pt*Q-(3,2)").hyperplane
+    tangent = next(h for h in enumerate_hyperplanes(sp)
+                   if hyperplane_section(sp, h).label == "pt*Q-(3,2)")
     forged = A.Classification("CoverOfSectionQ4",
                               details={"hyperplane": tangent.to_json()})
     assert _rejects_twice(sp, cov.members, forged)
@@ -769,7 +789,7 @@ def test_spread_predicates_match_disjointness_loop():
     q42 = build_polar_space("q", 2, 2)
     grid = build_polar_space("qplus3", 2, 2)
     qm52 = build_polar_space("qminus", 2, 2)
-    fam0, fam1 = C.grid_rulings(grid)
+    fam0, fam1 = C.grid_rulings(grid, range(grid.num_generators))
     cases = [(q42, w) for w in S.min_cover_of_space(q42).witnesses]
     cases += [(grid, fam) for fam in (fam0, fam1, fam0[:2], fam0[:2] + fam1[:1])]
     cases += [(sp, pencil_through_point(sp, p))

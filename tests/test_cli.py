@@ -93,6 +93,57 @@ def test_verify_non_blocking_exits_1(capsys, tmp_path):
     assert "blocking: False" in out
 
 
+def _q42_set(path, members):
+    """Write a set file of the given members of Q(4,2)."""
+    from polarblock.spaces import build_polar_space
+
+    path.write_text(json.dumps({
+        "space": {"kind": "q", "rank": 2, "q": 2,
+                  "hash": build_polar_space("q", 2, 2).content_hash()},
+        "members": list(members)}))
+    return str(path)
+
+
+def test_classify_non_blocking_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "classify", "--set",
+                         _q42_set(tmp_path / "one.json", [0]))
+    assert (code, out) == (1, "")
+    assert err == "set is not blocking; nothing to classify\n"
+
+
+def test_classify_non_minimal_needs_minimize(capsys, tmp_path):
+    # the pencil (0, 2, 13) of Q(4,2) with line 1 added
+    f = _q42_set(tmp_path / "four.json", [0, 1, 2, 13])
+    code, out, err = run(capsys, "classify", "--set", f)
+    assert (code, out) == (1, "")
+    assert err == "set is not minimal (re-run with --minimize to strip it)\n"
+    code, out, err = run(capsys, "classify", "--set", f, "--minimize")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "label: Pencil"
+    assert out.splitlines()[-1] == "minimized from 4 to 3 members"
+    code, out, _ = run(capsys, "--format", "json", "classify", "--set", f,
+                       "--minimize")
+    assert code == 0 and json.loads(out)["members"] == [0, 2, 13]
+
+
+def test_construct_unknown_example_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "--kind", "q", "--rank", "2",
+                         "--q", "2", "--example", "nonsense")
+    assert (code, out) == (2, "")
+    assert err == "unknown example 'nonsense'\n"
+
+
+def test_search_out_writes_the_json_payload(capsys, tmp_path):
+    f = tmp_path / "res.json"
+    argv = ["search", "min-blocking", "--kind", "q", "--rank", "2", "--q", "2",
+            "--budget-secs", "30"]
+    code, out, _ = run(capsys, "--format", "json", *argv, "--out", str(f))
+    assert code == 0
+    printed, written = json.loads(out), json.loads(f.read_text())
+    assert written == printed
+    assert (written["optimum"], written["complete"]) == (3, True)
+
+
 def test_hash_mismatch_rejected(capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({
@@ -254,7 +305,7 @@ def test_usage_errors_exit_2(capsys):
 @pytest.mark.parametrize("option,value", [
     ("--budget-nodes", "-5"), ("--budget-nodes", "x"),
     ("--budget-secs", "-1"), ("--budget-secs", "nan"),
-    ("--budget-secs", "inf")])
+    ("--budget-secs", "inf"), ("--budget-secs", "abc")])
 def test_bad_search_budget_is_usage_error(capsys, option, value):
     with pytest.raises(SystemExit) as exc:
         main(["search", "min-blocking", "--kind", "q", "--rank", "2",
@@ -373,13 +424,18 @@ def test_malformed_set_file_exits_1(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
-def _stub_criterion(cid, status):
-    @acceptance._criterion(cid, f"stub {cid}")
-    def criterion():
-        if status == "budget":
-            raise BudgetError(f"criterion {cid} over its guard")
-        return status, f"{status} detail"
-    return criterion
+def _stub_criteria(monkeypatch, statuses, limits=()):
+    """Replace CRITERIA by stubs numbered from 1, each filed by _criterion
+    with its status and limit (None past the given limits)."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+    for cid, status in enumerate(statuses, 1):
+        limit = limits[cid - 1] if cid <= len(limits) else None
+
+        @acceptance._criterion(cid, f"stub {cid}", limit)
+        def criterion(cid=cid, status=status):
+            if status == "budget":
+                raise BudgetError(f"criterion {cid} over its guard")
+            return status, f"{status} detail"
 
 
 @pytest.mark.parametrize("statuses, code, summary", [
@@ -388,18 +444,14 @@ def _stub_criterion(cid, status):
     (("pass", "budget"), 0, "1 pass, 0 fail, 1 skip"),
 ], ids=["all-pass", "one-fail", "budget-skip"])
 def test_accept_exit_codes(capsys, monkeypatch, statuses, code, summary):
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (_stub_criterion(cid, status), None)
-        for cid, status in enumerate(statuses, 1)])
+    _stub_criteria(monkeypatch, statuses)
     got, out, err = run(capsys, "accept")
     assert (got, err) == (code, "")
     assert out.splitlines()[-1] == f"summary: {summary}"
 
 
 def test_accept_json_lists_each_criterion(capsys, monkeypatch):
-    monkeypatch.setattr(acceptance, "CRITERIA", [
-        (_stub_criterion(1, "pass"), 60.0), (_stub_criterion(2, "fail"), None),
-        (_stub_criterion(3, "budget"), None)])
+    _stub_criteria(monkeypatch, ("pass", "fail", "budget"), (60.0,))
     code, out, _ = run(capsys, "--format", "json", "accept")
     assert code == 1
     rows = json.loads(out)

@@ -65,7 +65,7 @@ def test_pencil_deterministic_seed():
 
 def test_rulings_grid_structure():
     sp = build_polar_space("qplus3", 2, 2)
-    fam0, fam1 = C.grid_rulings(sp)
+    fam0, fam1 = C.grid_rulings(sp, range(sp.num_generators))
     assert len(fam0) == len(fam1) == 3
     r0 = C.ruling_spread(sp, 0)
     assert A.is_spread(sp, r0.members)
@@ -99,7 +99,7 @@ def test_ruling_rejects_non_grid():
     with pytest.raises(ValueError):
         C.grid_rulings(sp, lines=list(range(5)))
     with pytest.raises(ValueError):
-        C.grid_rulings(sp)  # not a Q+(3,q) space
+        C.grid_rulings(sp, range(sp.num_generators))  # not a grid
 
 
 def test_ruling_spread_rejects_bad_which():
@@ -175,11 +175,11 @@ def test_cone_rejects_bad_row_and_rank():
 def test_cone_vertex_in_every_member():
     sp = build_polar_space("qminus", 3, 2)
     bs = C.cone_example(sp, "q4-cover")
-    v = sp.generators[bs.members[0]]
-    from polarblock.projective import meet
+    from polarblock.projective import Subspace, meet
 
+    v = Subspace(sp.field, sp.n, sp.generators[bs.members[0]])
     for m in bs.members[1:]:
-        v = meet(v, sp.generators[m])
+        v = meet(v, Subspace(sp.field, sp.n, sp.generators[m]))
     assert v.dim == sp.rank - 3
 
 
@@ -219,9 +219,9 @@ def _min_outside_by_loops(sp, members):
     members, rows and coordinates with scalar add and mul."""
     field = sp.field
     total = canonicalize(field, sp.n,
-                         [r for m in members for r in sp.generators[m].rows])
+                         [r for m in members for r in sp.generators[m]])
     pivots = [r.index(1) for r in total.rows]
-    coords = [[tuple(r[c] for c in pivots) for r in sp.generators[m].rows]
+    coords = [[tuple(r[c] for c in pivots) for r in sp.generators[m]]
               for m in members]
     add, mul = field.addl, field.mull
     best = arg = None

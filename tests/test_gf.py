@@ -82,6 +82,15 @@ def test_known_arithmetic_values():
     assert f3.add(2, 2) == 1
 
 
+@pytest.mark.parametrize("p,h", [(2, 2), (3, 2), (7, 1)])
+def test_negative_power_is_power_of_inverse(p, h):
+    f = make_field(p, h)
+    for a in range(1, f.q):
+        for e in range(1, 2 * f.q):
+            assert f.pow(a, -e) == f.pow(f.inv(a), e)
+            assert f.mul(f.pow(a, -e), f.pow(a, e)) == 1
+
+
 def test_conjugation():
     f4 = make_field(2, 2)
     assert f4.conjugate(2) == 3  # w -> w^2 = w + 1

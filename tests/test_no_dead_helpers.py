@@ -1,11 +1,15 @@
 """Every function, class, method and module-level name of the package has
 a user outside tests: its name is used in src, demos or perfbench outside
-its own definition.  A helper that only tests call is dead code kept alive
-by its tests.  Likewise every instance attribute a method assigns
-(self.<name> = ...), and every field of a dataclass or NamedTuple, is read
-outside its own line.  Comments and docstrings do not count as uses, nor do
-the re-exports in the package's __init__.py; a method that overrides one of
-a base class is called through the base class."""
+its own definition, or a decorator factory its module defines receives it
+(acceptance._criterion files each criterion in CRITERIA).  A helper that
+only tests call is dead code kept alive by its tests.  Likewise every
+instance attribute a method assigns (self.<name> = ...), and every field of
+a dataclass or NamedTuple, is read outside its own line: loaded as an
+attribute (x.<name>) or named by the string argument of getattr or hasattr;
+a variable, keyword or other string of the same name is not a read.
+Comments and docstrings do not count as uses, nor do the re-exports in the
+package's __init__.py; a method that overrides one of a base class is
+called through the base class."""
 
 import ast
 import importlib
@@ -59,8 +63,17 @@ def _uses(path):
     is one identifier (getattr, setattr and patch tables use those).  The
     tree holds the expressions inside an f-string as nodes on every Python,
     where the tokenizer gives the whole f-string as one STRING token before
-    3.12."""
+    3.12.  A top-level function is used at each decorator that is a call of
+    a top-level function of the same module."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                if (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+                        and dec.func.id in functions):
+                    yield node.name, dec.lineno
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -75,6 +88,21 @@ def _uses(path):
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier()):
             yield node.value, node.lineno
+
+
+def _reads(path):
+    """(name, line) for each attribute load x.<name> in the syntax tree, and
+    for each string constant passed as the name to getattr or hasattr."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            yield node.args[1].value, node.lineno
 
 
 def _instance_attributes(path):
@@ -110,16 +138,17 @@ def _fields(path):
                     yield node.target.id, node.lineno, node.end_lineno
 
 
-def _unused(definitions):
+def _unused(definitions, uses_of=_uses):
     """The definitions (path, name, first line, last line) whose name is
-    used nowhere in src, demos or perfbench outside their own lines."""
+    used (as uses_of finds uses) nowhere in src, demos or perfbench outside
+    their own lines."""
     uses = {}
     for root in USERS:
         for path in sorted(root.rglob("*.py")):
             if ("tests" in path.relative_to(root).parts
                     or path == PACKAGE / "__init__.py"):
                 continue
-            for name, line in _uses(path):
+            for name, line in uses_of(path):
                 uses.setdefault(name, []).append((path, line))
     dead = []
     for path, name, first, last in definitions:
@@ -139,14 +168,16 @@ def test_every_helper_has_a_caller_outside_tests():
 
 
 def test_every_instance_attribute_is_read_outside_tests():
-    dead = _unused((path, name, first, last)
-                   for path in sorted(PACKAGE.glob("*.py"))
-                   for name, first, last in _instance_attributes(path))
+    dead = _unused([(path, name, first, last)
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for name, first, last in _instance_attributes(path)],
+                   _reads)
     assert not dead, dead
 
 
 def test_every_field_is_read_outside_tests():
-    dead = _unused((path, name, first, last)
-                   for path in sorted(PACKAGE.glob("*.py"))
-                   for name, first, last in _fields(path))
+    dead = _unused([(path, name, first, last)
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for name, first, last in _fields(path)],
+                   _reads)
     assert not dead, dead

@@ -64,9 +64,9 @@ def test_counts(kind, rank, q, npts, ngens):
 
 def test_generators_canonical_sorted_and_totally_singular():
     sp = build_polar_space("qminus", 2, 2)
-    rows = [g.rows for g in sp.generators]
+    rows = sp.generators
     assert rows == sorted(rows)
-    for g in sp.generators:
+    for g in _gens(sp):
         assert g.dim == sp.rank - 1
         assert is_totally_singular(sp.form, g)
 
@@ -111,14 +111,14 @@ def test_generator_enumeration_vs_bruteforce():
             l = canonicalize(f2, npg, [a, b])
             if l.dim == 1 and is_totally_singular(sp.form, l):
                 brute.add(l.rows)
-        assert brute == {g.rows for g in sp.generators}
+        assert brute == set(sp.generators)
 
 
 def test_generator_maximality():
     sp = build_polar_space("qminus", 2, 3)
     for gi, g in enumerate(sp.generators):
         cand = None
-        for r in g.rows:
+        for r in g:
             m = sp.collinear[sp.point_index[r]]
             cand = m if cand is None else cand & m
         assert cand == sp.gen_point_mask[gi]
@@ -167,8 +167,13 @@ def _to_quotient(space, point_idx, sub):
     return canonicalize(field, len(crows) - 1, rows)
 
 
+def _gens(space):
+    """The generators as Subspaces of their RREF rows."""
+    return [Subspace(space.field, space.n, g) for g in space.generators]
+
+
 def _gen_index(space):
-    return {g.rows: i for i, g in enumerate(space.generators)}
+    return {g: i for i, g in enumerate(space.generators)}
 
 
 def test_quotient_coherence_bijection():
@@ -177,13 +182,14 @@ def test_quotient_coherence_bijection():
         qm = sp.quotient_map(pi)
         qs = qm.quotient
         p = sp.points[pi]
-        thru = [gi for gi, g in enumerate(sp.generators) if g.contains_point(p)]
-        imgs = {_to_quotient(sp, pi, sp.generators[gi]).rows for gi in thru}
-        assert imgs == {g.rows for g in qs.generators}
+        gens = _gens(sp)
+        thru = [gi for gi, g in enumerate(gens) if g.contains_point(p)]
+        imgs = {_to_quotient(sp, pi, gens[gi]).rows for gi in thru}
+        assert imgs == set(qs.generators)
         assert sorted(qm.gen_image(gi) for gi in thru) == list(range(qs.num_generators))
         for gi in thru:
             img = qs.generators[qm.gen_image(gi)]
-            assert img.rows == _to_quotient(sp, pi, sp.generators[gi]).rows
+            assert img == _to_quotient(sp, pi, gens[gi]).rows
 
 
 # content_hash() of space.quotient_map(i).quotient; on H(4,4) the quotient
@@ -223,7 +229,7 @@ def test_quotient_map_memo_and_gen_image(key):
         qm = sp.quotient_map(pi)
         assert sp.quotient_map(pi) is qm
         index = _gen_index(qm.quotient)
-        for g, gen in enumerate(sp.generators):
+        for g, gen in enumerate(_gens(sp)):
             if gen.contains_point(sp.points[pi]):
                 want = index[_to_quotient(sp, pi, gen).rows]
             else:
@@ -247,7 +253,7 @@ def test_iterated_quotient_gen_image():
         return _to_quotient(mid, tail, _to_quotient(sp, head, sub))
 
     index = _gen_index(qm.quotient)
-    for g, gen in enumerate(sp.generators):
+    for g, gen in enumerate(_gens(sp)):
         inside = all(gen.contains_point(r) for r in line.rows)
         want = index[image(gen).rows] if inside else None
         assert qm.gen_image(g) == want
@@ -299,7 +305,7 @@ def test_quotient_coordinates_vs_bruteforce(key):
             want = canonicalize(sp.field, len(qm.crows) - 1,
                                 [coords[sp.points[x]][1:]])
             assert qs.points[qm.point_image[x]] == want.rows[0]
-        for g, gen in enumerate(sp.generators):
+        for g, gen in enumerate(_gens(sp)):
             if gen.contains_point(sp.points[pi]):
                 want = canonicalize(sp.field, len(qm.crows) - 1,
                                     [coords[r][1:] for r in gen.rows])
@@ -397,7 +403,7 @@ def _ts_subspaces(sp, dim):
     """The totally singular subspaces of projective dimension dim in the
     space's order: a level kept by the build, or the generators."""
     if dim == sp.rank - 1:
-        return list(sp.generators)
+        return _gens(sp)
     return [Subspace(sp.field, sp.n, rows) for rows in sp.levels[dim]]
 
 
@@ -530,8 +536,7 @@ def test_extend_level_keys_are_point_masks(key):
             assert rows == rref(field, rows)
             assert mask == sum(1 << index[p]
                                for p in subspace_points(field, rows))
-        want = ([g.rows for g in sp.generators] if last
-                else sp.levels[k + 1])
+        want = sp.generators if last else sp.levels[k + 1]
         assert [rows for rows, _ in level] == want
 
 
@@ -918,7 +923,7 @@ def _ref_content_hash(space) -> str:
         "q": space.q,
         # tuples dump as JSON arrays, so no list copies are made
         "points": space.points,
-        "generators": [g.rows for g in space.generators],
+        "generators": space.generators,
     }
     blob = json.dumps(payload, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
