@@ -98,8 +98,6 @@ def test_ruling_rejects_non_grid():
         C.grid_rulings(sp, lines=[0, 1, 2, 3, 4, 6])
     with pytest.raises(ValueError):
         C.grid_rulings(sp, lines=list(range(5)))
-    with pytest.raises(ValueError):
-        C.grid_rulings(sp, range(sp.num_generators))  # not a grid
 
 
 def test_ruling_spread_rejects_bad_which():
