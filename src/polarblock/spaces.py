@@ -16,8 +16,9 @@ U's rows: nothing is row-reduced, and no level is sorted.
 numpy unpacks the generators' point lists from their masks, a bounded
 chunk at a time.
 
-Every build, standard or quotient, is memoized by (kind, rank, q, form):
-a build is deterministic in its form, so the quotients at points with equal
+The PolarSpace constructor builds the space of a form, and every build,
+standard or quotient, is memoized by (kind, rank, q, form): a build is
+deterministic in its form, so the quotients at points with equal
 restricted forms share one PolarSpace.  A space keeps its projection onto
 perp(V)/V at each totally singular vertex V it is asked for
 (PolarSpace.quotient), keyed by V's RREF rows.  The projection sends
@@ -261,30 +262,72 @@ class SectionStructure:
 
 
 class PolarSpace:
-    """Fully enumerated polar space; immutable after construction."""
+    """Fully enumerated polar space; immutable after construction.  The
+    constructor enumerates the space of its form; build it through the memo
+    _materialize, as build_polar_space and space_from_form do."""
 
-    def __init__(self, kind, rank, q, form, points, collinear, levels,
-                 generators, gen_points, gen_point_mask, point_gen_mask, meets):
+    def __init__(self, kind: str, rank: int, q: int, form: Form):
+        _check_build_bytes(kind, rank, q)
         self.kind = kind
         self.rank = rank
         self.q = q  # base parameter; the field order is q^2 for hermitian
         self.form = form
-        self.field = form.field
+        self.field = field = form.field
         self.n = form.n
-        self.points = points
-        self.point_index = {p: i for i, p in enumerate(points)}
-        self.pts_array = np.array(points, dtype=form.field.add_table.dtype)
-        self.collinear = collinear
-        self.levels = levels  # RREF rows of the subspaces of dimension 0..rank-2
-        self.generators = generators  # RREF rows of each generator
-        self.gen_points = gen_points
-        self.gen_point_mask = gen_point_mask
-        self.point_gen_mask = point_gen_mask
-        self.meets = meets
+        self.points = points = _singular_points(form)
+        exp_pts = point_count(kind, rank, q)
+        if len(points) != exp_pts:
+            raise BuildError(
+                f"{self.name}: found {len(points)} singular points, "
+                f"expected {exp_pts}")
         self.num_points = len(points)
-        self.num_generators = len(generators)
         self.all_points_mask = (1 << self.num_points) - 1
+        self.point_index = point_index = {p: i for i, p in enumerate(points)}
+        self.pts_array = np.array(points, dtype=field.add_table.dtype)
+        self.collinear = collinear = _collinearity_masks(form, points,
+                                                         self.pts_array)
+
+        # level 0: the points; after the last level, the generators
+        rows = [(p,) for p in points]
+        gen_point_mask = [1 << i for i in range(len(points))]
+        self.levels = []  # RREF rows of the subspaces of dimension 0..rank-2
+        codes = _point_codes(field, points) if rank > 2 else None
+        for k in range(rank - 1):
+            self.levels.append(rows)
+            rows, gen_point_mask = _extend_level(
+                points, point_index, collinear, rows, gen_point_mask,
+                codes if k < rank - 2 else None)
+        exp_gens = generator_count(kind, rank, q)
+        if len(rows) != exp_gens:
+            raise BuildError(
+                f"{self.name}: enumerated {len(rows)} generators, "
+                f"expected {exp_gens}")
+        self.generators = rows  # RREF rows of each generator
+        self.num_generators = len(rows)
         self.all_gens_mask = (1 << self.num_generators) - 1
+        self.gen_point_mask = gen_point_mask
+        self.gen_points = gen_points = _bit_lists(gen_point_mask, len(points))
+
+        # maximality: a generator's mask is perp(g) & Q, which contains g, so
+        # holding exactly the points of a generator means it equals g
+        ppg = self.points_per_generator()
+        if any(mask.bit_count() != ppg for mask in gen_point_mask):
+            raise BuildError("non-maximal generator enumerated")
+
+        self.point_gen_mask = point_gen_mask = _transpose(gen_points,
+                                                          len(points))
+        self.meets = meets = []
+        for pts in gen_points:
+            m = 0
+            for p in pts:
+                m |= point_gen_mask[p]
+            meets.append(m)
+
+        degs = {m.bit_count() for m in point_gen_mask}
+        if len(degs) != 1:
+            raise BuildError("generator regularity violated")
+        if len(points) * degs.pop() != len(rows) * ppg:
+            raise BuildError("point/generator double count violated")
         if rank == 2:
             self.s, self.t = st_params(kind, q)
         else:
@@ -300,8 +343,7 @@ class PolarSpace:
                 f"{self.num_generators} generators)")
 
     def points_per_generator(self) -> int:
-        qf = self.field.q
-        return theta(self.rank - 1, qf)
+        return theta(self.rank - 1, self.field.q)
 
     def generators_through(self, sub: Subspace) -> list[int]:
         """Indices of all generators containing the given subspace: those
@@ -504,64 +546,7 @@ def _extend_level(points, point_index, collinear, urows, umasks, codes):
     return rows, [m for kept in found for m in kept[1::2]]
 
 
-@lru_cache(maxsize=None)
-def _materialize(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
-    _check_build_bytes(kind, rank, q)
-    exp_pts = point_count(kind, rank, q)
-    exp_gens = generator_count(kind, rank, q)
-
-    field = form.field
-    points = _singular_points(form)
-    if len(points) != exp_pts:
-        raise BuildError(
-            f"{space_name(kind, rank, q)}: found {len(points)} singular "
-            f"points, expected {exp_pts}")
-    arr = np.array(points, dtype=field.add_table.dtype)
-    collinear = _collinearity_masks(form, points, arr)
-    point_index = {p: i for i, p in enumerate(points)}
-
-    # level 0: the points; after the last level, the generators
-    rows = [(p,) for p in points]
-    gen_point_mask = [1 << i for i in range(len(points))]
-    levels = []
-    codes = _point_codes(field, points) if rank > 2 else None
-    for k in range(rank - 1):
-        levels.append(rows)
-        rows, gen_point_mask = _extend_level(
-            points, point_index, collinear, rows, gen_point_mask,
-            codes if k < rank - 2 else None)
-
-    if len(rows) != exp_gens:
-        raise BuildError(
-            f"{space_name(kind, rank, q)}: enumerated {len(rows)} "
-            f"generators, expected {exp_gens}")
-
-    gen_points = _bit_lists(gen_point_mask, len(points))
-
-    # maximality: a generator's mask is perp(g) & Q, which contains g, so
-    # holding exactly the points of a generator means it equals g
-    ppg = theta(rank - 1, field.q)
-    if any(mask.bit_count() != ppg for mask in gen_point_mask):
-        raise BuildError("non-maximal generator enumerated")
-
-    point_gen_mask = _transpose(gen_points, len(points))
-    meets = []
-    for pts in gen_points:
-        m = 0
-        for p in pts:
-            m |= point_gen_mask[p]
-        meets.append(m)
-
-    degs = {m.bit_count() for m in point_gen_mask}
-    if len(degs) != 1:
-        raise BuildError("generator regularity violated")
-    deg = degs.pop()
-    if len(points) * deg != len(rows) * ppg:
-        raise BuildError("point/generator double count violated")
-
-    return PolarSpace(kind, rank, q, form, points, collinear, levels,
-                      rows, gen_points, gen_point_mask, point_gen_mask,
-                      meets)
+_materialize = lru_cache(maxsize=None)(PolarSpace)
 
 
 def build_polar_space(kind: str, rank: int, q: int) -> PolarSpace:

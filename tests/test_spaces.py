@@ -600,6 +600,22 @@ def test_build_bytes_guard(monkeypatch):
             build_polar_space(*key)
 
 
+def test_the_constructor_guards_and_the_memo_keeps_one_build(monkeypatch):
+    # a direct PolarSpace call is refused by the guard before any point is
+    # enumerated; builds go through the memo, one space per form
+    form = spaces.standard_form("qminus", 3, 4)
+
+    def no_enumeration(form):
+        raise AssertionError("enumerated a space over the guard")
+
+    monkeypatch.setattr(spaces, "_singular_points", no_enumeration)
+    with pytest.raises(BudgetError, match="^Q-\\(7,4\\) needs about"):
+        spaces.PolarSpace("qminus", 3, 4, form)
+    monkeypatch.undo()
+    sp = build_polar_space("q", 2, 3)
+    assert spaces.space_from_form("q", 2, 3, sp.form) is sp
+
+
 def test_guard_before_the_form_in_bounded_time(monkeypatch):
     # kind, rank, rank-2 rule and field first, then the guard, then the
     # form; a generator count of 2^28 or more is refused as it stands
