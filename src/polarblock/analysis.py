@@ -387,13 +387,27 @@ class GQCheckResult:
     witness: tuple | None = None
 
 
+def index_lines(points, lines) -> tuple[list, list[list[int]]]:
+    """The points as a list, and each line as the indices of its points in
+    it; ValueError for a point listed twice or a line naming a non-point."""
+    pts = list(points)
+    index = {p: i for i, p in enumerate(pts)}
+    if len(index) != len(pts):
+        twice = next(p for i, p in enumerate(pts) if index[p] != i)
+        raise ValueError(f"point {twice!r} is listed twice")
+    try:
+        return pts, [[index[p] for p in l] for l in lines]
+    except KeyError as e:
+        raise ValueError(f"a line names {e.args[0]!r}, "
+                         "which is not a point") from None
+
+
 def check_gq_axioms(points, lines) -> GQCheckResult:
     """Check the generalized-quadrangle axioms on an abstract incidence
     structure; returns the order (s,t) or the first violated axiom."""
-    pts = list(points)
-    index = {p: i for i, p in enumerate(pts)}
+    pts, lns = index_lines(points, lines)
     npts = len(pts)
-    lns = [tuple(sorted(index[p] for p in l)) for l in lines]
+    lns = [tuple(sorted(l)) for l in lns]
     if not pts or not lns:
         return GQCheckResult(False, None, "empty point or line set", ())
     sizes = {len(set(l)) for l in lns}

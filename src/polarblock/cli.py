@@ -183,8 +183,15 @@ def cmd_classify(args):
     if not analysis.is_minimal(space, members) and args.minimize:
         stripped = analysis.minimize_blocking_set(space, members)
     if not analysis.is_minimal(space, stripped):
-        print("set is not minimal (re-run with --minimize to strip it)",
-              file=sys.stderr)
+        if len(analysis.minimize_blocking_set(space, stripped)) < len(stripped):
+            print("set is not minimal (re-run with --minimize to strip it)",
+                  file=sys.stderr)
+        else:
+            # inclusion-minimal, but some member has no tangent generator
+            essential = analysis.essential_members(space, stripped)
+            bare = ", ".join(str(m) for m in stripped if m not in essential)
+            print(f"set is not minimal: no outside generator is tangent to "
+                  f"member(s) {bare}; none can be stripped", file=sys.stderr)
         return EXIT_CHECK_FAILED
     cls = analysis.classify(space, stripped)
     payload = cls.to_json()

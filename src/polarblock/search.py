@@ -466,16 +466,7 @@ def min_cover(points, lines, budget_nodes: int = DEFAULT_BUDGET_NODES,
     Witnesses are index tuples into the lines list.  No symmetry is
     assumed, so nothing is pinned; a greedy cover bounds the search.
     """
-    pts = list(points)
-    pidx = {p: i for i, p in enumerate(pts)}
-    if len(pidx) != len(pts):
-        twice = next(p for i, p in enumerate(pts) if pidx[p] != i)
-        raise ValueError(f"point {twice!r} is listed twice")
-    try:
-        line_pts = [[pidx[p] for p in l] for l in lines]
-    except KeyError as e:
-        raise ValueError(f"a line names {e.args[0]!r}, "
-                         "which is not a point") from None
+    pts, line_pts = analysis.index_lines(points, lines)
     line_masks = [analysis.members_mask(l) for l in line_pts]
     return SearchResult(*_run_engine(
         _transpose(line_pts, len(pts)), line_masks,

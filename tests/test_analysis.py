@@ -232,6 +232,16 @@ def test_gq_axioms_structural_failures(points, lines, failure, witness):
         False, None, failure, witness)
 
 
+@pytest.mark.parametrize("points,lines,message", [
+    ([0, 1, 2, 0], [(0, 1), (1, 2)], "point 0 is listed twice"),
+    (range(4), [(0, 1), (2, 99)], "a line names 99, which is not a point"),
+], ids=["point-twice", "line-off-the-points"])
+def test_gq_axioms_refuse_bad_input(points, lines, message):
+    # refused as min_cover refuses them, not as a KeyError or a failed axiom
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        A.check_gq_axioms(points, lines)
+
+
 def test_minimize_refuses_a_non_blocking_set():
     sp = build_polar_space("q", 2, 2)
     with pytest.raises(ValueError, match="^input set is not blocking$"):

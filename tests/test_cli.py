@@ -124,6 +124,14 @@ def test_classify_non_minimal_needs_minimize(capsys, tmp_path):
     code, out, _ = run(capsys, "--format", "json", "classify", "--set", f,
                        "--minimize")
     assert code == 0 and json.loads(out)["members"] == [0, 2, 13]
+    # a spread cannot lose a member, but no generator outside it meets only
+    # one member, so --minimize is no advice: the members are named instead
+    f = _q42_set(tmp_path / "spread.json", [0, 3, 8, 9, 12])
+    for flags in [(), ("--minimize",)]:
+        code, out, err = run(capsys, "classify", "--set", f, *flags)
+        assert (code, out) == (1, "")
+        assert err == ("set is not minimal: no outside generator is tangent "
+                       "to member(s) 0, 3, 8, 9, 12; none can be stripped\n")
 
 
 def test_construct_unknown_example_exits_2(capsys):

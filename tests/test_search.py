@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count
 
@@ -55,16 +56,39 @@ def test_min_blocking_determinism():
     assert a.optimum == b.optimum == 4
 
 
-def test_enumerate_minimal_vs_bruteforce_q42():
-    sp = build_polar_space("q", 2, 2)
-    er = S.enumerate_minimal(sp, 3)
+def _enumerate_minimal_vs_bruteforce(kind, bound):
+    """enumerate_minimal against brute force up to the bound, and the sizes
+    of the minimal sets (each member has a tangent generator outside the
+    set) and of the inclusion-minimal ones (no member can be stripped)."""
+    sp = build_polar_space(kind, 2, 2)
+    er = S.enumerate_minimal(sp, bound)
     assert er.complete
-    brute = []
-    for k in (1, 2, 3):
+    brute, minimal, stuck = [], Counter(), Counter()
+    for k in range(1, bound + 1):
         for combo in combinations(range(sp.num_generators), k):
-            if A.is_blocking(sp, combo) and A.is_minimal(sp, combo):
-                brute.append(tuple(sorted(combo)))
+            if not A.is_blocking(sp, combo):
+                continue
+            if A.is_minimal(sp, combo):
+                brute.append(combo)
+                minimal[k] += 1
+            if A.minimize_blocking_set(sp, combo) == combo:
+                stuck[k] += 1
     assert sorted(brute) == er.sets
+    return minimal, stuck
+
+
+def test_enumerate_minimal_vs_bruteforce_q42():
+    # from size 5 on, some members' only tangent is themselves: 96 more
+    # sets of size 5 cannot lose a member, yet are not minimal
+    assert _enumerate_minimal_vs_bruteforce("q", 5) == (
+        {3: 35, 5: 72}, {3: 35, 5: 168})
+
+
+def test_enumerate_minimal_vs_bruteforce_qplus32():
+    # each ruling cannot lose a line, yet every line outside it meets all
+    # of its lines
+    assert _enumerate_minimal_vs_bruteforce("qplus3", 3) == (
+        {2: 9}, {2: 9, 3: 2})
 
 
 def test_enumerate_minimal_q43_size5_is_empty():
