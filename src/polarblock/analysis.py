@@ -107,17 +107,20 @@ def validate_members(space: PolarSpace, members) -> tuple[int, ...]:
     """The members as sorted distinct generator indices.  Each must be an
     integer (Python or numpy, not bool) and index a generator of the space;
     floats and strings are refused, not truncated or parsed."""
-    raw = []
-    for m in members:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-            raise ValueError(f"generator index {m!r} is not an integer")
-        raw.append(int(m))
+    raw = list(members)
+    # plain ints, the common case, need neither the type test nor int()
+    if not all(type(m) is int for m in raw):
+        for m in raw:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise ValueError(f"generator index {m!r} is not an integer")
+        raw = [int(m) for m in raw]
     out = tuple(sorted(set(raw)))
     if len(out) != len(raw):
         raise ValueError("duplicate generator indices in blocking set")
-    for m in out:
-        if not 0 <= m < space.num_generators:
-            raise ValueError(f"generator index {m} out of range")
+    n = space.num_generators
+    if out and not (0 <= out[0] and out[-1] < n):
+        bad = next(m for m in out if not 0 <= m < n)
+        raise ValueError(f"generator index {bad} out of range")
     return out
 
 
@@ -149,18 +152,24 @@ class BlockingSet:
         }
 
 
-def is_blocking(space: PolarSpace, members) -> bool:
-    """Every generator of the space meets some member non-trivially."""
+# The public predicates validate their members; the cores _blocks and
+# _essential take members validate_members has already returned, so a
+# caller that holds them validates once.
+
+
+def _blocks(space: PolarSpace, members) -> bool:
     hit = 0
-    for m in validate_members(space, members):
+    for m in members:
         hit |= space.meets[m]
     return hit == space.all_gens_mask
 
 
-def essential_members(space: PolarSpace, members) -> tuple[int, ...]:
-    """Members pi for which some outside generator meets pi and no other
-    member."""
-    members = validate_members(space, members)
+def is_blocking(space: PolarSpace, members) -> bool:
+    """Every generator of the space meets some member non-trivially."""
+    return _blocks(space, validate_members(space, members))
+
+
+def _essential(space: PolarSpace, members) -> tuple[int, ...]:
     meets = space.meets
     # ones: generators meeting some member; twos: meeting at least two
     ones = twos = 0
@@ -171,10 +180,15 @@ def essential_members(space: PolarSpace, members) -> tuple[int, ...]:
     return tuple(m for m in members if meets[m] & once)
 
 
+def essential_members(space: PolarSpace, members) -> tuple[int, ...]:
+    """Members pi for which some outside generator meets pi and no other
+    member."""
+    return _essential(space, validate_members(space, members))
+
+
 def is_minimal(space: PolarSpace, members) -> bool:
-    # essential_members validates, and rejects duplicates
-    members = tuple(members)
-    return len(essential_members(space, members)) == len(members)
+    members = validate_members(space, members)
+    return len(_essential(space, members)) == len(members)
 
 
 def minimize_blocking_set(space: PolarSpace, members) -> tuple[int, ...]:
@@ -234,7 +248,8 @@ def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
     ppg = space.points_per_generator()
     if num_covered != len(members) * ppg - W:
         raise AssertionError("coverage count identity violated")
-    holes = tuple(_iter_bits(space.all_points_mask & ~covered))
+    # the holes are the points w does not count
+    holes = tuple([p for p in range(space.num_points) if p not in w])
     return CoverageProfile(members, covered, num_covered, w, W, holes)
 
 
@@ -269,7 +284,7 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     members = validate_members(space, members)
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces")
-    if not is_blocking(space, members):
+    if not _blocks(space, members):
         return IdentityReport(False, "set is not blocking")
     s, t = space.s, space.t
     delta = len(members) - (t + 1)
@@ -289,8 +304,11 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     items: dict[str, CheckItem] = {}
 
     # (a) per hole X: sum_i b_i(X)(i-1) = delta and sum over X-perp of
-    #     (w-1) <= delta; no line through X is in L, as it would cover X
-    tot = {x: sum(i[g] - 1 for g in _iter_bits(space.point_gen_mask[x]))
+    #     (w-1) <= delta; no line through X is in L, as it would cover X.
+    #     The sum of i over the t+1 lines on X counts the pairs (line on X,
+    #     member it meets), member by member.
+    tot = {x: sum((space.point_gen_mask[x] & space.meets[m]).bit_count()
+                  for m in members) - (t + 1)
            for x in prof.holes}
     x = next((x for x in prof.holes if tot[x] != delta), None)
     items["a_hole_identity"] = CheckItem(
@@ -332,6 +350,7 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
 
     # (f) a point with a non-member line lies on <= delta+1 members, and
     #     fewer than t/s + 1 of its non-member lines are inside M
+    full_lines = members_mask(g for g in lines if j[g] == s + 1)
     detail = detail2 = ""
     for p in range(space.num_points):
         in_l = (space.point_gen_mask[p] & lmask).bit_count()
@@ -339,7 +358,7 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
             continue
         if in_l > delta + 1:
             detail = f"point {p} lies on {in_l} > delta+1 members"
-        full = sum(j[g] == s + 1 for g in _iter_bits(space.point_gen_mask[p]))
+        full = (space.point_gen_mask[p] & full_lines).bit_count()
         if full * s >= t + s:  # full < t/s + 1
             detail2 = f"point {p} has {full} fully covered non-member lines"
     items["f_pencil_bound"] = CheckItem(not detail, detail)
@@ -362,7 +381,7 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     refused with ValueError: its projection need not block either.
     """
     members = validate_members(space, members)
-    if not is_blocking(space, members):
+    if not _blocks(space, members):
         raise ValueError("projection requires a blocking set")
     # checks the hole as a point index (BuildError is a ValueError)
     qm = space.quotient_map(hole)
@@ -371,7 +390,7 @@ def project_blocking_set(space: PolarSpace, members, hole: int):
     projected = tuple(sorted({
         qm.gen_through(space.gen_point_mask[m] & space.collinear[hole])
         for m in members}))
-    if not is_blocking(qm.quotient, projected):
+    if not _blocks(qm.quotient, projected):
         raise AssertionError("projection from a hole failed to block the quotient")
     return qm.quotient, projected, qm
 
@@ -595,17 +614,22 @@ def classify(space: PolarSpace, members) -> Classification:
     """Match a minimal blocking set against the catalogue of small
     examples; non-Unknown results carry an independently verified witness."""
     members = validate_members(space, members)
-    if not is_blocking(space, members):
+    if not _blocks(space, members):
         raise ValueError("classify requires a blocking set")
-    if not is_minimal(space, members):
+    if len(_essential(space, members)) != len(members):
         raise ValueError("classify requires a minimal blocking set")
 
-    # the members' common points are the points of their meet, the vertex
+    # the members' common points are the points of their meet, the vertex;
+    # a single point is its own RREF basis
     common = space.all_points_mask
     for m in members:
         common &= space.gen_point_mask[m]
-    v = canonicalize(space.field, space.n,
-                     [space.points[p] for p in _iter_bits(common)])
+    if common and not common & (common - 1):
+        v = Subspace(space.field, space.n,
+                     (space.points[common.bit_length() - 1],))
+    else:
+        v = canonicalize(space.field, space.n,
+                         [space.points[p] for p in _iter_bits(common)])
 
     result = Classification(LABEL_UNKNOWN)
     if v.dim == space.rank - 2:
@@ -615,8 +639,8 @@ def classify(space: PolarSpace, members) -> Classification:
         result = _classify_rank2(space, members)
     elif v.dim == space.rank - 3:
         qspace, proj = _cone_base(space, members, v)
-        if len(proj) == len(members) and is_blocking(qspace, proj) \
-                and is_minimal(qspace, proj):
+        if len(proj) == len(members) and _blocks(qspace, proj) \
+                and len(_essential(qspace, proj)) == len(proj):
             base = _classify_rank2(qspace, proj)
             label = _cone_label(space.kind, base.label)
             if label != LABEL_UNKNOWN:

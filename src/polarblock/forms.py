@@ -89,14 +89,22 @@ class Form:
         sesquilinear H(u,v) for hermitian."""
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError("vector length mismatch")
-        f = self.field
-        add, mul = f.addl, f.mull
+        return self._pair(self._polar_row(u), self._conj_row(v))
+
+    def _conj_row(self, v):
+        """v, conjugated entrywise on a hermitian form."""
         if self.kind == "hermitian":
-            v = f.conj_table[list(v)].tolist()
+            return self.field.conj_table[list(v)].tolist()
+        return v
+
+    def _pair(self, w, x) -> int:
+        """sum_j w_j x_j: B(u, x) when w is u's polar row and x is
+        conjugated on a hermitian form."""
+        add, mul = self.field.addl, self.field.mull
         acc = 0
-        for wj, vj in zip(self._polar_row(u), v):
-            if wj and vj:
-                acc = add[acc][mul[wj][vj]]
+        for wj, xj in zip(w, x):
+            if wj and xj:
+                acc = add[acc][mul[wj][xj]]
         return acc
 
     # -- vectorized scans ----------------------------------------------------
@@ -179,18 +187,20 @@ class Form:
         """The form induced on the row span, in row coordinates.
 
         For quadratic kinds the new upper-triangular matrix is Q on the
-        diagonal and B off it; this is exact in every characteristic.
+        diagonal and B off it; this is exact in every characteristic.  Entry
+        (a, b) is polarize(rows[a], rows[b]), from row a's polar row, which
+        is computed once.
         """
         m = len(rows)
-        if self.kind == "hermitian":
-            coeff = [[self.polarize(rows[a], rows[b]) for b in range(m)]
-                     for a in range(m)]
-        else:
-            coeff = [[0] * m for _ in range(m)]
-            for a in range(m):
+        herm = self.kind == "hermitian"
+        xs = [self._conj_row(r) for r in rows]
+        coeff = [[0] * m for _ in range(m)]
+        for a in range(m):
+            w = self._polar_row(rows[a])
+            if not herm:
                 coeff[a][a] = self.eval(rows[a])
-                for b in range(a + 1, m):
-                    coeff[a][b] = self.polarize(rows[a], rows[b])
+            for b in range(0 if herm else a + 1, m):
+                coeff[a][b] = self._pair(w, xs[b])
         return Form(self.kind, self.field, m - 1, coeff)
 
 

@@ -801,7 +801,8 @@ class QuotientMap:
     and vertex_mask holds V's points.  At a point P, crows are the rows of
     perp(P) that complete P to a basis of it, the quotient's coordinates.
     A larger V is the quotient at its first RREF row P, then the quotient at
-    the image of V there; the two point images are composed.
+    the image of V there; the two point images are composed.  Each
+    generator's image is kept once gen_image has computed it.
     """
 
     def __init__(self, space: PolarSpace, rows):
@@ -812,6 +813,7 @@ class QuotientMap:
         if point_idx is None:
             raise BuildError("the vertex is not totally singular")
         self.space = space
+        self._gen_images: dict[int, int] = {}
         if len(rows) > 1:
             head = space.quotient_map(point_idx)
             image = [head.point_image.get(space.point_index.get(r))
@@ -848,9 +850,9 @@ class QuotientMap:
         add, mul = field.add_table, field.mul_table
         c = perp.rows[last].index(1)
         pivots = [r.index(1) for r in self.crows]
-        around = _bit_lists([space.collinear[point_idx] & ~self.vertex_mask],
-                            space.num_points)[0]
-        x = space.pts_array[list(around)]
+        around = list(_iter_bits(space.collinear[point_idx]
+                                 & ~self.vertex_mask))
+        x = space.pts_array[around]
         coef = mul[x[:, c], field.neg(field.inv(point[c]))]
         y = add[x[:, pivots], mul[coef[:, None], [point[j] for j in pivots]]]
         lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
@@ -876,10 +878,14 @@ class QuotientMap:
         """Index of generator g's image among the quotient's generators: the
         one through the images of g's points outside V, or None when g does
         not contain V."""
-        pts = self.space.gen_point_mask[g]
-        if self.vertex_mask & ~pts:
-            return None
-        return self.gen_through(pts & ~self.vertex_mask)
+        image = self._gen_images.get(g)
+        if image is None:
+            pts = self.space.gen_point_mask[g]
+            if self.vertex_mask & ~pts:
+                return None
+            image = self.gen_through(pts & ~self.vertex_mask)
+            self._gen_images[g] = image
+        return image
 
 
 # -- hyperplane sections -------------------------------------------------------
