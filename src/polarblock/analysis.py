@@ -408,17 +408,23 @@ class GQCheckResult:
 
 def index_lines(points, lines) -> tuple[list, list[list[int]]]:
     """The points as a list, and each line as the indices of its points in
-    it; ValueError for a point listed twice or a line naming a non-point."""
+    it; ValueError for a point listed twice, a line naming a non-point or a
+    line naming a point twice."""
     pts = list(points)
     index = {p: i for i, p in enumerate(pts)}
     if len(index) != len(pts):
         twice = next(p for i, p in enumerate(pts) if index[p] != i)
         raise ValueError(f"point {twice!r} is listed twice")
     try:
-        return pts, [[index[p] for p in l] for l in lines]
+        lns = [[index[p] for p in l] for l in lines]
     except KeyError as e:
         raise ValueError(f"a line names {e.args[0]!r}, "
                          "which is not a point") from None
+    for l in lns:
+        if len(set(l)) != len(l):
+            twice = next(i for k, i in enumerate(l) if i in l[:k])
+            raise ValueError(f"a line names {pts[twice]!r} twice")
+    return pts, lns
 
 
 def check_gq_axioms(points, lines) -> GQCheckResult:
@@ -429,7 +435,7 @@ def check_gq_axioms(points, lines) -> GQCheckResult:
     lns = [tuple(sorted(l)) for l in lns]
     if not pts or not lns:
         return GQCheckResult(False, None, "empty point or line set", ())
-    sizes = {len(set(l)) for l in lns}
+    sizes = {len(l) for l in lns}
     if len(sizes) != 1:
         return GQCheckResult(False, None, "line sizes not constant",
                              (sorted(sizes),))

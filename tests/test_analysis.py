@@ -235,11 +235,95 @@ def test_gq_axioms_structural_failures(points, lines, failure, witness):
 @pytest.mark.parametrize("points,lines,message", [
     ([0, 1, 2, 0], [(0, 1), (1, 2)], "point 0 is listed twice"),
     (range(4), [(0, 1), (2, 99)], "a line names 99, which is not a point"),
-], ids=["point-twice", "line-off-the-points"])
+    ("abcd", [("a", "b"), ("c", "b", "d", "b")], "a line names 'b' twice"),
+], ids=["point-twice", "line-off-the-points", "point-twice-on-a-line"])
 def test_gq_axioms_refuse_bad_input(points, lines, message):
     # refused as min_cover refuses them, not as a KeyError or a failed axiom
     with pytest.raises(ValueError, match=f"^{message}$"):
         A.check_gq_axioms(points, lines)
+
+
+def test_gq_axioms_refuse_a_line_naming_a_point_twice():
+    # refused before any axiom is checked: counted twice, the repeated
+    # point would seem to lie on one line more than the other points
+    sp = build_polar_space("q", 2, 2)
+    lines = [list(l) for l in sp.gen_points]
+    lines[0].append(lines[0][0])
+    with pytest.raises(ValueError, match=f"^a line names {lines[0][0]} twice$"):
+        A.check_gq_axioms(range(sp.num_points), lines)
+
+
+def _validate_reference(space, members):
+    """validate_members' checks made one member at a time on every input,
+    in its order: the result its plain-int fast path must reproduce."""
+    raw = []
+    for m in members:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"generator index {m!r} is not an integer")
+        raw.append(int(m))
+    out = tuple(sorted(set(raw)))
+    if len(out) != len(raw):
+        raise ValueError("duplicate generator indices in blocking set")
+    for m in out:
+        if not 0 <= m < space.num_generators:
+            raise ValueError(f"generator index {m} out of range")
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [3, 1, 2], lambda: [], lambda: range(15),
+    lambda: np.array([4, 0, 7]), lambda: [1, np.int64(5), 2],
+    lambda: (i for i in (2, 9, 4)), lambda: [True], lambda: [1, True],
+    lambda: [np.bool_(True)], lambda: [1.0], lambda: [2, "3"],
+    lambda: [99, "x"], lambda: [0, 2, 2], lambda: [np.int64(2), 2],
+    lambda: [2, 2, 99], lambda: [-1, 3, 15, 20], lambda: [3, 20, 16, 15],
+    lambda: [30, -2, -5], lambda: [16, 15], lambda: [14, 0], lambda: [15, 0],
+    lambda: [-1, 14],
+], ids=["ints", "empty", "range", "ndarray", "mixed-np", "generator",
+        "bool", "int-and-bool", "np-bool", "float", "str", "range-and-str",
+        "duplicate", "np-duplicate", "duplicate-and-range", "both-sides",
+        "above", "below", "above-least", "edges", "one-above", "one-below"])
+def test_validate_members_matches_the_member_loop(make):
+    sp = build_polar_space("q", 2, 2)
+
+    def outcome(validate):
+        # the types too: the members come back as plain ints
+        try:
+            out = validate(sp, make())
+        except ValueError as e:
+            return "ValueError", str(e)
+        return out, [type(m) for m in out]
+
+    assert outcome(A.validate_members) == outcome(_validate_reference)
+
+
+def test_public_calls_validate_their_members_once(monkeypatch):
+    q62 = build_polar_space("q", 3, 2)
+    cone = C.cone_example(q62, "qplus3-spread").members
+    hole = A.coverage_profile(q62, cone).holes[0]
+    q43 = build_polar_space("q", 2, 3)
+    members = C.pencil(q43).members
+    calls = []
+    validate = A.validate_members
+
+    def counted(space, members):
+        calls.append(members)
+        return validate(space, members)
+
+    monkeypatch.setattr(A, "validate_members", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    # classify's own and verify_classification's
+    assert count(A.classify, q62, cone) == 2
+    assert A.classify(q62, cone).label == "ConeOverQplus3Spread"
+    # the battery's own and coverage_profile's
+    assert count(A.check_coverage_identities, q43, members) == 2
+    assert A.check_coverage_identities(q43, members).all_ok
+    assert count(A.project_blocking_set, q62, cone, hole) == 1
 
 
 def test_minimize_refuses_a_non_blocking_set():

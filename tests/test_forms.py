@@ -224,6 +224,28 @@ def test_restrict_consistency():
         assert sub.eval(coeffs) == form.eval(tuple(v))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: parabolic_form(2, F2), lambda: parabolic_form(2, F3),
+    lambda: elliptic_form(2, F2), lambda: elliptic_form(1, F3),
+    lambda: hyperbolic_form(2, F2), lambda: hyperbolic_form(2, F3),
+    lambda: hermitian_form(3, 2), lambda: hermitian_form(4, 2),
+], ids=["q2", "q3", "qm2", "qm3", "qp2", "qp3", "h3-4", "h4-4"])
+def test_restrict_matches_pairwise_polarize(make):
+    # Q on the diagonal and B above it on a quadratic form, H everywhere on
+    # a hermitian one, on random row sets with repeated and zero rows too
+    form = make()
+    rng = np.random.default_rng(7)
+    herm = form.kind == "hermitian"
+    for m in (1, 2, 3, form.n + 1):
+        for _ in range(20):
+            rows = [tuple(int(x) for x in r) for r in
+                    rng.integers(0, form.field.q, size=(m, form.n + 1))]
+            want = [[form.polarize(rows[a], rows[b]) if herm or b > a
+                     else form.eval(rows[a]) if b == a else 0
+                     for b in range(m)] for a in range(m)]
+            assert form.restrict(rows).coeff == tuple(map(tuple, want))
+
+
 def test_nondegeneracy_radicals():
     # the kernel of the polarization: the nucleus for an even parabolic
     def radical(f):

@@ -131,6 +131,8 @@ def test_min_cover_generic_interface():
         S.min_cover([0, 1], [[0, 2]])
     with pytest.raises(ValueError, match="point 0 is listed twice"):
         S.min_cover([0, 0, 1], [[0], [1]])
+    with pytest.raises(ValueError, match="a line names 1 twice"):
+        S.min_cover([0, 1], [[0], [1, 1]])
 
 
 def test_min_maximal_partial_spreads():

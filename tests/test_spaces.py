@@ -30,6 +30,7 @@ from polarblock.forms import (
 from polarblock.spaces import (
     BudgetError,
     BuildError,
+    QuotientMap,
     build_polar_space,
     enumerate_hyperplanes,
     generator_count,
@@ -235,6 +236,27 @@ def test_quotient_map_memo_and_gen_image(key):
             else:
                 want = None
             assert qm.gen_image(g) == want
+
+
+@pytest.mark.parametrize("key", [("q", 3, 2), ("q", 4, 2)])
+def test_kept_gen_images_match_a_fresh_map(key):
+    # vertices of every dimension below the generators, the RREF prefixes
+    # of the first and last generators: the space's map keeps each image
+    # it computes, and a map built anew computes them all again
+    sp = build_polar_space(*key)
+    for gen in (sp.generators[0], sp.generators[-1]):
+        for k in range(1, sp.rank):
+            v = canonicalize(sp.field, sp.n, gen[:k])
+            kept = sp.quotient(v)
+            first = [kept.gen_image(g) for g in range(sp.num_generators)]
+            again = [kept.gen_image(g) for g in range(sp.num_generators)]
+            fresh = QuotientMap(sp, v.rows)
+            want = [fresh.gen_image(g) for g in range(sp.num_generators)]
+            assert first == again == want
+            off = [bool(kept.vertex_mask & ~sp.gen_point_mask[g])
+                   for g in range(sp.num_generators)]
+            assert [w is None for w in want] == off
+            assert not all(off)
 
 
 def test_iterated_quotient_gen_image():
