@@ -35,7 +35,7 @@ for q in (2, 3, 4, 5, 7, 8, 9):
 print("\n== parabolic threshold delta < min((q-1)/2, epsilon) ==")
 for q in (2, 3):
     th = theorem_threshold("q", q, rank=3)
-    print(f"q={q}: admissible delta up to {th.max_delta} "
-          f"(epsilon {'does not exist' if th.epsilon_exists is False else th.epsilon})")
+    eps = "does not exist" if th.plane.exists is False else th.plane.epsilon
+    print(f"q={q}: admissible delta up to {th.max_delta} (epsilon {eps})")
     print(f"      so maximal partial spreads in rank >= 3 have size >= "
           f"{spread_size_gate('q', q)}")

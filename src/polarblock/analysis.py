@@ -704,9 +704,7 @@ class Threshold:
     max_delta: int           # largest admissible delta; -1 if none
     description: str
     value: float | None = None
-    epsilon: int | None = None
-    epsilon_exists: bool | None = None
-    epsilon_source: str | None = None
+    plane: object = None     # kind 'q': search.EpsilonResult of the plane
 
 
 def theorem_threshold(kind: str, q: int, rank: int = 3) -> Threshold:
@@ -741,20 +739,19 @@ def theorem_threshold(kind: str, q: int, rank: int = 3) -> Threshold:
         res = smallest_nontrivial_pg2(q)
         if not res.complete:
             raise BudgetError(f"PG(2,{q}) plane oracle {res.note}")
-        eps_val, eps_exists, source = res.epsilon, res.exists, res.source
         if rank >= 3:
             md = (q - 2) // 2
             desc = "delta < min((q-1)/2, eps)"
         else:
             md = None
             desc = "delta < eps"
-        if eps_exists:
-            md = eps_val - 1 if md is None else min(md, eps_val - 1)
+        if res.exists:
+            md = res.epsilon - 1 if md is None else min(md, res.epsilon - 1)
         elif md is None:
             # no non-trivial plane blocking set and no (q-1)/2 term at rank 2:
             # only delta = 0 is covered (by the t+1 theorem)
             md = 0
-        return Threshold(kind, q, md, desc, None, eps_val, eps_exists, source)
+        return Threshold(kind, q, md, desc, None, res)
     raise ValueError(f"threshold kinds are 'q', 'qminus', 'h'; got {kind!r}")
 
 

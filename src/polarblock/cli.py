@@ -115,7 +115,8 @@ def cmd_construct(args):
                   file=sys.stderr)
             return EXIT_USAGE
     space = _build(args)
-    vertex = _parse_vertex(space, args.seed_vertex) if args.seed_vertex else None
+    vertex = (None if args.seed_vertex is None
+              else _parse_vertex(space, args.seed_vertex))
     if name == "pencil":
         bs = constructions.pencil(space, vertex)
     elif name == "ruling":
@@ -179,16 +180,15 @@ def cmd_classify(args):
     if not analysis.is_blocking(space, members):
         print("set is not blocking; nothing to classify", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    stripped = members
-    if not analysis.is_minimal(space, members) and args.minimize:
-        stripped = analysis.minimize_blocking_set(space, members)
-    if not analysis.is_minimal(space, stripped):
+    stripped = (analysis.minimize_blocking_set(space, members)
+                if args.minimize else members)
+    essential = analysis.essential_members(space, stripped)
+    if len(essential) < len(stripped):
         if len(analysis.minimize_blocking_set(space, stripped)) < len(stripped):
             print("set is not minimal (re-run with --minimize to strip it)",
                   file=sys.stderr)
         else:
             # inclusion-minimal, but some member has no tangent generator
-            essential = analysis.essential_members(space, stripped)
             bare = ", ".join(str(m) for m in stripped if m not in essential)
             print(f"set is not minimal: no outside generator is tangent to "
                   f"member(s) {bare}; none can be stripped", file=sys.stderr)
@@ -252,10 +252,10 @@ def cmd_thresholds(args):
                     f"{th.max_delta}")
     # th is the "q" threshold; where the oracle searched, the block also
     # gives the size q+1+eps of the smallest non-trivial plane blocking set
-    e = {"exists": th.epsilon_exists}
-    if th.epsilon_source == "search":
-        e["size"] = q + 1 + th.epsilon if th.epsilon_exists else None
-    e.update(epsilon=th.epsilon, source=th.epsilon_source)
+    e = {"exists": th.plane.exists}
+    if th.plane.source == "search":
+        e["size"] = th.plane.size
+    e.update(epsilon=th.plane.epsilon, source=th.plane.source)
     payload["epsilon"] = e
     text.append(f"epsilon: {e}")
     _emit(args, payload, "\n".join(text))

@@ -105,24 +105,19 @@ def reduce_against(field: GF, rows, v: Vector):
 
 
 def span(a: Subspace, b: Subspace) -> Subspace:
-    if a.n != b.n or a.field is not b.field and a.field != b.field:
+    if a.n != b.n or a.field != b.field:
         raise ValueError("span of subspaces in different ambient spaces")
     return Subspace(a.field, a.n, rref(a.field, a.rows + b.rows))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick on [[A,A],[B,0]]."""
+    """Intersection, as the common solutions of the linear forms vanishing
+    on A or on B: the nullspace of their nullspaces, in canonical RREF."""
     if a.n != b.n or a.field != b.field:
         raise ValueError("meet of subspaces in different ambient spaces")
-    field = a.field
-    w = a.n + 1
-    block = [list(r) + list(r) for r in a.rows] + [list(r) + [0] * w for r in b.rows]
-    reduced = rref(field, block)
-    out = []
-    for row in reduced:
-        if not any(row[:w]):
-            out.append(tuple(row[w:]))
-    return Subspace(field, a.n, rref(field, out))
+    field, n = a.field, a.n
+    return nullspace(field, nullspace(field, a.rows, n).rows
+                     + nullspace(field, b.rows, n).rows, n)
 
 
 def nullspace(field: GF, rows, n: int) -> Subspace:

@@ -174,8 +174,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     def found(mask, depth):
         nonlocal best, done
         if mode == "min":
-            if depth > best:
-                return
+            # depth <= best: no set found under an open node is shallower
             if depth < best:
                 best = depth
                 sols.clear()
@@ -404,12 +403,9 @@ def min_blocking(space: PolarSpace, upper_bound: int | None = None,
     minimum-size set, certified by exhausted branch-and-bound."""
     seed = None
     if upper_bound is None:
-        # constructions imports this module
-        from .constructions import pencil
-
-        # a prefix of RREF rows is in RREF
+        # a pencil; a prefix of RREF rows is in RREF
         vertex = space.generators[0][:space.rank - 1]
-        seed = pencil(space, Subspace(space.field, space.n, vertex)).members
+        seed = space.generators_through(Subspace(space.field, space.n, vertex))
         upper_bound = len(seed)
     sols, complete, nodes, seconds = _pinned(
         space, space.meets, space.meets, max_size=upper_bound, mode="min",

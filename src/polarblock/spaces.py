@@ -403,7 +403,7 @@ class PolarSpace:
         return self.cached("content_hash", None, _content_hash, self)
 
     def stats(self) -> dict:
-        per_point = self.point_gen_mask[0].bit_count() if self.num_points else 0
+        per_point = self.point_gen_mask[0].bit_count()
         return {
             "name": self.name,
             "kind": self.kind,

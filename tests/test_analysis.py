@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from math import isqrt
 
@@ -495,7 +496,7 @@ def test_thresholds_known_values():
     th_r2 = A.theorem_threshold("q", 3, rank=2)
     assert th_r2.max_delta == 1  # Prop: delta < eps = 2
     th5 = A.theorem_threshold("q", 5, rank=3)
-    assert (th5.epsilon, th5.max_delta) == (3, 1)
+    assert (th5.plane.epsilon, th5.max_delta) == (3, 1)
     with pytest.raises(ValueError):
         A.theorem_threshold("w", 2)
 
@@ -529,7 +530,7 @@ def test_threshold_of_stopped_oracle_raises(monkeypatch):
     # with the budget back, the oracle finds epsilon 4
     monkeypatch.delenv("POLARBLOCK_BUDGET_SECS")
     th = A.theorem_threshold("q", 8)
-    assert (th.epsilon, th.max_delta) == (4, 3)
+    assert (th.plane.epsilon, th.max_delta) == (4, 3)
 
 
 def test_spread_size_gate():
@@ -986,3 +987,197 @@ def test_labels_invariant_under_isometries(key):
         assert cls.label == "SubGQSpread"
         assert A.is_partial_spread(sp, ruling[1:] + (off,))
         assert not A.verify_classification(sp, ruling[1:] + (off,), cls)
+
+
+class _Geometry:
+    """A point-line geometry posing as a rank-2 polar space of order (s, t):
+    the attributes the identity battery reads, each derived from the point
+    lists of the lines, as a built space derives them."""
+
+    rank = 2
+
+    def __init__(self, lines, num_points, s, t):
+        self.s, self.t = s, t
+        self.num_points = num_points
+        self.num_generators = len(lines)
+        self.all_gens_mask = (1 << len(lines)) - 1
+        self.gen_points = [sorted(line) for line in lines]
+        self.gen_point_mask = [A.members_mask(line) for line in lines]
+        self.point_gen_mask = [
+            A.members_mask(g for g, line in enumerate(lines) if p in line)
+            for p in range(num_points)]
+        self.meets = [A.members_mask(g for p in line
+                                     for g, other in enumerate(lines)
+                                     if p in other) for line in lines]
+        self.collinear = [A.members_mask([p] + [x for line in lines
+                                                if p in line for x in line])
+                          for p in range(num_points)]
+
+    def points_per_generator(self):
+        return self.s + 1
+
+
+def _battery_by_line_walk(space, members):
+    """The battery's (ok, detail) per item, from lists: the lines through
+    each point, the members each line meets, the covered points on it.  A
+    GQ point lies on t+1 lines, which items (a) and (f) take as given."""
+    s, t = space.s, space.t
+    lines_on = [[] for _ in range(space.num_points)]
+    for g, pts in enumerate(space.gen_points):
+        for p in pts:
+            lines_on[p].append(g)
+    in_m = set(members)
+    delta = len(members) - (t + 1)
+    w = [sum(g in in_m for g in lines_on[p]) for p in range(space.num_points)]
+    holes = [p for p in range(space.num_points) if not w[p]]
+    W = sum(x - 1 for x in w if x)
+    lines = [g for g in range(space.num_generators) if g not in in_m]
+    met = {g: {m for p in space.gen_points[g] for m in lines_on[p]
+               if m in in_m} for g in lines}
+    i = {g: len(met[g]) for g in lines}
+    j = {g: sum(1 for p in space.gen_points[g] if w[p]) for g in lines}
+    b, bt = Counter(i.values()), Counter(j.values())
+    items = {}
+
+    bad = [(x, tot) for x in holes
+           if (tot := sum(i[g] for g in lines_on[x]) - (t + 1)) != delta]
+    items["a_hole_identity"] = (
+        (True, f"{len(holes)} holes checked") if not bad else
+        (False, f"hole {bad[0][0]}: sum b_i(X)(i-1) = {bad[0][1]} != {delta}"))
+    bad = [(x, acc) for x in holes
+           if (acc := sum(w[p] - 1 for p in {x, *(p for g in lines_on[x]
+                                                for p in space.gen_points[g])}
+                          if w[p])) > delta]
+    items["a_perp_bound"] = (True, "") if not bad else (
+        False, f"hole {bad[0][0]}: sum (w-1) over perp = {bad[0][1]} > {delta}")
+
+    bad = [g for g in lines if j[g] <= s and i[g] > delta + 1]
+    items["b_meet_bound"] = (True, "") if not bad else (
+        False, f"line {bad[0]} (not in M) meets {i[bad[0]]} > delta+1 members")
+    middle = [k for k in range(delta + 2, s + 1) if b[k] or bt[k]]
+    ok = not b[0] and not bt[0] and not middle
+    items["b_histograms"] = (ok, "" if ok else
+                             f"nonzero histogram entries: b0={b[0]} "
+                             f"b~0={bt[0]} middle={middle}")
+
+    lhs = sum(j[g] - 1 for g in lines if 2 <= j[g] <= delta + 1)
+    rhs = sum(i[g] - 1 for g in lines if 2 <= i[g] <= delta + 1)
+    items["c_tilde_le_b"] = (lhs <= rhs, f"{lhs} <= {rhs}")
+    lhs = (s - delta) * sum(i[g] - 1 for g in lines if 1 <= i[g] <= delta + 1)
+    rhs = (s * t - t - delta) * (s + 1) * delta + W * delta
+    items["e_global_bound"] = (lhs <= rhs, f"{lhs} <= {rhs}")
+
+    # the last point that fails names each item's failure
+    detail = detail2 = ""
+    for p in range(space.num_points):
+        if w[p] == t + 1:
+            continue
+        if w[p] > delta + 1:
+            detail = f"point {p} lies on {w[p]} > delta+1 members"
+        full = sum(1 for g in lines_on[p] if g not in in_m
+                   and all(w[x] for x in space.gen_points[g]))
+        if full * s >= t + s:
+            detail2 = f"point {p} has {full} fully covered non-member lines"
+    items["f_pencil_bound"] = (not detail, detail)
+    items["f_covered_lines"] = (not detail2, detail2)
+    return items
+
+
+FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
+        (2, 4, 5)]
+
+# (geometry, members, the items that fail)
+FORGED_BATTERY_INPUTS = {
+    # in a projective plane every two lines meet, so one line blocks and
+    # delta = 1 - (t+1) is negative
+    "fano-line": (_Geometry(FANO, 7, 2, 2), (0,),
+                  {"a_hole_identity", "a_perp_bound", "b_meet_bound",
+                   "b_histograms", "e_global_bound", "f_pencil_bound"}),
+    # the pencil at point 0 covers every point: each other point lies on
+    # one member and two fully covered non-member lines
+    "fano-pencil": (_Geometry(FANO, 7, 2, 2), (0, 1, 2),
+                    {"f_covered_lines"}),
+    # points 5 and 6 are holes; lines 4 and 5 through point 6 hold s
+    # covered points each, one short of full, so item (f) must not count
+    # them as full
+    "fano-two-lines": (_Geometry(FANO, 7, 2, 2), (0, 1),
+                       {"a_hole_identity", "a_perp_bound", "b_meet_bound",
+                        "b_histograms", "e_global_bound", "f_pencil_bound"}),
+    # line 2 shares two points with member 0, so it holds more covered
+    # points (b~) than it meets members (b)
+    "double-meet": (_Geometry([(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 8, 9)],
+                              10, 3, 0), (0, 1),
+                    {"a_hole_identity", "c_tilde_le_b", "e_global_bound"}),
+    # three members and the non-member line 2 through point 0: w(0) - 1 =
+    # delta + 1 at each hole on line 2, the perp bound's first excess
+    "star": (_Geometry([(0, 1, 2, 3), (0, 4, 5, 6), (0, 7, 8, 9),
+                        (0, 10, 11, 12)], 13, 3, 1), (0, 1, 3),
+             {"a_perp_bound", "b_meet_bound", "b_histograms",
+              "f_pencil_bound"}),
+}
+
+
+def _battery_items(space, members):
+    rep = A.check_coverage_identities(space, members)
+    assert rep.applicable, rep.reason
+    return {k: (v.ok, v.detail) for k, v in rep.items.items()}
+
+
+@pytest.mark.parametrize("name", FORGED_BATTERY_INPUTS)
+def test_identity_battery_failures_match_a_line_walk(name):
+    geometry, members, failing = FORGED_BATTERY_INPUTS[name]
+    items = _battery_items(geometry, members)
+    assert items == _battery_by_line_walk(geometry, members)
+    assert {k for k, (ok, _) in items.items() if not ok} == failing
+
+
+def test_forged_battery_inputs_fail_every_item():
+    failing = set().union(*(f for _, _, f in FORGED_BATTERY_INPUTS.values()))
+    fano, members, _ = FORGED_BATTERY_INPUTS["fano-line"]
+    assert failing == set(_battery_items(fano, members))
+
+
+def test_identity_battery_matches_a_line_walk_on_projective_planes():
+    # every set of at most t+1 lines of PG(2,2), and of at most t+2 lines of
+    # PG(2,3): the sets with delta < s-1, as any set of lines blocks a plane
+    points, lines = S._pg2_incidence(3)
+    for plane, count in [(_Geometry(FANO, 7, 2, 2), 3),
+                         (_Geometry(lines, len(points), 3, 3), 5)]:
+        for k in range(1, count + 1):
+            for members in combinations(range(plane.num_generators), k):
+                assert (_battery_items(plane, members)
+                        == _battery_by_line_walk(plane, members)), members
+
+
+def test_cone_over_an_unknown_base_is_unknown(monkeypatch):
+    # the Unknown minimal set (0, 1, 2, 7, 12) of Q(4,2), lifted to the
+    # generators of Q(6,2) through point 0 that map onto it
+    sp = build_polar_space("q", 3, 2)
+    members = (0, 2, 6, 71, 127)
+    assert A.is_blocking(sp, members) and A.is_minimal(sp, members)
+    qm = sp.quotient(Subspace(sp.field, sp.n, (sp.points[0],)))
+    assert sorted(qm.gen_image(m) for m in members) == [0, 1, 2, 7, 12]
+    assert A.classify(qm.quotient, (0, 1, 2, 7, 12)).label == "Unknown"
+    seen = []
+    real = A._cone_label
+
+    def spy(kind, base):
+        seen.append((kind, base, real(kind, base)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(A, "_cone_label", spy)
+    assert A.classify(sp, members).label == "Unknown"
+    assert seen == [("q", "Unknown", "Unknown")]
+
+
+def test_verify_classification_refuses_a_label_off_the_catalogue():
+    sp = build_polar_space("q", 2, 2)
+    pen = pencil_through_point(sp, 0)
+    assert not A.verify_classification(sp, pen, A.Classification("Bogus"))
+
+
+def test_rank2_parabolic_threshold_without_plane_set():
+    # every blocking set of PG(2,2) holds a line, and rank 2 has no
+    # (q-1)/2 term: only delta = 0 is covered
+    th = A.theorem_threshold("q", 2, rank=2)
+    assert th.max_delta == 0 and th.plane.exists is False

@@ -378,6 +378,20 @@ def test_seed_vertex_entry_out_of_field_exits_1(capsys, entry):
     assert err.count("\n") == 1 and "GF(2)" in err
 
 
+@pytest.mark.parametrize("example,rank,message", [
+    ("pencil", 2, "pencil vertex must have dimension 0, got -1"),
+    ("cone:qplus3-spread", 3,
+     "row 'qplus3-spread' needs a vertex of dimension 0, got -1"),
+])
+@pytest.mark.parametrize("value", ["", ";", " "])
+def test_empty_seed_vertex_is_refused(capsys, example, rank, message, value):
+    # an empty value is the empty vertex, not the default one
+    code, out, err = run(capsys, "construct", "--kind", "q", "--rank",
+                         str(rank), "--q", "2", "--example", example,
+                         f"--seed-vertex={value}")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("rank,example", [(2, "section-cover"),
                                           (3, "cone:q4-cover")])
 def test_section_cover_budget_exit_code(capsys, monkeypatch, rank, example):
