@@ -152,9 +152,9 @@ class BlockingSet:
         }
 
 
-# The public predicates validate their members; the cores _blocks and
-# _essential take members validate_members has already returned, so a
-# caller that holds them validates once.
+# The public predicates validate their members; the cores _blocks,
+# _essential, _coverage and _identities take members validate_members has
+# already returned, so a caller that holds them validates once.
 
 
 def _blocks(space: PolarSpace, members) -> bool:
@@ -236,7 +236,10 @@ def coverage_profile(space: PolarSpace, members) -> CoverageProfile:
     """The points the members cover, each with its multiplicity w(P), the
     excess W = sum of (w(P)-1) and the holes (points on no member), at any
     rank; checks |M| = |L|·(points per generator) - W on the way."""
-    members = validate_members(space, members)
+    return _coverage(space, validate_members(space, members))
+
+
+def _coverage(space: PolarSpace, members) -> CoverageProfile:
     covered = 0
     w: dict[int, int] = {}
     for m in members:
@@ -282,15 +285,22 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     points not fully surrounded by members.  Each line not in L is
     counted once, for the members it meets and the covered points on it."""
     members = validate_members(space, members)
+    return _identities(space, members, _blocks(space, members),
+                       _coverage(space, members))
+
+
+def _identities(space: PolarSpace, members, blocking: bool,
+                prof: CoverageProfile) -> IdentityReport:
+    """The battery on validated members, given _blocks' verdict on them
+    and their _coverage profile."""
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces")
-    if not _blocks(space, members):
+    if not blocking:
         return IdentityReport(False, "set is not blocking")
     s, t = space.s, space.t
     delta = len(members) - (t + 1)
     if delta >= s - 1:
         return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable")
-    prof = coverage_profile(space, members)
     lmask = members_mask(members)
     # i[g]: members the line g meets; j[g]: covered points on g; -1 on members
     lines = list(_iter_bits(space.all_gens_mask & ~lmask))
@@ -327,13 +337,15 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
 
     # (b) a line not contained in M meets at most delta+1 members;
     #     histogram consequences b_0 = b~_0 = 0 and zeros strictly between
-    #     delta+1 and s+1
+    #     delta+1 and s+1.  b~_0 <= b_0: a line meeting a member shares a
+    #     covered point with it, so a line with no covered point meets no
+    #     member.  The verdict reads b_0 alone; b~_0 = 0 follows from it.
     g = next((g for g in lines if j[g] <= s and i[g] > delta + 1), None)
     items["b_meet_bound"] = CheckItem(
         g is None, "" if g is None
         else f"line {g} (not in M) meets {i[g]} > delta+1 members")
     bad = [k for k in range(delta + 2, s + 1) if b.get(k, 0) or b_tilde.get(k, 0)]
-    ok = not b.get(0, 0) and not b_tilde.get(0, 0) and not bad
+    ok = not b.get(0, 0) and not bad
     items["b_histograms"] = CheckItem(
         ok, "" if ok else f"nonzero histogram entries: b0={b.get(0, 0)} "
                           f"b~0={b_tilde.get(0, 0)} middle={bad}")

@@ -138,11 +138,12 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    # _load_set validates the members, so the unchecked cores take them
     space, members = _load_set(args.set)
-    blocking = analysis.is_blocking(space, members)
-    essential = analysis.essential_members(space, members)
+    blocking = analysis._blocks(space, members)
+    essential = analysis._essential(space, members)
     minimal = len(essential) == len(members)
-    prof = analysis.coverage_profile(space, members)
+    prof = analysis._coverage(space, members)
     report = {
         "space": space.name,
         "size": len(members),
@@ -157,7 +158,7 @@ def cmd_verify(args):
         "excess_W": prof.W,
         "holes": len(prof.holes),
     }
-    identities = analysis.check_coverage_identities(space, members)
+    identities = analysis._identities(space, members, blocking, prof)
     report["identities"] = {
         "applicable": identities.applicable,
         "reason": identities.reason,

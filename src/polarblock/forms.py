@@ -188,19 +188,39 @@ class Form:
 
         For quadratic kinds the new upper-triangular matrix is Q on the
         diagonal and B off it; this is exact in every characteristic.  Entry
-        (a, b) is polarize(rows[a], rows[b]), from row a's polar row, which
-        is computed once.
+        (a, b) is B(rows[a], rows[b]) = sum of u_i G_ij x_j over the nonzero
+        entries u_i of rows[a] and x_j of rows[b] (conjugated on a
+        hermitian form), and Q(u) is the sum of u_i c_ij u_j over i <= j;
+        rows of a perp mostly have two nonzero entries.
         """
         m = len(rows)
         herm = self.kind == "hermitian"
-        xs = [self._conj_row(r) for r in rows]
+        add, mul = self.field.addl, self.field.mull
+        gram, c = self.gram, self.coeff
+        nz = [[(i, x) for i, x in enumerate(r) if x] for r in rows]
+        if herm:
+            conj = self.field.conj_table.tolist()
+            xs = [[(j, conj[x]) for j, x in s] for s in nz]
+        else:
+            xs = nz
         coeff = [[0] * m for _ in range(m)]
-        for a in range(m):
-            w = self._polar_row(rows[a])
+        for a, us in enumerate(nz):
             if not herm:
-                coeff[a][a] = self.eval(rows[a])
+                acc = 0
+                for k, (i, ui) in enumerate(us):
+                    ci = c[i]
+                    for j, uj in us[k:]:
+                        if ci[j]:
+                            acc = add[acc][mul[mul[ui][uj]][ci[j]]]
+                coeff[a][a] = acc
             for b in range(0 if herm else a + 1, m):
-                coeff[a][b] = self._pair(w, xs[b])
+                acc = 0
+                for i, ui in us:
+                    gi, mu = gram[i], mul[ui]
+                    for j, xj in xs[b]:
+                        if gi[j]:
+                            acc = add[acc][mul[mu[gi[j]]][xj]]
+                coeff[a][b] = acc
         return Form(self.kind, self.field, m - 1, coeff)
 
 

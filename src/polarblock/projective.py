@@ -122,19 +122,27 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 def nullspace(field: GF, rows, n: int) -> Subspace:
     """Solutions x of M x^T = 0 for the given row matrix M, as a subspace
-    of PG(n,q) (rows have length n+1)."""
-    red = rref(field, rows)
-    pivots = [r.index(1) for r in red]
-    free = [c for c in range(n + 1) if c not in pivots]
+    of PG(n,q) (rows have length n+1).
+
+    M is reduced from the right, as the RREF of its columns reversed, so
+    each row's pivot p is its last nonzero entry.  For each other column j
+    the kernel holds e_j - sum over the rows of M[p][j] e_p, which is 1 at
+    j, 0 at the other free columns, and nonzero only at pivots p > j: these
+    vectors, by increasing j, are already the kernel's RREF.
+    """
+    # red[i][n - j] is entry j of row i of M reduced from the right
+    red = rref(field, [tuple(r)[::-1] for r in rows])
+    pivots = {n - r.index(1): r for r in red}
     neg = field.negl
     basis = []
-    for fc in free:
-        v = [0] * (n + 1)
-        v[fc] = 1
-        for r, pc in zip(red, pivots):
-            v[pc] = neg[r[fc]]
-        basis.append(tuple(v))
-    return Subspace(field, n, rref(field, basis))
+    for j in range(n + 1):
+        if j not in pivots:
+            v = [0] * (n + 1)
+            v[j] = 1
+            for p, r in pivots.items():
+                v[p] = neg[r[n - j]]
+            basis.append(tuple(v))
+    return Subspace(field, n, tuple(basis))
 
 
 def subspace_points(field: GF, rows) -> list[Vector]:

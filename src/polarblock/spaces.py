@@ -792,6 +792,15 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
 # -- quotient geometry --------------------------------------------------------
 
 
+def _lex_codes(vectors: np.ndarray, q: int) -> np.ndarray:
+    """Each row as the base-q integer of its entries, the first entry the
+    most significant, so that the codes of points in lex order ascend.  A
+    code is below q^(n+1), which fits an int64 for every space that builds:
+    the build lists the points of PG(n,q)."""
+    return vectors @ q ** np.arange(vectors.shape[1] - 1, -1, -1,
+                                    dtype=np.int64)
+
+
 class QuotientMap:
     """Projection from a totally singular vertex V onto perp(V)/V.
 
@@ -844,22 +853,26 @@ class QuotientMap:
         self.quotient = space_from_form(space.kind, space.rank - 1, space.q,
                                         space.form.restrict(self.crows))
         self.vertex_mask = 1 << point_idx
+        # the points collinear with P: B(P, X) = 0, X != P
+        near = space.form.polarize_batch(point, space.pts_array) == 0
+        near[point_idx] = False
+        around = np.flatnonzero(near)
         # X in perp(P) is (X[c] / P[c]) P plus a vector of the span of crows,
         # whose crows coordinates are its entries at their pivots; its image
-        # is that vector scaled to a leading 1
+        # is that vector scaled to a leading 1, a singular point of the
+        # quotient, found by its code among the quotient's ascending codes
         add, mul = field.add_table, field.mul_table
         c = perp.rows[last].index(1)
         pivots = [r.index(1) for r in self.crows]
-        around = list(_iter_bits(space.collinear[point_idx]
-                                 & ~self.vertex_mask))
         x = space.pts_array[around]
         coef = mul[x[:, c], field.neg(field.inv(point[c]))]
         y = add[x[:, pivots], mul[coef[:, None], [point[j] for j in pivots]]]
         lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
         y = mul[field.inv_table[lead][:, None], y]
-        index = self.quotient.point_index
-        self.point_image = dict(zip(around, map(index.__getitem__,
-                                                map(tuple, y.tolist()))))
+        codes = self.quotient.cached("lex_codes", None, _lex_codes,
+                                     self.quotient.pts_array, field.q)
+        image = np.searchsorted(codes, _lex_codes(y, field.q))
+        self.point_image = dict(zip(around.tolist(), image.tolist()))
 
     def gen_through(self, mask: int) -> int:
         """Index of the quotient generator through the images of the points

@@ -211,6 +211,18 @@ def test_identity_reports_pinned(rank2_corpus):
                              "fb66a8e81d8f616a159600d851ddc109")
 
 
+def test_b_tilde_zero_at_most_b_zero(rank2_corpus):
+    # a line with no covered point meets no member, so item (b)'s verdict
+    # needs b_0 alone; and b_0 is 0 here, as every applicable set blocks
+    applicable = 0
+    for sp, members in rank2_corpus:
+        rep = A.check_coverage_identities(sp, members)
+        if rep.applicable:
+            applicable += 1
+            assert rep.b_tilde.get(0, 0) <= rep.b.get(0, 0) == 0
+    assert applicable == 501
+
+
 def test_coverage_profiles_pinned(rank2_corpus):
     profiles = []
     for sp, members in rank2_corpus:
@@ -320,8 +332,8 @@ def test_public_calls_validate_their_members_once(monkeypatch):
     # classify's own and verify_classification's
     assert count(A.classify, q62, cone) == 2
     assert A.classify(q62, cone).label == "ConeOverQplus3Spread"
-    # the battery's own and coverage_profile's
-    assert count(A.check_coverage_identities, q43, members) == 2
+    # the battery's own: it profiles the members through the unchecked core
+    assert count(A.check_coverage_identities, q43, members) == 1
     assert A.check_coverage_identities(q43, members).all_ok
     assert count(A.project_blocking_set, q62, cone, hole) == 1
 

@@ -93,6 +93,34 @@ def test_verify_non_blocking_exits_1(capsys, tmp_path):
     assert "blocking: False" in out
 
 
+def test_verify_profiles_and_validates_once(capsys, tmp_path, monkeypatch):
+    from polarblock import analysis
+
+    calls = {"validate": 0, "profile": 0}
+    validate, coverage = analysis.validate_members, analysis._coverage
+
+    def counted_validate(space, members):
+        calls["validate"] += 1
+        return validate(space, members)
+
+    def counted_coverage(space, members):
+        calls["profile"] += 1
+        return coverage(space, members)
+
+    monkeypatch.setattr(analysis, "validate_members", counted_validate)
+    monkeypatch.setattr(analysis, "_coverage", counted_coverage)
+    for kind, rank, q, example in [("q", 2, 3, "pencil"),
+                                   ("qminus", 2, 2, "section-cover"),
+                                   ("q", 3, 2, "cone:qplus3-spread")]:
+        f = tmp_path / "set.json"
+        run(capsys, "construct", "--kind", kind, "--rank", str(rank),
+            "--q", str(q), "--example", example, "--out", str(f))
+        calls.update(validate=0, profile=0)
+        code, out, _ = run(capsys, "verify", "--set", str(f))
+        assert code == 0 and "blocking: True" in out
+        assert calls == {"validate": 1, "profile": 1}
+
+
 def _q42_set(path, members):
     """Write a set file of the given members of Q(4,2)."""
     from polarblock.spaces import build_polar_space

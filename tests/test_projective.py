@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -105,6 +106,57 @@ def test_nullspace():
             assert nullspace(field, [], n).rows == tuple(
                 tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
 
+
+
+def _nullspace_two_eliminations(field, rows, n):
+    """The kernel as computed before: row-reduce M, write down a kernel
+    basis from its pivots, and row-reduce that basis."""
+    red = rref(field, rows)
+    pivots = [r.index(1) for r in red]
+    basis = []
+    for fc in (c for c in range(n + 1) if c not in pivots):
+        v = [0] * (n + 1)
+        v[fc] = 1
+        for r, pc in zip(red, pivots):
+            v[pc] = field.neg(r[fc])
+        basis.append(tuple(v))
+    return rref(field, basis)
+
+
+def _random_matrices(field, rng):
+    """(n, rows) over the field: the empty matrix, zero rows, repeated
+    rows, square full-rank and random rectangular matrices."""
+    q = field.q
+    for n in range(6):
+        yield n, []
+        yield n, [(0,) * (n + 1)]
+        row = tuple(rng.randrange(q) for _ in range(n + 1))
+        yield n, [row, row, (0,) * (n + 1)]
+        # upper unitriangular with a random top: full rank n + 1
+        yield n, [tuple(0 if j < i else 1 if j == i else rng.randrange(q)
+                        for j in range(n + 1)) for i in range(n + 1)]
+        for _ in range(8):
+            k = rng.randrange(1, n + 3)
+            rows = [tuple(rng.randrange(q) for _ in range(n + 1))
+                    for _ in range(k)]
+            rows.append(rows[rng.randrange(k)])
+            yield n, rows
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_nullspace_matches_two_eliminations(p, h):
+    field = make_field(p, h)
+    for n, rows in _random_matrices(field, random.Random(p * 10 + h)):
+        ker = nullspace(field, rows, n)
+        assert ker.rows == _nullspace_two_eliminations(field, rows, n)
+        assert ker.dim == n - len(rref(field, rows))
+        for x in ker.rows:
+            for r in rows:
+                acc = 0
+                for a, b in zip(r, x):
+                    acc = field.add(acc, field.mul(a, b))
+                assert acc == 0
 
 def test_containment_and_ordering():
     l = canonicalize(F2, 3, [(1, 0, 0, 0), (0, 1, 0, 0)])

@@ -1079,3 +1079,33 @@ def test_quotient_map_crows_match_rref_trial(key):
     sp = build_polar_space(*key)
     for i in range(sp.num_points):
         assert sp.quotient_map(i).crows == _crows_rref_trial(sp, i)
+
+
+def _point_images_by_lookup(space, point_idx):
+    """Point images of the quotient map at a point, by tuple lookup: each
+    quotient point y spans with P a line of the space, whose points other
+    than P, v + aP for v = sum of y_k crows_k and a in the field, each
+    scaled to a leading 1, all map to y."""
+    field, qm = space.field, space.quotient_map(point_idx)
+    add, mul, inv = field.addl, field.mull, field.invl
+    p = space.points[point_idx]
+    image = {}
+    for yi, y in enumerate(qm.quotient.points):
+        v = [0] * (space.n + 1)
+        for yk, r in zip(y, qm.crows):
+            v = [add[a][mul[yk][b]] for a, b in zip(v, r)]
+        for a in range(field.q):
+            w = [add[x][mul[a][px]] for x, px in zip(v, p)]
+            lead = inv[next(x for x in w if x)]
+            image[space.point_index[tuple(mul[lead][x] for x in w)]] = yi
+    return image
+
+
+@pytest.mark.parametrize("key", [("q", 3, 2), ("qminus", 3, 2), ("q", 4, 2),
+                                 ("h", 2, 2)])
+def test_quotient_point_images_match_tuple_lookup(key):
+    sp = build_polar_space(*key)
+    for i in range(sp.num_points):
+        qm = sp.quotient_map(i)
+        assert qm.point_image == _point_images_by_lookup(sp, i)
+        assert list(qm.point_image) == sorted(qm.point_image)
