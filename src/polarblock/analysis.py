@@ -285,14 +285,14 @@ def check_coverage_identities(space: PolarSpace, members) -> IdentityReport:
     points not fully surrounded by members.  Each line not in L is
     counted once, for the members it meets and the covered points on it."""
     members = validate_members(space, members)
-    return _identities(space, members, _blocks(space, members),
-                       _coverage(space, members))
+    return _identities(space, members, _blocks(space, members))
 
 
 def _identities(space: PolarSpace, members, blocking: bool,
-                prof: CoverageProfile) -> IdentityReport:
+                prof: CoverageProfile | None = None) -> IdentityReport:
     """The battery on validated members, given _blocks' verdict on them
-    and their _coverage profile."""
+    and, from a caller that holds it, their _coverage profile, which is
+    otherwise computed only where the battery applies."""
     if space.rank != 2:
         return IdentityReport(False, "histogram checks are defined on rank-2 spaces")
     if not blocking:
@@ -301,6 +301,8 @@ def _identities(space: PolarSpace, members, blocking: bool,
     delta = len(members) - (t + 1)
     if delta >= s - 1:
         return IdentityReport(False, f"delta = {delta} >= s-1 = {s - 1}: not applicable")
+    if prof is None:
+        prof = _coverage(space, members)
     lmask = members_mask(members)
     # i[g]: members the line g meets; j[g]: covered points on g; -1 on members
     lines = list(_iter_bits(space.all_gens_mask & ~lmask))

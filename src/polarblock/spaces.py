@@ -792,13 +792,14 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
 # -- quotient geometry --------------------------------------------------------
 
 
-def _lex_codes(vectors: np.ndarray, q: int) -> np.ndarray:
-    """Each row as the base-q integer of its entries, the first entry the
-    most significant, so that the codes of points in lex order ascend.  A
-    code is below q^(n+1), which fits an int64 for every space that builds:
-    the build lists the points of PG(n,q)."""
-    return vectors @ q ** np.arange(vectors.shape[1] - 1, -1, -1,
-                                    dtype=np.int64)
+def _lex_codes(space: PolarSpace):
+    """The weights that read a vector of the space's coordinates as a
+    base-q integer, q the field order and the first entry the most
+    significant, and the codes of the space's points, which ascend, as the
+    points are in lex order.  A code is below q^(n+1), which fits an int64
+    for every space that builds: the build lists the points of PG(n,q)."""
+    weights = space.field.q ** np.arange(space.n, -1, -1, dtype=np.int64)
+    return weights, space.pts_array @ weights
 
 
 class QuotientMap:
@@ -869,9 +870,9 @@ class QuotientMap:
         y = add[x[:, pivots], mul[coef[:, None], [point[j] for j in pivots]]]
         lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
         y = mul[field.inv_table[lead][:, None], y]
-        codes = self.quotient.cached("lex_codes", None, _lex_codes,
-                                     self.quotient.pts_array, field.q)
-        image = np.searchsorted(codes, _lex_codes(y, field.q))
+        weights, codes = self.quotient.cached("lex_codes", None, _lex_codes,
+                                              self.quotient)
+        image = np.searchsorted(codes, y @ weights)
         self.point_image = dict(zip(around.tolist(), image.tolist()))
 
     def gen_through(self, mask: int) -> int:
