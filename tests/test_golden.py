@@ -15,26 +15,26 @@ import io
 import json
 from pathlib import Path
 
+from polarblock.analysis import CONE_ROWS
 from polarblock.cli import main
 
 
-def _sets():
-    """(kind, rank, q, example): every cone row at rank 3, and the pencil,
-    the ruling and the section cover at rank 2."""
-    return [
-        ("q", 3, 2, "cone:conic-pencil"),
-        ("q", 3, 2, "cone:qplus3-spread"),
-        ("qminus", 3, 2, "cone:elliptic-pencil"),
-        ("qminus", 3, 2, "cone:q4-cover"),
-        ("h", 3, 2, "cone:hermitian-pencil"),
-        ("q", 2, 3, "pencil"),
-        ("q", 2, 3, "ruling"),
-        ("qminus", 2, 2, "section-cover"),
-    ]
+# (kind, rank, q, example): every cone row at rank 3, and the pencil, the
+# ruling and the section cover at rank 2
+SETS = [
+    ("q", 3, 2, "cone:conic-pencil"),
+    ("q", 3, 2, "cone:qplus3-spread"),
+    ("qminus", 3, 2, "cone:elliptic-pencil"),
+    ("qminus", 3, 2, "cone:q4-cover"),
+    ("h", 3, 2, "cone:hermitian-pencil"),
+    ("q", 2, 3, "pencil"),
+    ("q", 2, 3, "ruling"),
+    ("qminus", 2, 2, "section-cover"),
+]
 
 
 def _argvs():
-    for kind, rank, q, example in _sets():
+    for kind, rank, q, example in SETS:
         yield ("construct", "--kind", kind, "--rank", str(rank), "--q", str(q),
                "--example", example)
         yield ("verify", "--set", "{set}")
@@ -158,6 +158,8 @@ GOLDEN = [
 
 
 def test_golden_cli_outputs(tmp_path):
+    assert {e for *_, e in SETS if e.startswith("cone:")} == {
+        f"cone:{row}" for row in CONE_ROWS}
     assert [g[0] for g in GOLDEN] == list(_argvs())
     got = list(_run([g[0] for g in GOLDEN], tmp_path))
     assert got == GOLDEN
