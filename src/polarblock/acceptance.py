@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, constructions, search
 from .analysis import CONE_ROWS, theorem_labels
 from .projective import Subspace
-from .spaces import BudgetError, build_polar_space, st_params
+from .spaces import BudgetError, build_polar_space, pencil_size, st_params
 
 RNG_SEED = 20110811
 
@@ -126,43 +126,40 @@ def criterion_3():
     return "pass", "; ".join(lines)
 
 
+def _threshold_census(kind: str, rank: int, q: int):
+    """Every minimal set of the space up to the pencil size plus the
+    theorem's delta, classified, where that delta must be 0: none may lie
+    below the pencil size, and each label must be one the theorems allow."""
+    sp = build_polar_space(kind, rank, q)
+    th = analysis.theorem_threshold(kind, q, rank=rank)
+    if th.max_delta != 0:
+        return "fail", f"threshold admits delta up to {th.max_delta}"
+    size = pencil_size(kind, q)
+    er = search.enumerate_minimal(sp, size + th.max_delta)
+    if not er.complete:
+        return "fail", "enumeration incomplete"
+    short = [w for w in er.sets if len(w) < size]
+    if short:
+        return "fail", f"minimal set of size {len(short[0])} below {size}"
+    census = _census(sp, er.sets)
+    bad = set(census) - theorem_labels(kind, rank)
+    if bad:
+        return "fail", f"unexpected labels {bad}"
+    return "pass", f"{len(er.sets)} minimal sets, census {census}"
+
+
 @_criterion(4, "Q-(5,2): delta threshold 0, all size-5 minimal sets classified",
             120.0)
 def criterion_4():
     """Exhaustive classification of size-(q^2+1) minimal sets on Q-(5,2)."""
-    sp = build_polar_space("qminus", 2, 2)
-    th = analysis.theorem_threshold("qminus", 2)
-    if th.max_delta != 0:
-        return "fail", f"threshold admits delta up to {th.max_delta}"
-    er = search.enumerate_minimal(sp, sp.t + 1 + th.max_delta)
-    if not er.complete:
-        return "fail", "enumeration incomplete"
-    short = [w for w in er.sets if len(w) != 5]
-    if short:
-        return "fail", f"minimal set of size {len(short[0])} below 5"
-    census = _census(sp, er.sets)
-    bad = set(census) - theorem_labels("qminus", 2)
-    if bad:
-        return "fail", f"unexpected labels {bad}"
-    return "pass", f"{len(er.sets)} minimal sets, census {census}"
+    return _threshold_census("qminus", 2, 2)
 
 
 @_criterion(5, "Q(6,2): all size-3 minimal sets are the two cone examples",
             300.0)
 def criterion_5():
     """Exhaustive classification of size-(q+1) minimal sets on Q(6,2)."""
-    sp = build_polar_space("q", 3, 2)
-    th = analysis.theorem_threshold("q", 2, rank=3)
-    if th.max_delta != 0:
-        return "fail", f"threshold admits delta up to {th.max_delta}"
-    er = search.enumerate_minimal(sp, 3)
-    if not er.complete:
-        return "fail", "enumeration incomplete"
-    census = _census(sp, er.sets)
-    bad = set(census) - theorem_labels("q", 3)
-    if bad:
-        return "fail", f"unexpected labels {bad}"
-    return "pass", f"{len(er.sets)} minimal sets, census {census}"
+    return _threshold_census("q", 3, 2)
 
 
 # the catalogue's rows of each kind at rank 3, and the parabolic ones at

@@ -342,6 +342,9 @@ def _identities(space: PolarSpace, members, blocking: bool,
     #     delta+1 and s+1.  b~_0 <= b_0: a line meeting a member shares a
     #     covered point with it, so a line with no covered point meets no
     #     member.  The verdict reads b_0 alone; b~_0 = 0 follows from it.
+    #     _blocks found, for every line g, a member whose meets row holds g;
+    #     b_0 counts the lines whose own row holds no member, so b_0 > 0 on
+    #     a blocking set only where meets is not symmetric: b_0 guards that.
     g = next((g for g in lines if j[g] <= s and i[g] > delta + 1), None)
     items["b_meet_bound"] = CheckItem(
         g is None, "" if g is None

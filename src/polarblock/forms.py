@@ -86,23 +86,15 @@ class Form:
 
     def polarize(self, u, v) -> int:
         """B(u,v) = Q(u+v) - Q(u) - Q(v) for quadratic kinds; the
-        sesquilinear H(u,v) for hermitian."""
+        sesquilinear H(u,v) for hermitian: sum_j w_j x_j over u's polar
+        row w and x = v, conjugated entrywise on a hermitian form."""
         if len(u) != self.n + 1 or len(v) != self.n + 1:
             raise ValueError("vector length mismatch")
-        return self._pair(self._polar_row(u), self._conj_row(v))
-
-    def _conj_row(self, v):
-        """v, conjugated entrywise on a hermitian form."""
         if self.kind == "hermitian":
-            return self.field.conj_table[list(v)].tolist()
-        return v
-
-    def _pair(self, w, x) -> int:
-        """sum_j w_j x_j: B(u, x) when w is u's polar row and x is
-        conjugated on a hermitian form."""
+            v = self.field.conj_table[list(v)].tolist()
         add, mul = self.field.addl, self.field.mull
         acc = 0
-        for wj, xj in zip(w, x):
+        for wj, xj in zip(self._polar_row(u), v):
             if wj and xj:
                 acc = add[acc][mul[wj][xj]]
         return acc

@@ -241,7 +241,6 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         # Branch row: fewest allowed hitters, first index breaks ties; the
         # scan stops at an empty row (prune) or one with a single hitter.
         best_count = len(cols) + 1
-        best_cand = 0
         u = uncovered
         while u and best_count > 1:
             low = u & -u

@@ -567,6 +567,29 @@ def space_from_form(kind: str, rank: int, q: int, form: Form) -> PolarSpace:
     return _materialize(kind, rank, q, form)
 
 
+def _point_table(space: PolarSpace):
+    """The weights that read a vector as a base-q code (q the field order,
+    the first entry most significant) and the table from each code below
+    q^(n+1) to the index of the singular point with it, -1 for any other
+    vector.  A code fits an int64 for every space that builds: the build
+    lists the points of PG(n,q)."""
+    weights = space.field.q ** np.arange(space.n, -1, -1, dtype=np.int64)
+    table = np.full(space.field.q ** (space.n + 1), -1, dtype=np.int32)
+    table[space.pts_array @ weights] = np.arange(space.num_points)
+    return weights, table
+
+
+def _point_indices(space: PolarSpace, vecs: np.ndarray) -> np.ndarray:
+    """The index of the singular point that each row of vecs spans, -1 for
+    a row that spans no singular point: each nonzero row is scaled to a
+    leading 1 and looked up by its code in the space's point table."""
+    field = space.field
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    vecs = field.mul_table[field.inv_table[lead][:, None], vecs]
+    weights, table = space.cached("point_table", None, _point_table, space)
+    return table[vecs @ weights]
+
+
 # -- symmetry -----------------------------------------------------------------
 
 
@@ -578,11 +601,11 @@ def _reflections(space: PolarSpace):
     on a hermitian variety (zeta^(q+1) = 1, zeta != 1).  Yields images:
     images(gens) gives the indices of the images of the generators gens (an
     index array or boolean mask), and images() the whole map.  The maps are
-    array lookups: points by their base-q codes, generators by their
-    ascending point-index rows as bytes, the exact key of a generator's
-    point set, so a reflected generator is looked up by its sorted image
-    row.  Each reflection must permute the points and send the point set of
-    every mapped generator onto a generator's, and a whole map must be a
+    lookups: points by _point_indices, generators by their ascending
+    point-index rows as bytes, the exact key of a generator's point set, so
+    a reflected generator is looked up by its sorted image row.  Each
+    reflection must permute the points and send the point set of every
+    mapped generator onto a generator's, and a whole map must be a
     bijection of the generators.  Such a pair of bijections preserves
     incidence, hence meets.
     """
@@ -596,11 +619,7 @@ def _reflections(space: PolarSpace):
     else:
         scale = field.neg(1)
     pts = space.pts_array
-    rows = np.arange(len(pts))
     n_pts, n_gens = space.num_points, space.num_generators
-    place = field.q ** np.arange(form.n, -1, -1, dtype=np.int64)
-    point_of_code = np.full(field.q ** (form.n + 1), -1, dtype=np.int32)
-    point_of_code[pts.astype(np.int64) @ place] = np.arange(n_pts)
     gen_rows = np.array(space.gen_points, dtype=np.int32)
     key = np.dtype((np.void, 4 * gen_rows.shape[1]))
     gen_of_key = {k: g for g, k in
@@ -628,9 +647,7 @@ def _reflections(space: PolarSpace):
             b = field.conj_table[b]
         coef = mul[field.div(scale, norm)][b]
         img = add[pts, mul[coef[:, None], np.array(v)[None, :]]]
-        lead = img[rows, (img != 0).argmax(axis=1)]
-        img = mul[field.inv_table[lead][:, None], img]
-        pmap = point_of_code[img.astype(np.int64) @ place]
+        pmap = _point_indices(space, img)
         if (pmap < 0).any() or np.bincount(pmap, minlength=n_pts).max() != 1:
             raise AssertionError(f"{space.name}: reflection in {v} does not "
                                  "permute the points")
@@ -792,16 +809,6 @@ def _stabilizer_permutations(space: PolarSpace) -> np.ndarray:
 # -- quotient geometry --------------------------------------------------------
 
 
-def _lex_codes(space: PolarSpace):
-    """The weights that read a vector of the space's coordinates as a
-    base-q integer, q the field order and the first entry the most
-    significant, and the codes of the space's points, which ascend, as the
-    points are in lex order.  A code is below q^(n+1), which fits an int64
-    for every space that builds: the build lists the points of PG(n,q)."""
-    weights = space.field.q ** np.arange(space.n, -1, -1, dtype=np.int64)
-    return weights, space.pts_array @ weights
-
-
 class QuotientMap:
     """Projection from a totally singular vertex V onto perp(V)/V.
 
@@ -860,19 +867,14 @@ class QuotientMap:
         around = np.flatnonzero(near)
         # X in perp(P) is (X[c] / P[c]) P plus a vector of the span of crows,
         # whose crows coordinates are its entries at their pivots; its image
-        # is that vector scaled to a leading 1, a singular point of the
-        # quotient, found by its code among the quotient's ascending codes
+        # is the singular point of the quotient that the vector spans
         add, mul = field.add_table, field.mul_table
         c = perp.rows[last].index(1)
         pivots = [r.index(1) for r in self.crows]
         x = space.pts_array[around]
         coef = mul[x[:, c], field.neg(field.inv(point[c]))]
         y = add[x[:, pivots], mul[coef[:, None], [point[j] for j in pivots]]]
-        lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
-        y = mul[field.inv_table[lead][:, None], y]
-        weights, codes = self.quotient.cached("lex_codes", None, _lex_codes,
-                                              self.quotient)
-        image = np.searchsorted(codes, y @ weights)
+        image = _point_indices(self.quotient, y)
         self.point_image = dict(zip(around.tolist(), image.tolist()))
 
     def gen_through(self, mask: int) -> int:

@@ -42,3 +42,14 @@ def test_criteria_filed_in_number_order_with_their_limits():
         ("criterion_4", 120.0), ("criterion_5", 300.0), ("criterion_6", None),
         ("criterion_7", None), ("criterion_8", 60.0), ("criterion_9", 60.0),
         ("criterion_10", 120.0), ("criterion_11", None)]
+
+
+def test_threshold_census_criteria_details_pinned():
+    # criteria 4 and 5 list every minimal set up to the pencil size and
+    # classify each; their details name the count and the census
+    assert [(res.status, res.detail) for res in (
+        acceptance.criterion_4(), acceptance.criterion_5())] == [
+        ("pass", "243 minimal sets, census "
+                 "{'Pencil': 27, 'CoverOfSectionQ4': 216}"),
+        ("pass", "1575 minimal sets, census "
+                 "{'ConeOverConicPencil': 315, 'ConeOverQplus3Spread': 1260}")]

@@ -1149,6 +1149,18 @@ def test_forged_battery_inputs_fail_every_item():
     assert failing == set(_battery_items(fano, members))
 
 
+def test_identity_battery_b0_catches_an_asymmetric_meets():
+    # the pencil at point 0 blocks through the members' rows, but line 3's
+    # own row holds no member: b_0 = 1 on a blocking set.  The line walk
+    # derives meets from the lines, so this input is not in the table above
+    plane = _Geometry(FANO, 7, 2, 2)
+    members = (0, 1, 2)
+    plane.meets[3] &= ~A.members_mask(members)
+    assert A.is_blocking(plane, members)
+    assert _battery_items(plane, members)["b_histograms"] == (
+        False, "nonzero histogram entries: b0=1 b~0=0 middle=[]")
+
+
 def test_identity_battery_matches_a_line_walk_on_projective_planes():
     # every set of at most t+1 lines of PG(2,2), and of at most t+2 lines of
     # PG(2,3): the sets with delta < s-1, as any set of lines blocks a plane

@@ -3,8 +3,9 @@ exit code.  A `construct` row writes its stdout, the set's JSON, to a file
 that the rows after it name as {set}.  JSON output is hashed after every
 "seconds" key is removed, so that timings do not enter a digest.
 
-The digests were recorded at commit 203d1f8.  A change that moves one must
-say in CHANGES.md which output changed and why.  To print the table anew:
+The digests of the set rows were recorded at commit 203d1f8, those of the
+space and search rows at bfe6b7a.  A change that moves one must say in
+CHANGES.md which output changed and why.  To print the table anew:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,14 +34,41 @@ SETS = [
 ]
 
 
+# (kind, rank, q): the benchmark's ladder of spaces
+LADDER = [("q", 2, 3), ("qminus", 2, 3), ("h", 2, 2), ("q", 3, 2),
+          ("qminus", 3, 2), ("q", 4, 2)]
+
+# (search, kind, rank, q, extra arguments): the benchmark's exact searches
+# on polar spaces, H(4,4) stopped at its node budget as there
+SEARCHES = [
+    ("min-blocking", "q", 2, 3, ()),
+    ("min-blocking", "qminus", 2, 2, ()),
+    ("min-blocking", "q", 3, 2, ()),
+    ("enumerate-minimal", "q", 2, 3, ("--bound", "6")),
+    ("enumerate-minimal", "qminus", 2, 2, ("--bound", "6")),
+    ("min-cover", "q", 2, 3, ()),
+    ("min-cover", "qminus", 2, 2, ()),
+    ("min-maximal-spread", "q", 3, 2, ()),
+    ("min-blocking", "h", 2, 2, ("--budget-nodes", "2000000")),
+]
+
+
+def _space_args(kind, rank, q):
+    return ("--kind", kind, "--rank", str(rank), "--q", str(q))
+
+
 def _argvs():
     for kind, rank, q, example in SETS:
-        yield ("construct", "--kind", kind, "--rank", str(rank), "--q", str(q),
-               "--example", example)
+        yield ("construct", *_space_args(kind, rank, q), "--example", example)
         yield ("verify", "--set", "{set}")
         yield ("--format", "json", "verify", "--set", "{set}")
         yield ("--format", "json", "classify", "--set", "{set}")
         yield ("classify", "--minimize", "--set", "{set}")
+    for space in LADDER:
+        yield ("--format", "json", "space", "stats", *_space_args(*space))
+    for cmd, kind, rank, q, extra in SEARCHES:
+        yield ("--format", "json", "search", cmd, *_space_args(kind, rank, q),
+               *extra)
 
 
 def _without_seconds(x):
@@ -154,6 +182,36 @@ GOLDEN = [
      "cf7b2160271933cc42d71c1d563ddfb789a4e38f71e5ce2df0e6eed6b563eb58", 0),
     (("classify", "--minimize", "--set", "{set}"),
      "3771d3de75c8afe3ba496cb7395cafcb38bd0445b060f33e8f56bcd62c72202d", 0),
+    (("--format", "json", "space", "stats", "--kind", "q", "--rank", "2", "--q", "3"),
+     "8381b4fa710fba144b77802cb36794ac0f826f447e383844c30a86f8e2ab02fb", 0),
+    (("--format", "json", "space", "stats", "--kind", "qminus", "--rank", "2", "--q", "3"),
+     "f28425401e137ba3902f347a8a176768d9752cbab2d605f53f26f410c975823d", 0),
+    (("--format", "json", "space", "stats", "--kind", "h", "--rank", "2", "--q", "2"),
+     "72e9d2d872ff800852912727f0186b045201e06d2450a3d28f6b22dda6fa020d", 0),
+    (("--format", "json", "space", "stats", "--kind", "q", "--rank", "3", "--q", "2"),
+     "00a503e904ff1049f5adfc98ffc56ce4743f4d7ffb70a9f066d6c855aeac7b8b", 0),
+    (("--format", "json", "space", "stats", "--kind", "qminus", "--rank", "3", "--q", "2"),
+     "d131324a1b2e3819f3aaf23e4395422bf741a1945c089cd0171c4a21ece1958c", 0),
+    (("--format", "json", "space", "stats", "--kind", "q", "--rank", "4", "--q", "2"),
+     "b3870e7f4c656630d41dc8cfa2c05959f35ee2e251af2f5fbd98a10c7e3c3071", 0),
+    (("--format", "json", "search", "min-blocking", "--kind", "q", "--rank", "2", "--q", "3"),
+     "7e49796820669f2b8956fe123a0e4b4452eced3b572440dd3c0e850fb00a7467", 0),
+    (("--format", "json", "search", "min-blocking", "--kind", "qminus", "--rank", "2", "--q", "2"),
+     "a1a006f971b3380fe8d2e50bdb2a2a56c3d91b3a827e9528a73c7dbc90fc0f86", 0),
+    (("--format", "json", "search", "min-blocking", "--kind", "q", "--rank", "3", "--q", "2"),
+     "763abeef2a708dd2428af375632404f8cc4e7434021c5ebae4051b821a943d7e", 0),
+    (("--format", "json", "search", "enumerate-minimal", "--kind", "q", "--rank", "2", "--q", "3", "--bound", "6"),
+     "8872bad4579f5f4f9c64757243c3e85c6fb037de7aa9535a93ac1f55b51fdb16", 0),
+    (("--format", "json", "search", "enumerate-minimal", "--kind", "qminus", "--rank", "2", "--q", "2", "--bound", "6"),
+     "45b93e6a0b47b4fbd34992c7915ea40e5e695b5aff45ca5299bf35944c5ea855", 0),
+    (("--format", "json", "search", "min-cover", "--kind", "q", "--rank", "2", "--q", "3"),
+     "7885f4a6393f77e964c6c9caa5cb6f605d92d7fa6503c6bd5eaeefc6a3a033d3", 0),
+    (("--format", "json", "search", "min-cover", "--kind", "qminus", "--rank", "2", "--q", "2"),
+     "15a45e0f5d3be174a834c056d9e86857615a21c7dd2f1d237bd68092af865e2e", 0),
+    (("--format", "json", "search", "min-maximal-spread", "--kind", "q", "--rank", "3", "--q", "2"),
+     "f71f29fd50a7f3797b5febbe01a20877a0271d04c312614fee0fb2b08831eb57", 0),
+    (("--format", "json", "search", "min-blocking", "--kind", "h", "--rank", "2", "--q", "2", "--budget-nodes", "2000000"),
+     "78d628bdd9163501939688963a14a3a13c93e29a381bdedfcc1661c1fbd50de9", 0),
 ]
 
 

@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import combinations, product
 from math import prod
 
+import numpy as np
 import pytest
 
 from polarblock import spaces
@@ -1109,3 +1110,21 @@ def test_quotient_point_images_match_tuple_lookup(key):
         qm = sp.quotient_map(i)
         assert qm.point_image == _point_images_by_lookup(sp, i)
         assert list(qm.point_image) == sorted(qm.point_image)
+
+
+@pytest.mark.parametrize("key", [("q", 2, 3), ("qminus", 2, 2), ("h", 2, 2),
+                                 ("q", 3, 2), ("q", 4, 2)])
+def test_point_indices_name_the_point_of_every_multiple(key):
+    # each nonzero multiple of a singular point reads as that point's index,
+    # each nonzero multiple of any other point of PG(n,q) as -1
+    sp = build_polar_space(*key)
+    field = sp.field
+    others = [p for p in enumerate_pg_points(sp.n, field)
+              if p not in sp.point_index]
+    assert len(others) == theta(sp.n, field.q) - sp.num_points > 0
+    others = np.array(others, dtype=sp.pts_array.dtype)
+    for a in range(1, field.q):
+        assert (spaces._point_indices(sp, field.mul_table[a][sp.pts_array])
+                .tolist() == list(range(sp.num_points)))
+        assert (spaces._point_indices(sp, field.mul_table[a][others])
+                == -1).all()
