@@ -428,9 +428,12 @@ def enumerate_minimal(space: PolarSpace, max_size: int,
     """All minimal blocking sets of size <= max_size (raw list, no
     isomorph rejection).  Leaves of the bounded search tree cover every
     inclusion-minimal hitting set through generator 0; the essentiality
-    filter keeps exactly the minimal ones, and their orbits are the rest."""
+    filter keeps exactly the minimal ones, and their orbits are the rest.
+    The engine's sets are ascending generator indices from _iter_bits, so
+    the filter is analysis.is_minimal without validating them again."""
     sols, complete, nodes, seconds = _pinned(
-        space, space.meets, space.meets, keep=analysis.is_minimal,
+        space, space.meets, space.meets,
+        keep=lambda sp, w: len(analysis._essential(sp, w)) == len(w),
         max_size=max_size, mode="leaves", budget_nodes=budget_nodes,
         budget_secs=budget_secs)
     return EnumerationResult(sols, complete, nodes, seconds)

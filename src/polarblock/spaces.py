@@ -4,17 +4,14 @@ A PolarSpace carries the full singular point list (lex order, stable
 indices), the generators (each the tuple of its RREF rows, in lex order),
 the point/generator incidence and the generator-meets-generator relation
 as bitmask rows.  Totally singular subspaces are enumerated level by level
-and every level is kept: a subspace U is extended by the singular points
-P of perp(U) whose leading column comes before U's first pivot, and once
-a span W = <U, P> is found all of W's points leave U's candidates.  U is
-then the hyperplane of W holding its lowest points, so each subspace is
-found once, from that hyperplane.  W's points are computed as a bitmask:
-below the generators they are P + x for the vectors x of U, added as
-integer codes, and a generator W = <U, P> has the points
-perp(U) & perp(P).  W's RREF rows are P, the least candidate left, then
-U's rows: nothing is row-reduced, and no level is sorted.
-numpy unpacks the generators' point lists from their masks, a bounded
-chunk at a time.
+and every level is kept.  Each subspace U carries one bitmask, the points
+of perp(U) that are 0 at every pivot column of U; each such point P whose
+leading column comes before U's first pivot makes W = <U, P> with RREF
+rows (P,) + U's rows, and every W arises so exactly once.  W's mask is
+U's mask & perp(P) & the points 0 at P's leading column, and a generator
+W = <U, P> has the points perp(U) & perp(P): nothing is row-reduced, and
+no level is sorted.  numpy unpacks the generators' point lists from
+their masks, a bounded chunk at a time.
 
 The PolarSpace constructor builds the space of a form, and every build,
 standard or quotient, is memoized by (kind, rank, q, form): a build is
@@ -51,7 +48,6 @@ kind X one rank down.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -60,7 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gf import GF, field_of_order
+from .gf import field_of_order
 from .projective import (
     Subspace,
     Vector,
@@ -287,16 +283,22 @@ class PolarSpace:
         self.collinear = collinear = _collinearity_masks(form, points,
                                                          self.pts_array)
 
-        # level 0: the points; after the last level, the generators
-        rows = [(p,) for p in points]
-        gen_point_mask = [1 << i for i in range(len(points))]
+        # level 0: the points.  At rank 1 each is a generator, with the
+        # points perp(p) & Q = {p}; above it each carries the points of
+        # perp(p) & Q that are 0 at its leading column
+        rows, masks = [(p,) for p in points], collinear
+        if rank > 1:
+            zero = np.packbits(self.pts_array.T == 0, axis=1,
+                               bitorder="little")
+            zero = [int.from_bytes(z.tobytes(), "little") for z in zero]
+            masks = pivot_zero = [m & zero[p.index(1)]
+                                  for p, m in zip(points, collinear)]
         self.levels = []  # RREF rows of the subspaces of dimension 0..rank-2
-        codes = _point_codes(field, points) if rank > 2 else None
         for k in range(rank - 1):
             self.levels.append(rows)
-            rows, gen_point_mask = _extend_level(
-                points, point_index, collinear, rows, gen_point_mask,
-                codes if k < rank - 2 else None)
+            rows, masks = _extend_level(points, point_index, collinear,
+                                        pivot_zero, rows, masks,
+                                        k == rank - 2)
         exp_gens = generator_count(kind, rank, q)
         if len(rows) != exp_gens:
             raise BuildError(
@@ -305,7 +307,7 @@ class PolarSpace:
         self.generators = rows  # RREF rows of each generator
         self.num_generators = len(rows)
         self.all_gens_mask = (1 << self.num_generators) - 1
-        self.gen_point_mask = gen_point_mask
+        self.gen_point_mask = gen_point_mask = masks
         self.gen_points = gen_points = _bit_lists(gen_point_mask, len(points))
 
         # maximality: a generator's mask is perp(g) & Q, which contains g, so
@@ -444,76 +446,35 @@ def _collinearity_masks(form: Form, points, arr: np.ndarray) -> list[int]:
     return [_mask_from_bool(form.field.combine(p, rows) == 0) for p in points]
 
 
-def _point_codes(field: GF, points):
-    """Integer codes of every nonzero multiple of every point, so that
-    vectors add as integers.
-
-    Each base-p digit of each coordinate takes a slot of w bits.  Over
-    characteristic 2 a slot is one bit and a sum of codes is their XOR.
-    Over odd p two codes are added as integers (2^(w-1) >= p, so no slot
-    carries into the next) and every slot that reached p loses p.  Returns
-    the addition, each point's codes (its own code first, then the other
-    nonzero multiples) and the map from every code to its point's bit.
-    """
-    p, h, mul = field.p, field.h, field.mull
-    w = 1 if p == 2 else (p - 1).bit_length() + 1
-    width = w * h
-    elem = [sum((e // p ** i % p) << (w * i) for i in range(h))
-            for e in range(field.q)]
-    multiples, bit_of = [], {}
-    for i, pt in enumerate(points):
-        codes = []
-        for c in range(1, field.q):
-            row, code = mul[c], 0
-            for x in pt:
-                code = code << width | elem[row[x]]
-            codes.append(code)
-            bit_of[code] = 1 << i
-        multiples.append(codes)
-    if p == 2:
-        return operator.xor, multiples, bit_of
-    ones = sum(1 << (w * k) for k in range(len(points[0]) * h))
-    top, bias = ones << (w - 1), ((1 << (w - 1)) - p) * ones
-
-    def add(a, b):
-        s = a + b
-        return s - (((s + bias) & top) >> (w - 1)) * p
-
-    return add, multiples, bit_of
-
-
-def _extend_level(points, point_index, collinear, urows, umasks, codes):
+def _extend_level(points, point_index, collinear, pivot_zero, urows,
+                  umasks, last):
     """Extend every totally singular subspace of one level by one point.
 
-    A level is two parallel lists sorted by rows, the RREF bases urows of
-    its subspaces U and the masks umasks of their points, and so is the
-    level returned.  Each W = <U, P> is computed as a point mask.  Below
-    the generators its points are U's points, P and P + x for every nonzero
-    vector x of U, looked up through the integer codes of _point_codes;
-    codes is None on the last level, where W is a generator and its points
-    are perp(U) & perp(P).
+    A level is two parallel lists sorted by rows: the RREF bases urows of
+    its subspaces U, and umasks, for each U the points of perp(U) & Q that
+    are 0 at every pivot column of U.  The level returned is the same one
+    dimension up; when last is true its subspaces are the generators, and
+    their masks are their point sets perp(U) & perp(P).  pivot_zero[P] is
+    the mask of the point P on level 0: perp(P) & Q, 0 at P's leading
+    column.
 
-    Every W is reached once, from its lowest hyperplane: the points of W
-    with a zero in the pivot column of W's first RREF row.  That hyperplane
-    is U exactly when P's leading column comes before U's first pivot.
-    Points are normalised to a leading 1 and indexed in lex order, so the
-    points with leading column before c are the top index segment
-    [start[c], len(points)), and P runs over perp(U) & Q in that segment;
-    all of W's points leave the candidates after each step.  No point leads
-    before column 0, and the U with first pivot 0 are the level's tail.
+    Every W of the next level is reached once, from U and P.  Its RREF rows
+    are unique: the first, w0, is a point of W, so in perp(W) & Q, 0 at
+    every later pivot and leading before them, and the others are the RREF
+    rows of a U of this level.  Conversely, for P in U's mask leading
+    before U's first pivot, (P,) + U's rows is in RREF, as U's rows are 0
+    before their pivots; so W = <U, P> exactly when U is spanned by W's
+    rows after the first and P = w0.  Points are normalised to a leading 1
+    and indexed in lex order, so the points with leading column before c
+    are the top index segment [start[c], len(points)), and every point of
+    U's mask in that segment is one W.  No point leads before column 0,
+    and the U with first pivot 0 are the level's tail.  W's mask is U's
+    mask & pivot_zero[P], as perp(W) = perp(U) & perp(P) and W's pivots
+    are U's and P's leading column.
 
-    W's RREF rows are (P,) + U's rows.  Every point of W outside U is P + x
-    for a unique x in U, normalised, with its leading 1 in P's column, and
-    is a candidate; none has left the candidates, as an earlier W' through
-    U holding one would equal W.  W's first RREF row w0 is one of them and
-    is 0 at U's pivots, and for a nonzero y in U, w0 + y agrees with w0
-    before y's leading column and is nonzero there, at a pivot of U where
-    w0 is 0.  So w0 is the lex-least of them, the least candidate left: P.
     The scan files U's index and W's mask under P, and the rows (shared
     point tuples) are made after it in the order of (P, U's index): by rows.
     """
-    if codes is not None:
-        add, multiples, bit_of = codes
     # start[c]: the points with leading column >= c lie below it
     start = [sum(p.index(1) >= c for p in points)
              for c in range(len(points[0]))]
@@ -522,25 +483,18 @@ def _extend_level(points, point_index, collinear, urows, umasks, codes):
         if rows[0][0]:  # the first pivot is column 0
             break
         s = start[rows[0].index(1)]
-        full = -1
-        for r in rows:
-            full &= collinear[point_index[r]]
-        cand = full >> s << s
-        if codes is not None:
-            umask = umasks[ui]
-            ucodes = [c for u in _iter_bits(umask) for c in multiples[u]]
+        cand = umasks[ui] >> s << s
+        if last:
+            keep, step = -1, collinear
+            for r in rows:
+                keep &= collinear[point_index[r]]
+        else:
+            keep, step = umasks[ui], pivot_zero
         while cand:
             low = cand & -cand
             p = low.bit_length() - 1
-            if codes is None:
-                wmask = full & collinear[p]
-            else:
-                pc = multiples[p][0]
-                wmask = umask | low
-                for c in ucodes:
-                    wmask |= bit_of[add(pc, c)]
-            found[p] += ui, wmask
-            cand &= ~wmask
+            found[p] += ui, keep & step[p]
+            cand ^= low
     rows = [(head,) + urows[ui] for head, kept in zip(points, found)
             for ui in kept[::2]]
     return rows, [m for kept in found for m in kept[1::2]]

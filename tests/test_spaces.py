@@ -479,16 +479,21 @@ def test_lines_vs_bruteforce(key):
     assert [l.rows for l in _ts_subspaces(sp, 1)] == sorted(brute)
 
 
+def _point_mask(index, pts) -> int:
+    return sum(1 << index[p] for p in pts)
+
+
 def _lowest_hyperplane_extend_level(field, points, point_index, collinear,
-                                    level, codes):
+                                    urows):
     """Reference for spaces._extend_level: every singular point P of
     perp(U) above U's highest point, keeping W = <U, P> only when U is W's
-    lowest hyperplane, and W's rows as rref(rows + (P,)) built by hand."""
+    lowest hyperplane, with W's rows as rref(rows + (P,)) built by hand and
+    the point sets of U and W from subspace_points.  Returns W's rows and
+    point mask, sorted."""
     add_f, mul_f, neg_f, inv_f = field.addl, field.mull, field.negl, field.invl
-    if codes is not None:
-        add, multiples, bit_of = codes
     out = []
-    for rows, umask in level:
+    for rows in urows:
+        umask = _point_mask(point_index, subspace_points(field, rows))
         full = -1
         for r in rows:
             full &= collinear[point_index[r]]
@@ -496,90 +501,74 @@ def _lowest_hyperplane_extend_level(field, points, point_index, collinear,
         below = (1 << top) - 1
         u_below = umask & below
         cand = full >> (top + 1) << (top + 1)
-        if codes is not None:
-            ucodes = [c for u in spaces._iter_bits(umask)
-                      for c in multiples[u]]
         while cand:
-            low = cand & -cand
-            p = low.bit_length() - 1
-            if codes is None:
-                wmask = full & collinear[p]
-            else:
-                pc = multiples[p][0]
-                wmask = umask | low
-                for c in ucodes:
-                    wmask |= bit_of[add(pc, c)]
+            p = (cand & -cand).bit_length() - 1
+            w = reduce_against(field, rows, points[p])
+            pc = next(i for i, x in enumerate(w) if x)
+            if w[pc] != 1:
+                mc = mul_f[inv_f[w[pc]]]
+                w = [mc[x] for x in w]
+            w_rows = [tuple(w)]
+            for r in rows:
+                c = r[pc]
+                if c:
+                    mc = mul_f[neg_f[c]]
+                    r = tuple([add_f[a][mc[b]] for a, b in zip(r, w)])
+                w_rows.append(r)
+            w_rows.sort(reverse=True)
+            w_rows = tuple(points[point_index[r]] for r in w_rows)
+            wmask = _point_mask(point_index, subspace_points(field, w_rows))
             if wmask & below == u_below:  # U is W's lowest hyperplane
-                w = reduce_against(field, rows, points[p])
-                pc = next(i for i, x in enumerate(w) if x)
-                if w[pc] != 1:
-                    mc = mul_f[inv_f[w[pc]]]
-                    w = [mc[x] for x in w]
-                w_rows = [tuple(w)]
-                for r in rows:
-                    c = r[pc]
-                    if c:
-                        mc = mul_f[neg_f[c]]
-                        r = tuple([add_f[a][mc[b]] for a, b in zip(r, w)])
-                    w_rows.append(r)
-                w_rows.sort(reverse=True)
-                out.append((tuple(points[point_index[r]] for r in w_rows),
-                            wmask))
+                out.append((w_rows, wmask))
             cand &= ~wmask
     out.sort()
     return out
 
 
+def _pivot_zero_masks(points, point_index, collinear):
+    """The map from the RREF rows of a subspace U to the points of
+    perp(U) & Q that are 0 at every pivot column of U, made from U's rows
+    at once: the collinearity masks of the rows and the points 0 at each
+    row's pivot."""
+    zero = [sum(1 << i for i, x in enumerate(points) if not x[c])
+            for c in range(len(points[0]))]
+
+    def mask(rows):
+        m = -1
+        for r in rows:
+            m &= collinear[point_index[r]] & zero[r.index(1)]
+        return m
+
+    return mask
+
+
 @pytest.mark.parametrize("key", [("q", 3, 2), ("q", 3, 3), ("qminus", 3, 2),
                                  ("h", 2, 2), ("q", 4, 2)])
-def test_extend_level_keys_are_point_masks(key):
-    # every level rebuilt from the points, by the leading-column rule and
-    # by the reference: the same (rows, mask) pairs in the same order, each
-    # mask the point set of its rows and the rows their own RREF
+def test_extend_level_matches_lowest_hyperplane_reference(key):
+    # every level rebuilt from the points, by the pivot-zero rule and by
+    # the lowest-hyperplane reference: the same rows in the same order,
+    # each its own RREF; below the generators each mask is the points of
+    # perp(W) that are 0 at W's pivots, and a generator's mask its points
     sp = build_polar_space(*key)
     field, points, index = sp.field, sp.points, sp.point_index
-    codes = spaces._point_codes(field, points)
+    pivot_zero_of = _pivot_zero_masks(points, index, sp.collinear)
+    masks = pivot_zero = [pivot_zero_of((p,)) for p in points]
     urows = [(p,) for p in points]
-    umasks = [1 << i for i in range(len(points))]
     for k in range(sp.rank - 1):
         last = k == sp.rank - 2
-        level_codes = None if last else codes
-        ref = _lowest_hyperplane_extend_level(
-            field, points, index, sp.collinear, list(zip(urows, umasks)),
-            level_codes)
+        ref = _lowest_hyperplane_extend_level(field, points, index,
+                                              sp.collinear, urows)
         # the scan stops at the first U whose first pivot is column 0: every
         # such U comes after it
         skipped = [i for i, r in enumerate(urows) if r[0][0]]
         assert skipped == list(range(skipped[0], len(urows)))
-        urows, umasks = spaces._extend_level(points, index, sp.collinear,
-                                             urows, umasks, level_codes)
-        level = list(zip(urows, umasks))
-        assert level == ref
-        for rows, mask in level:
+        urows, masks = spaces._extend_level(points, index, sp.collinear,
+                                            pivot_zero, urows, masks, last)
+        assert urows == [rows for rows, _ in ref]
+        for rows, mask, (_, wmask) in zip(urows, masks, ref):
             assert rows == rref(field, rows)
-            assert mask == sum(1 << index[p]
-                               for p in subspace_points(field, rows))
-        want = sp.generators if last else sp.levels[k + 1]
-        assert [rows for rows, _ in level] == want
-
-
-@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-def test_point_code_sums(p, h):
-    # a + c*b for every pair of points of PG(2,q) and every scalar c != 0,
-    # through the integer codes, against the field tables
-    field = make_field(p, h)
-    pts = enumerate_pg_points(2, field)
-    add, multiples, bit_of = spaces._point_codes(field, pts)
-    bit = {pt: 1 << i for i, pt in enumerate(pts)}
-    add_t, mul_t = field.addl, field.mull
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if i == j:
-                continue
-            for c, code in zip(range(1, field.q), multiples[j]):
-                s = [add_t[x][mul_t[c][y]] for x, y in zip(a, b)]
-                got = bit_of[add(multiples[i][0], code)]
-                assert got == bit[canonicalize(field, 2, [s]).rows[0]]
+            assert mask == (wmask if last else pivot_zero_of(rows))
+        assert urows == (sp.generators if last else sp.levels[k + 1])
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 2709])
@@ -944,6 +933,12 @@ PINNED_BUILDS = {
     ("h", 3, 2): (
         "a5624061f0670cde7367511be2a000f4496216691b5731800318df025a76a268",
         "10c0d0ba8cc538375650ce3e24e868231e585d268329c85d7a66574973cdfe48"),
+    ("q", 3, 4): (
+        "50efde803879cf189dbe13c6d3f1edb8513314debb0a87aeeab0d489744cda85",
+        "4d5512de99e91df873d209769cc2743055482db016068e3ded0506003f61cfac"),
+    ("qminus", 3, 3): (
+        "14312aaddc2b2e38e2eecac786ec54a46d0bf536ad3f5d9b7f226d4b173c09b9",
+        "238259304a5d54fadf560324d441b49f86c703d648a3ea70310f8bd6abda3b44"),
 }
 
 
@@ -993,14 +988,18 @@ def test_build_output_pinned(key):
 
 
 # sha256 of the compact JSON of PolarSpace.levels (the RREF rows of every
-# kept level), recorded before the level extension was keyed by point mask.
-# Rank 2 keeps only the points, so these rank-3 spaces are the ones whose
-# lines go through the intermediate-level path.
+# kept level), recorded before the level extension was keyed by point mask;
+# the last three before it found each subspace by its pivot-zero point.
+# Rank 2 keeps only the points, so the rank-3 spaces are the ones whose
+# lines go through the intermediate-level path, and Q(8,2) runs it twice.
 PINNED_LEVELS = {
     ("q", 3, 2): "1f3477f9ad2720797210cef70ac5b78a99322477151a34fa7133eb1a04a494e3",
     ("qminus", 3, 2): "126b4add364e78e0a85bc2a7c26f157453642a7d67bc0ef0be13c9fe666148ea",
     ("q", 3, 3): "4c921761e2cf6230973ea630f05e789388107db8cc078592555c58e8e447c6cc",
     ("h", 3, 2): "1439cfea6d1c1d2b7446b7ea2f3ae474aae9c74aaafcf489e3fba5484ebe5485",
+    ("q", 4, 2): "5e47e3a1ee386ea24dd96ad1e99d80a9744709c9962ea2ad5bbff4f14f5db77a",
+    ("q", 3, 4): "df7f7cb1505a16f06055544d258146059d2fea77a678a1b0d3cb0aac2fa967c1",
+    ("qminus", 3, 3): "ec500420ce231da06e060ab2e5fddf5b3913429ca81e5ffe0ea553d2f58cfb4b",
 }
 
 
