@@ -304,15 +304,13 @@ def _identities(space: PolarSpace, members, blocking: bool,
     if prof is None:
         prof = _coverage(space, members)
     lmask = members_mask(members)
-    # i[g]: members the line g meets; j[g]: covered points on g; -1 on members
+    # over the lines g not in L, i[g]: members g meets; j[g]: covered points
     lines = list(_iter_bits(space.all_gens_mask & ~lmask))
-    i = [-1] * space.num_generators
-    j = [-1] * space.num_generators
-    for g in lines:
-        i[g] = (space.meets[g] & lmask).bit_count()
-        j[g] = (space.gen_point_mask[g] & prof.covered_mask).bit_count()
-    b = dict(Counter(i[g] for g in lines))
-    b_tilde = dict(Counter(j[g] for g in lines))
+    i = {g: (space.meets[g] & lmask).bit_count() for g in lines}
+    j = {g: (space.gen_point_mask[g] & prof.covered_mask).bit_count()
+         for g in lines}
+    b = dict(Counter(i.values()))
+    b_tilde = dict(Counter(j.values()))
     items: dict[str, CheckItem] = {}
 
     # (a) per hole X: sum_i b_i(X)(i-1) = delta and sum over X-perp of

@@ -105,7 +105,10 @@ def cmd_space(args):
 
 def cmd_construct(args):
     name = args.example
-    # the flags an example ignores are refused before any work
+    # refused before any work: an unknown example, flags the example ignores
+    if name not in ("pencil", "ruling", "section-cover", *CONE_EXAMPLES):
+        print(f"unknown example {name!r}", file=sys.stderr)
+        return EXIT_USAGE
     for flag, value, used in (
             ("--seed-vertex", args.seed_vertex,
              name not in ("ruling", "section-cover")),
@@ -123,11 +126,8 @@ def cmd_construct(args):
         bs = constructions.ruling_spread(space, args.which or 0)
     elif name == "section-cover":
         bs = constructions.section_cover(space)
-    elif name in CONE_EXAMPLES:
-        bs = constructions.cone_example(space, name.split(":", 1)[1], vertex)
     else:
-        print(f"unknown example {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        bs = constructions.cone_example(space, name.split(":", 1)[1], vertex)
     payload = bs.to_json()
     if args.out:
         _write_json(args.out, payload)
@@ -207,12 +207,12 @@ def cmd_classify(args):
 
 
 def cmd_search(args):
+    if args.search_cmd == "enumerate-minimal" and args.bound is None:
+        print("enumerate-minimal requires --bound", file=sys.stderr)
+        return EXIT_USAGE
     space = _build(args)
     kw = dict(budget_nodes=args.budget_nodes, budget_secs=args.budget_secs)
     if args.search_cmd == "enumerate-minimal":
-        if args.bound is None:
-            print("enumerate-minimal requires --bound", file=sys.stderr)
-            return EXIT_USAGE
         res = search.enumerate_minimal(space, args.bound, **kw)
         payload = {"space": space.name, "max_size": args.bound,
                    "count": len(res.sets), "complete": res.complete,

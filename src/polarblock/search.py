@@ -8,18 +8,19 @@ disjoint members) and the plane blocking-set oracle.
 
 The engine works on a 0/1 relation given twice as Python-int bitmasks:
 rows[r] holds the candidates that hit row r, cols[c] the rows that
-candidate c hits.  For the symmetric meets relation both are `meets`;
-set covers and the plane oracle pass the transpose.  A search node holds
-the chosen set, the allowed candidates and the uncovered rows as
-bitmasks, so picking c leaves `uncovered & ~cols[c]` uncovered.  With
-`forbid_rows` no chosen set may contain a whole row (the plane oracle:
-no line inside the blocking set).
+candidate c hits.  For the symmetric meets relation both are `meets`.
+The plane oracle's relation is symmetric too (line i holds the points x
+with pts[i].x = 0), so both are its line masks.  Set covers pass the
+transpose.  A search node holds the chosen set, the allowed candidates
+and the uncovered rows as bitmasks, so picking c leaves
+`uncovered & ~cols[c]` uncovered.  With `forbid_rows` no chosen set may
+contain a whole row (the plane oracle: no line inside the blocking set).
 
 The engine is deterministic: it branches on an uncovered row with the
 fewest remaining hitters (lexicographic tie-break), visits candidates in
 index order and partitions the space by banning earlier siblings, so node
-counts and witness order are reproducible.  A node with rem picks left
-is pruned when rem * max|cols[c]| < |uncovered|.  With one pick left the
+counts and witness order are reproducible.  A node with rem >= 0 picks
+left is pruned when rem * max|cols[c]| < |uncovered|.  With one pick left the
 node makes it itself: the allowed candidates hitting every uncovered row
 (an AND of the rows, stopped as soon as it is empty) give the finished
 sets, and no child node is made.  Otherwise the covering capacity runs
@@ -31,8 +32,8 @@ count grows from parent to child, so a child recounts only those above
 t = (|uncovered| - 1) // rem, and rem copies of t stand in for the rest:
 a cheap upper bound on the capacity.  Only if it does not prune is every
 candidate counted, so each prune is the exact test's.  Only then does a
-scan of the uncovered rows pick the branch row, stopping at an empty row
-(prune) or at one with a single hitter.  Budgets (node count and wall
+scan of the uncovered rows pick the branch row, stopping at one with at
+most one hitter (an empty row makes no child).  Budgets (node count and wall
 time, read at every node) make incompleteness explicit, never silent.
 
 The four searches over a polar space's generators (min_blocking,
@@ -197,8 +198,6 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
             found(chosen_mask, depth)
             return
         rem = best - depth
-        if rem <= 0:
-            return
         need = uncovered.bit_count()
         if rem * maxdeg < need:
             return
@@ -239,15 +238,13 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
         if sum(k for k, _ in pcaps[:rem]) < need:
             return
         # Branch row: fewest allowed hitters, first index breaks ties; the
-        # scan stops at an empty row (prune) or one with a single hitter.
+        # scan stops at one with at most one hitter (none: no child).
         best_count = len(cols) + 1
         u = uncovered
         while u and best_count > 1:
             low = u & -u
             u ^= low
             ra = rows[low.bit_length() - 1] & allowed
-            if not ra:
-                return
             k = ra.bit_count()
             if k < best_count:
                 best_count = k
@@ -292,7 +289,7 @@ def _run_engine(rows, cols, *, max_size: int, mode: str, conflicts=None,
     return sols, complete, nodes, seconds
 
 
-def _orbit_images(perms, start: int, sets, n: int, of_type=None):
+def _orbit_images(perms, start: int, sets, of_type=None):
     """The images of sets, which hold start, under perms, each emitted once.
 
     A breadth-first walk over the orbit of start (from generator 0 under
@@ -307,6 +304,7 @@ def _orbit_images(perms, start: int, sets, n: int, of_type=None):
     once and no set of seen sets is kept.  Breadth first, the queue holds
     about one level of the tree.  Unsorted.
     """
+    n = perms.shape[1]
     groups = [np.array([s for s in sets if len(s) == k], dtype=np.int32)
               for k in sorted({len(s) for s in sets})]
     out = []
@@ -381,18 +379,16 @@ def _pinned(space: PolarSpace, rows, cols, keep=None, **kw):
     budget stop returns the sets of the runs so far, unexpanded."""
     t0 = time.monotonic()
     runs, complete, nodes = _type_runs(space, rows, cols, keep, **kw)
-    sols = sorted(w for _, sets in runs for w in sets)
+    sols = [w for _, sets in runs for w in sets]
     if complete and sols:
-        n = space.num_generators
         through0 = []
         for members, sets in runs:
-            of_type = np.zeros(n, dtype=bool)
+            of_type = np.zeros(space.num_generators, dtype=bool)
             of_type[members] = True
             through0 += _orbit_images(space.stabilizer_permutations(),
-                                      int(members[0]), sets, n, of_type)
-        sols = sorted(_orbit_images(space.generator_permutations(), 0,
-                                    through0, n))
-    return sols, complete, nodes, time.monotonic() - t0
+                                      int(members[0]), sets, of_type)
+        sols = _orbit_images(space.generator_permutations(), 0, through0)
+    return sorted(sols), complete, nodes, time.monotonic() - t0
 
 
 def min_blocking(space: PolarSpace, upper_bound: int | None = None,
@@ -556,17 +552,17 @@ def smallest_nontrivial_pg2(q: int,
             f"q = {q} outside the oracle range and not prime: no epsilon")
     pts, lines = _pg2_incidence(q)
     npts = len(pts)
+    # rows are lines and candidates points; the relation is symmetric, so
+    # line_masks[p] is also the mask of the lines through point p
     line_masks = [analysis.members_mask(l) for l in lines]
-    # rows are lines, and the hitting candidates of a line are its points
-    lines_through = _transpose(lines, npts)
-    line01 = line_masks[(lines_through[0] & lines_through[1]).bit_length() - 1]
+    line01 = line_masks[(line_masks[0] & line_masks[1]).bit_length() - 1]
     triangle = (0, 1, next(p for p in range(npts) if not line01 >> p & 1))
     deadline = _deadline(budget_secs)
 
     def first_set(target, start):
         nonlocal budget_nodes
         sols, complete, nodes, _ = _run_engine(
-            line_masks, lines_through, max_size=target, mode="min",
+            line_masks, line_masks, max_size=target, mode="min",
             forbid_rows=True, first_only=True, start=start,
             budget_nodes=budget_nodes,
             budget_secs=deadline - time.monotonic())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polarblock import acceptance
+from polarblock import acceptance, cli
 from polarblock.cli import _non_negative_int, main, make_parser
 from polarblock.spaces import BudgetError
 
@@ -217,6 +217,23 @@ def test_enumerate_requires_bound(capsys):
                        "--rank", "2", "--q", "2")
     assert code == 2
     assert "bound" in err
+
+
+@pytest.mark.parametrize("cmd,flags,message", [
+    (["construct"], ["--example", "bogus"], "unknown example 'bogus'"),
+    (["search", "enumerate-minimal"], [],
+     "enumerate-minimal requires --bound"),
+])
+def test_usage_errors_before_the_build(capsys, monkeypatch, cmd, flags,
+                                       message):
+    # Q(10,3) is over the build guard: built, it would exit 3, not 2
+    def no_build(*args):
+        raise AssertionError("space built before the usage check")
+
+    monkeypatch.setattr(cli, "build_polar_space", no_build)
+    code, out, err = run(capsys, *cmd, "--kind", "q", "--rank", "5",
+                         "--q", "3", *flags)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 def test_thresholds(capsys):

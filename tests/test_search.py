@@ -801,6 +801,32 @@ def test_engine_vs_reference_random_relations(seed):
             _assert_same_tree(rows, cols, max_size=max_size, mode=mode, **kw)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_vs_reference_start_fills_max_size(seed):
+    # the start fills max_size and leaves rows uncovered, so the root has
+    # no pick left: the reference returns there on rem <= 0, the engine on
+    # its covering test with rem = 0
+    rng = np.random.default_rng(3000 + seed)
+    rows = [sum(1 << c for c in range(12) if rng.random() < 0.3)
+            for _ in range(15)]
+    cols = _cols(rows, 12)
+    start = (int(rng.integers(12)),)
+    assert cols[start[0]] != (1 << len(rows)) - 1
+    for kw in ({}, {"forbid_rows": True}):
+        for mode in ("min", "leaves"):
+            _assert_same_tree(rows, cols, max_size=1, mode=mode, start=start,
+                              **kw)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pg2_line_masks_are_their_own_transpose(q):
+    # line i holds the points x with pts[i].x = 0, symmetric in i and x,
+    # so the oracle passes its line masks as rows and as cols
+    pts, lines = S._pg2_incidence(q)
+    masks = [A.members_mask(l) for l in lines]
+    assert masks == spaces._transpose(lines, len(pts))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_engine_bound_past_the_candidates(seed):
     # nothing is sized by a bound past the candidate count: at 10**12 the
